@@ -8,10 +8,11 @@
 //! every miss exactly — this is the ground truth that the timekeeping
 //! *predictors* of misses are scored against.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::addr::LineAddr;
+use crate::meta::{LineMap, LineSet};
 use crate::snapshot::{Json, Snapshot, SnapshotError};
 
 /// Hill's three-way miss classification.
@@ -131,11 +132,30 @@ impl fmt::Display for MissBreakdown {
     }
 }
 
+/// Slot-link sentinel: no neighbour in that direction.
+const NIL: u32 = u32::MAX;
+
+/// One resident line of [`FullyAssocShadow`]'s recency list.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: u64,
+    /// The next more recently used slot, or [`NIL`] at the MRU end.
+    newer: u32,
+    /// The next less recently used slot, or [`NIL`] at the LRU end.
+    older: u32,
+}
+
 /// A fully-associative LRU shadow cache used to classify misses.
 ///
 /// The shadow observes *every* access the real cache sees (hits and misses)
 /// so that its LRU state models a fully-associative cache of the same
 /// capacity receiving the same reference stream.
+///
+/// Every observation is O(1): the resident lines sit in a slot array of at
+/// most `capacity` entries, doubly linked MRU → LRU, with a [`LineMap`]
+/// from line to slot; an eviction reuses the LRU slot in place. The
+/// ever-seen set is a [`LineSet`], one entry per distinct line. Nothing is
+/// ever iterated, so no result depends on hash order.
 ///
 /// # Examples
 ///
@@ -156,10 +176,17 @@ impl fmt::Display for MissBreakdown {
 #[derive(Debug, Clone)]
 pub struct FullyAssocShadow {
     capacity: usize,
-    stamp: u64,
-    by_line: HashMap<u64, u64>,
-    by_stamp: BTreeMap<u64, u64>,
-    seen: HashSet<u64>,
+    /// Resident line → its index in `slots`.
+    index: LineMap<u32>,
+    /// Resident lines. Grows to `capacity`, then stays that size.
+    slots: Vec<Slot>,
+    /// Most recently used slot, or [`NIL`] when empty.
+    mru: u32,
+    /// Least recently used slot (the next victim), or [`NIL`] when empty.
+    lru: u32,
+    /// Lines observed by this shadow. Always a superset of the residents,
+    /// so a resident line never needs a seen-set probe.
+    seen: LineSet,
     /// Frozen prefix of the seen set, shared with the producer of a
     /// checkpoint (see [`from_parts`](Self::from_parts)). A line is
     /// "seen" if it is in either set; new observations land in `seen`.
@@ -178,9 +205,9 @@ pub struct FullyAssocShadow {
 /// the warmup stream without per-representative copies.
 #[derive(Debug, Clone)]
 enum SeenBase {
-    Set(std::sync::Arc<HashSet<u64>>),
+    Set(Arc<LineSet>),
     Epoch {
-        first_touch: std::sync::Arc<HashMap<u64, u32>>,
+        first_touch: Arc<LineMap<u32>>,
         epoch: u32,
     },
 }
@@ -209,10 +236,11 @@ impl FullyAssocShadow {
         assert!(capacity_blocks > 0, "shadow capacity must be nonzero");
         FullyAssocShadow {
             capacity: capacity_blocks,
-            stamp: 0,
-            by_line: HashMap::new(),
-            by_stamp: BTreeMap::new(),
-            seen: HashSet::new(),
+            index: LineMap::default(),
+            slots: Vec::new(),
+            mru: NIL,
+            lru: NIL,
+            seen: LineSet::default(),
             seen_base: None,
             breakdown: MissBreakdown::default(),
         }
@@ -235,12 +263,12 @@ impl FullyAssocShadow {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_blocks` is zero or more than `capacity_blocks`
-    /// resident lines are supplied.
+    /// Panics if `capacity_blocks` is zero, a resident line is supplied
+    /// twice, or more than `capacity_blocks` resident lines are supplied.
     pub fn from_parts(
         capacity_blocks: usize,
         resident_lru_to_mru: impl IntoIterator<Item = u64>,
-        seen: std::sync::Arc<HashSet<u64>>,
+        seen: Arc<LineSet>,
         breakdown: MissBreakdown,
     ) -> Self {
         Self::from_base(
@@ -263,7 +291,7 @@ impl FullyAssocShadow {
     pub fn from_parts_epoch(
         capacity_blocks: usize,
         resident_lru_to_mru: impl IntoIterator<Item = u64>,
-        first_touch: std::sync::Arc<HashMap<u64, u32>>,
+        first_touch: Arc<LineMap<u32>>,
         epoch: u32,
         breakdown: MissBreakdown,
     ) -> Self {
@@ -283,35 +311,36 @@ impl FullyAssocShadow {
     ) -> Self {
         let mut s = FullyAssocShadow::new(capacity_blocks);
         s.seen_base = Some(base);
-        for line in resident_lru_to_mru {
-            s.stamp += 1;
+        let mut lines = resident_lru_to_mru.into_iter();
+        while let Some(line) = lines.next() {
+            assert!(
+                !s.index.contains_key(&line),
+                "duplicate resident line {line:#x}"
+            );
+            if s.index.len() == capacity_blocks {
+                let supplied = capacity_blocks + 1 + lines.count();
+                panic!("{supplied} resident lines exceed capacity {capacity_blocks}");
+            }
             s.seen.insert(line);
-            let replaced = s.by_line.insert(line, s.stamp);
-            assert!(replaced.is_none(), "duplicate resident line {line:#x}");
-            s.by_stamp.insert(s.stamp, line);
+            s.install(line);
         }
-        assert!(
-            s.by_line.len() <= capacity_blocks,
-            "{} resident lines exceed capacity {capacity_blocks}",
-            s.by_line.len()
-        );
         s.breakdown = breakdown;
         s
     }
 
     /// Number of lines currently resident in the shadow.
     pub fn len(&self) -> usize {
-        self.by_line.len()
+        self.index.len()
     }
 
     /// True if the shadow holds no lines.
     pub fn is_empty(&self) -> bool {
-        self.by_line.is_empty()
+        self.index.is_empty()
     }
 
     /// Whether `line` is currently resident in the shadow.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.by_line.contains_key(&line.get())
+        self.index.contains_key(&line.get())
     }
 
     /// Accumulated classification counts.
@@ -322,41 +351,104 @@ impl FullyAssocShadow {
     /// Observes an access that *hit* in the real cache (updates recency
     /// only).
     pub fn on_access(&mut self, line: LineAddr) {
-        self.touch(line);
+        let raw = line.get();
+        match self.index.get(&raw) {
+            Some(&slot) => self.promote(slot),
+            None => {
+                self.seen.insert(raw);
+                self.install(raw);
+            }
+        }
     }
 
     /// Classifies a miss in the real cache, then observes the access.
     pub fn classify_miss(&mut self, line: LineAddr) -> MissKind {
         let raw = line.get();
-        let ever_seen =
-            self.seen.contains(&raw) || self.seen_base.as_ref().is_some_and(|b| b.contains(raw));
-        let kind = if !ever_seen {
-            MissKind::Cold
-        } else if self.contains(line) {
-            MissKind::Conflict
-        } else {
-            MissKind::Capacity
+        let kind = match self.index.get(&raw) {
+            // Residents are always seen: a resident miss is a conflict.
+            Some(&slot) => {
+                self.promote(slot);
+                MissKind::Conflict
+            }
+            None => {
+                let first_sight = self.seen.insert(raw)
+                    && !self.seen_base.as_ref().is_some_and(|b| b.contains(raw));
+                self.install(raw);
+                if first_sight {
+                    MissKind::Cold
+                } else {
+                    MissKind::Capacity
+                }
+            }
         };
         self.breakdown.record(kind);
-        self.touch(line);
         kind
     }
 
-    fn touch(&mut self, line: LineAddr) {
-        let raw = line.get();
-        self.seen.insert(raw);
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(old) = self.by_line.insert(raw, stamp) {
-            self.by_stamp.remove(&old);
+    /// Makes the non-resident `line` MRU, evicting the LRU line into its
+    /// slot when the shadow is full.
+    fn install(&mut self, line: u64) {
+        let slot = if self.slots.len() < self.capacity {
+            assert!(
+                self.slots.len() < NIL as usize,
+                "shadow slot index overflow"
+            );
+            let slot = self.slots.len() as u32;
+            self.slots.push(Slot {
+                line,
+                newer: NIL,
+                older: NIL,
+            });
+            slot
+        } else {
+            let slot = self.lru;
+            self.unlink(slot);
+            let victim = std::mem::replace(&mut self.slots[slot as usize].line, line);
+            self.index.remove(&victim);
+            slot
+        };
+        self.index.insert(line, slot);
+        self.push_mru(slot);
+    }
+
+    /// Moves a resident slot to the MRU end.
+    #[inline]
+    fn promote(&mut self, slot: u32) {
+        if slot != self.mru {
+            self.unlink(slot);
+            self.push_mru(slot);
         }
-        self.by_stamp.insert(stamp, raw);
-        if self.by_line.len() > self.capacity {
-            // Evict strict LRU.
-            let (&oldest, &victim) = self.by_stamp.iter().next().expect("nonempty");
-            self.by_stamp.remove(&oldest);
-            self.by_line.remove(&victim);
+    }
+
+    /// Detaches `slot` from the recency list.
+    #[inline]
+    fn unlink(&mut self, slot: u32) {
+        let Slot { newer, older, .. } = self.slots[slot as usize];
+        if newer == NIL {
+            self.mru = older;
+        } else {
+            self.slots[newer as usize].older = older;
         }
+        if older == NIL {
+            self.lru = newer;
+        } else {
+            self.slots[older as usize].newer = newer;
+        }
+    }
+
+    /// Links a detached `slot` in at the MRU end.
+    #[inline]
+    fn push_mru(&mut self, slot: u32) {
+        let old_mru = self.mru;
+        let s = &mut self.slots[slot as usize];
+        s.newer = NIL;
+        s.older = old_mru;
+        if old_mru == NIL {
+            self.lru = slot;
+        } else {
+            self.slots[old_mru as usize].newer = slot;
+        }
+        self.mru = slot;
     }
 }
 
@@ -462,14 +554,12 @@ mod tests {
 
     #[test]
     fn epoch_seen_base_matches_set_snapshot() {
-        use std::collections::{HashMap, HashSet};
-        use std::sync::Arc;
         // First-touch epochs: line 1 @0, line 2 @1, line 3 @2. A shadow
         // cut at epoch 2 must treat {1, 2} as seen and 3 as unseen —
         // exactly what a set snapshot taken at that boundary would say.
-        let first: Arc<HashMap<u64, u32>> =
+        let first: Arc<LineMap<u32>> =
             Arc::new([(1u64, 0u32), (2, 1), (3, 2)].into_iter().collect());
-        let snapshot: Arc<HashSet<u64>> = Arc::new([1u64, 2].into_iter().collect());
+        let snapshot: Arc<LineSet> = Arc::new([1u64, 2].into_iter().collect());
         let mut by_epoch =
             FullyAssocShadow::from_parts_epoch(4, [1u64], first, 2, MissBreakdown::default());
         let mut by_set =
@@ -485,8 +575,41 @@ mod tests {
     }
 
     #[test]
+    fn resident_state_stays_bounded_under_large_footprints() {
+        // A footprint far beyond capacity (long large-footprint runs) must
+        // grow only the seen set: the resident index and the slot array
+        // stay within `capacity` entries, and neither reallocates once
+        // the stream is past its first sweep.
+        for cap in [1usize, 8, 1024] {
+            let mut s = FullyAssocShadow::new(cap);
+            let total = 64 * cap as u64;
+            let mut settled = None;
+            for i in 0..total {
+                // Alternate miss and hit observations of fresh lines.
+                if i % 2 == 0 {
+                    assert_eq!(s.classify_miss(line(i)), MissKind::Cold);
+                } else {
+                    s.on_access(line(i));
+                }
+                assert!(s.index.len() <= cap && s.slots.len() <= cap);
+                assert_eq!(s.seen.len() as u64, i + 1);
+                if i == 2 * cap as u64 {
+                    settled = Some((s.index.capacity(), s.slots.capacity()));
+                }
+            }
+            assert_eq!(s.len(), cap);
+            assert_eq!(
+                settled,
+                Some((s.index.capacity(), s.slots.capacity())),
+                "resident storage regrew at capacity {cap}"
+            );
+            assert!(s.slots.capacity() <= (2 * cap).max(4), "cap {cap}");
+            assert_eq!(s.breakdown().cold, total / 2);
+        }
+    }
+
+    #[test]
     fn epoch_zero_sees_nothing() {
-        use std::sync::Arc;
         let first = Arc::new([(7u64, 0u32)].into_iter().collect());
         let mut s = FullyAssocShadow::from_parts_epoch(2, [], first, 0, MissBreakdown::default());
         // first_touch[7] == 0 is NOT < epoch 0: the very first interval's

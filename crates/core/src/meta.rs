@@ -3,9 +3,9 @@
 //! The paper's mechanisms all consume the same small set of per-line time
 //! metadata — generation start, last use, live/dead time of the previous
 //! generation, reload-interval history (§3–§5). Rather than every consumer
-//! (generation tracking, victim filters, miss classification, the L2
-//! interval monitor) keeping a private `HashMap<u64, …>` shadow, this
-//! module centralizes that state in one [`LinePlane`]:
+//! (generation tracking, victim filters, the L2 interval monitor) keeping
+//! a private `HashMap<u64, …>` shadow, this module centralizes that state
+//! in one [`LinePlane`]:
 //!
 //! * **frame-indexed** open-generation state ([`LinePlane::fill`] /
 //!   [`hit`](LinePlane::hit) / [`evict`](LinePlane::evict)) in a plain
@@ -18,6 +18,12 @@
 //!
 //! [`GenerationTracker`](crate::GenerationTracker) is an alias of
 //! [`LinePlane`]: the generational API of §3 is the core of the plane.
+//!
+//! Miss classification keeps its own state, because a fully-associative
+//! LRU stack is not per-frame metadata:
+//! [`FullyAssocShadow`](crate::FullyAssocShadow) holds a linked slot
+//! array indexed by a [`LineMap`] plus a [`LineSet`] of lines ever seen.
+//! Like everything else keyed by line, it hashes with [`DetHasher`].
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};

@@ -47,6 +47,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use timekeeping::LineMap;
+
 use crate::config::{SampleConfig, SystemConfig, VictimMode};
 use crate::oracle::FunctionalOracle;
 use crate::sample::{build_checkpoint, checkpointable, BufInstr, RepShard, SampleCheckpoint};
@@ -582,7 +584,9 @@ fn decode(bytes: &[u8], want_fingerprint: &str) -> Option<SampleCheckpoint> {
     let budget = r.u64()?;
     let reps = r.u32()?;
     let n_first = r.u32()? as usize;
-    let mut first_touch = HashMap::with_capacity(n_first);
+    // Each entry takes 12 bytes; reserve no more than the payload can hold.
+    let room = (r.buf.len() - r.at) / 12;
+    let mut first_touch = LineMap::with_capacity_and_hasher(n_first.min(room), Default::default());
     for _ in 0..n_first {
         let line = r.u64()?;
         let epoch = r.u32()?;

@@ -46,8 +46,8 @@ use std::sync::Mutex;
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, MetricsCollector,
-    MissBreakdown, TimelinessStats, VictimStats,
+    CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, LineMap, LineSet,
+    MetricsCollector, MissBreakdown, TimelinessStats, VictimStats,
 };
 
 use crate::config::{SampleConfig, SystemConfig};
@@ -627,22 +627,24 @@ impl FlatLineTable {
     }
 }
 
-/// A fast equivalent of [`FullyAssocShadow`] for the warmup hot loop:
-/// one flat-table probe and a stamp write per access — no linked list,
-/// no eager eviction — with the L1 dirty bits riding in the same table,
-/// so stores cost no extra lookup. Converted back to a real
+/// The warmup loop's stand-in for [`FullyAssocShadow`]: one flat-table
+/// probe and a stamp write per access, with the L1 dirty bits riding in
+/// the same table, so stores cost no extra lookup. It keeps no recency
+/// list and never evicts, so its key set is the ever-seen record and each
+/// slot carries its first-touch epoch. Converted to a real
 /// `FullyAssocShadow` at checkpoint injection.
 ///
-/// The trick is that a fully-associative LRU stack of capacity `C`
-/// resides exactly the `C` most-recently-touched distinct lines, in
-/// last-touch order. So the warm loop only records each line's
-/// last-touch stamp, and [`to_fully_assoc`](Self::to_fully_assoc)
-/// reconstructs the resident stack lazily by selecting the top-`C`
-/// stamps — an `O(footprint)` pass per representative instead of a
-/// pointer splice per access. Stamps are unique, so the reconstruction
-/// is deterministic. Miss classification is not tracked during warmup:
-/// representative stats subtract the injected shadow's baseline, so
-/// warm-era counts cancel out of every sampled document.
+/// A fully-associative LRU stack of capacity `C` holds exactly the `C`
+/// most-recently-touched distinct lines, in last-touch order. So the warm
+/// loop only records each line's last-touch stamp, and
+/// [`to_fully_assoc`](Self::to_fully_assoc) reconstructs the resident
+/// stack lazily by selecting the top-`C` stamps, an `O(footprint)` pass
+/// per representative. `FullyAssocShadow` relinks a list node per
+/// reference instead, because it must classify every miss as it goes.
+/// Stamps are unique, so the reconstruction is deterministic. Miss
+/// classification is not tracked during warmup: representative stats
+/// subtract the injected shadow's baseline, so warm-era counts cancel out
+/// of every sampled document.
 #[derive(Debug, Clone)]
 struct WarmShadow {
     capacity: usize,
@@ -654,7 +656,7 @@ struct WarmShadow {
     /// as a frozen snapshot (`Arc` clone, O(1)); the warm loop is the
     /// only holder by the time it mutates again, so `make_mut` never
     /// copies.
-    seen: std::sync::Arc<std::collections::HashSet<u64>>,
+    seen: std::sync::Arc<LineSet>,
     /// Current profiling-interval index, stamped into
     /// [`TableSlot::first`] on insertion. The checkpoint builder bumps
     /// it at each interval boundary; single-checkpoint callers leave it
@@ -671,7 +673,10 @@ impl WarmShadow {
             stamp: 0,
             // Reserved ahead: large-footprint workloads would otherwise
             // pay a cascade of rehashes in the middle of the warm loop.
-            seen: std::sync::Arc::new(std::collections::HashSet::with_capacity(1 << 16)),
+            seen: std::sync::Arc::new(LineSet::with_capacity_and_hasher(
+                1 << 16,
+                Default::default(),
+            )),
             epoch: 0,
         }
     }
@@ -778,7 +783,7 @@ impl WarmShadow {
     /// Every line ever touched, with the epoch (interval index) of its
     /// first touch — the single shared map that replaces per-shard seen
     /// snapshots in a [`SampleCheckpoint`].
-    fn first_touch_map(&self) -> std::collections::HashMap<u64, u32> {
+    fn first_touch_map(&self) -> LineMap<u32> {
         self.table
             .slots
             .iter()
@@ -1133,7 +1138,7 @@ pub struct SampleCheckpoint {
     /// Line → index of the interval that first touched it, shared by
     /// every shard's classification shadow (a shard at interval `i`
     /// treats a line as seen iff its first touch came before `i`).
-    pub(crate) first_touch: std::sync::Arc<std::collections::HashMap<u64, u32>>,
+    pub(crate) first_touch: std::sync::Arc<LineMap<u32>>,
     pub(crate) shards: Vec<RepShard>,
 }
 
