@@ -21,10 +21,7 @@ use tk_workloads::SpecBenchmark;
 fn warm(benches: &[SpecBenchmark], cfgs: &[SystemConfig], opts: FigureOpts) {
     let jobs: Vec<Job> = benches
         .iter()
-        .flat_map(|&b| {
-            cfgs.iter()
-                .map(move |&c| Job::new(b, c, opts.seed, opts.instructions))
-        })
+        .flat_map(|&b| cfgs.iter().map(move |&c| opts.job(b, c)))
         .collect();
     let _ = run_jobs(&jobs, opts.jobs);
 }

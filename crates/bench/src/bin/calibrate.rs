@@ -20,11 +20,7 @@ fn main() {
     ];
     let jobs: Vec<Job> = SpecBenchmark::ALL
         .iter()
-        .flat_map(|&b| {
-            configs
-                .iter()
-                .map(move |&c| Job::new(b, c, opts.seed, opts.instructions))
-        })
+        .flat_map(|&b| configs.iter().map(move |&c| opts.job(b, c)))
         .collect();
     let _ = run_jobs(&jobs, opts.jobs);
     println!(

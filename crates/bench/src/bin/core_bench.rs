@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use timekeeping::{CorrelationConfig, DbcpConfig, Snapshot};
-use tk_sim::{MemorySystem, OooCore, PrefetchMode, SystemConfig, VictimMode};
+use tk_sim::{MemBackendConfig, MemorySystem, OooCore, PrefetchMode, SystemConfig, VictimMode};
 use tk_workloads::patterns::PointerChasePattern;
 use tk_workloads::{SpecBenchmark, SyntheticWorkload};
 
@@ -124,6 +124,7 @@ fn run_one(driver: Driver, cfg: SystemConfig, instructions: u64) -> Timing {
 fn main() {
     let mut instructions: u64 = 2_000_000;
     let mut emit_json = false;
+    let mut memory = MemBackendConfig::Fixed;
     let mut driver = Driver::Chase;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -142,15 +143,14 @@ fn main() {
             }
             "--json" => emit_json = true,
             "--dram" => {
-                // The shared memory-backend flag: set the process-wide
-                // default so every SystemConfig::base()/with_* below
-                // carries the chosen backend.
+                // The shared memory-backend flag: every config below
+                // runs on the chosen backend.
                 let v = inline
                     .map(str::to_owned)
                     .or_else(|| args.next())
                     .expect("--dram takes fixed|banked[:preset]");
                 match tk_sim::parse_backend_arg(&v) {
-                    Ok(backend) => tk_sim::set_default_mem_backend(backend),
+                    Ok(backend) => memory = backend,
                     Err(e) => panic!("{e}"),
                 }
             }
@@ -203,6 +203,11 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (name, cfg) in cases {
+        let cfg = cfg
+            .to_builder()
+            .memory(memory)
+            .build()
+            .expect("core_bench configs are valid");
         let hop = run_one(driver, cfg, instructions);
         let mut step_cfg = cfg;
         step_cfg.step_every_cycle = true;

@@ -28,7 +28,7 @@ fn main() {
         .flat_map(|&b| {
             std::iter::once(SystemConfig::base())
                 .chain(INTERVALS.iter().map(|&i| SystemConfig::with_decay(i)))
-                .map(move |c| Job::new(b, c, opts.seed, opts.instructions))
+                .map(move |c| opts.job(b, c))
         })
         .collect();
     let _ = run_jobs(&grid, opts.jobs);

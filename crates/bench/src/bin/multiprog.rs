@@ -7,7 +7,7 @@
 
 use tk_bench::fmt::{pct, TextTable};
 use tk_bench::runner::FigureOpts;
-use tk_sim::{run_workload, SystemConfig, VictimMode};
+use tk_sim::{SystemConfig, VictimMode};
 use tk_workloads::{Multiprogrammed, SpecBenchmark};
 
 fn pair(a: SpecBenchmark, b: SpecBenchmark, quantum: u64) -> Multiprogrammed {
@@ -16,7 +16,6 @@ fn pair(a: SpecBenchmark, b: SpecBenchmark, quantum: u64) -> Multiprogrammed {
 
 fn main() {
     let opts = FigureOpts::from_args().or_default_budget(4_000_000);
-    let insts = opts.instructions;
 
     println!("Multiprogramming and generational behavior (Mendelson [11])\n");
 
@@ -29,11 +28,7 @@ fn main() {
         "mean dead",
         "zero-live gens",
     ]);
-    let solo = run_workload(
-        &mut SpecBenchmark::Gzip.build(1),
-        SystemConfig::base(),
-        insts,
-    );
+    let solo = opts.simulate(&mut SpecBenchmark::Gzip.build(1), SystemConfig::base());
     let row = |name: &str, r: &tk_sim::RunResult| {
         vec![
             name.to_owned(),
@@ -47,7 +42,7 @@ fn main() {
     t.row(row("gzip alone", &solo));
     for quantum in [200_000u64, 50_000, 10_000] {
         let mut mp = pair(SpecBenchmark::Gzip, SpecBenchmark::Art, quantum);
-        let r = run_workload(&mut mp, SystemConfig::base(), insts);
+        let r = opts.simulate(&mut mp, SystemConfig::base());
         t.row(row(&format!("gzip+art, q={quantum}"), &r));
     }
     println!("{}", t.render());
@@ -63,12 +58,11 @@ fn main() {
         ("twolf+art", SpecBenchmark::Twolf, SpecBenchmark::Art),
     ] {
         let mut base_w = pair(a, b, 50_000);
-        let base = run_workload(&mut base_w, SystemConfig::base(), insts);
+        let base = opts.simulate(&mut base_w, SystemConfig::base());
         let mut vc_w = pair(a, b, 50_000);
-        let vc = run_workload(
+        let vc = opts.simulate(
             &mut vc_w,
             SystemConfig::with_victim(VictimMode::paper_dead_time()),
-            insts,
         );
         t.row(vec![
             name.to_owned(),

@@ -37,7 +37,7 @@ fn main() {
         .flat_map(|&b| {
             std::iter::once(SystemConfig::base())
                 .chain(modes.iter().map(|(_, m)| SystemConfig::with_prefetch(*m)))
-                .map(move |c| Job::new(b, c, opts.seed, opts.instructions))
+                .map(move |c| opts.job(b, c))
         })
         .collect();
     let _ = run_jobs(&grid, opts.jobs);

@@ -38,7 +38,7 @@ use std::time::Instant;
 use timekeeping::snapshot::Json;
 use tk_bench::runner::FigureOpts;
 use tk_bench::{engine, golden};
-use tk_sim::{run_workload, RunResult, SampleConfig, SystemConfig};
+use tk_sim::{RunResult, SampleConfig, SystemConfig};
 use tk_workloads::SpecBenchmark;
 
 /// The CI gate: geomean absolute miss-rate error, percentage points.
@@ -52,10 +52,16 @@ fn main() {
         k: 8,
     });
 
-    let mut full_cfg = SystemConfig::base();
-    full_cfg.sample = None;
-    let mut sampled_cfg = full_cfg;
-    sampled_cfg.sample = Some(sc);
+    // The suite section sweeps sampling itself: full and sampled runs
+    // each take their own copy of `opts`.
+    let full_opts = FigureOpts {
+        sample: None,
+        ..opts
+    };
+    let sampled_opts = FigureOpts {
+        sample: Some(sc),
+        ..opts
+    };
 
     println!(
         "sampling calibration: {budget} instructions, interval={}, k={}",
@@ -72,8 +78,8 @@ fn main() {
     let (mut wall_full, mut wall_sampled) = (0.0_f64, 0.0_f64);
 
     for b in SpecBenchmark::ALL {
-        let (full, t_full) = timed_run(b, full_cfg, opts.seed, budget);
-        let (sampled, t_samp) = timed_run(b, sampled_cfg, opts.seed, budget);
+        let (full, t_full) = timed_run(b, full_opts);
+        let (sampled, t_samp) = timed_run(b, sampled_opts);
 
         let mr_f = full.hierarchy.l1_miss_rate() * 100.0;
         let mr_s = sampled.hierarchy.l1_miss_rate() * 100.0;
@@ -348,11 +354,11 @@ fn figure_bands(opts: &FigureOpts) -> Vec<Json> {
     rows
 }
 
-/// Runs one simulation directly (no memo) and times it.
-fn timed_run(b: SpecBenchmark, cfg: SystemConfig, seed: u64, budget: u64) -> (RunResult, f64) {
-    let mut w = b.build(seed);
+/// Runs the base machine on `b` directly (no memo) and times it.
+fn timed_run(b: SpecBenchmark, opts: FigureOpts) -> (RunResult, f64) {
+    let mut w = b.build(opts.seed);
     let start = Instant::now();
-    let r = run_workload(&mut w, cfg, budget);
+    let r = opts.simulate(&mut w, SystemConfig::base());
     (r, start.elapsed().as_secs_f64())
 }
 

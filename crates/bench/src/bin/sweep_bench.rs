@@ -46,8 +46,9 @@ const SPEEDUP_GATE: f64 = 2.0;
 /// The nine timing variants: every combination of DRAM backend and
 /// prefetcher. All are *timing* knobs — geometry, stream and sampling
 /// parameters are identical — so each workload's nine jobs share one
-/// functional fingerprint and thus one checkpoint.
-fn sweep_configs(sc: SampleConfig) -> Vec<(String, SystemConfig)> {
+/// functional fingerprint and thus one checkpoint. `opts` supplies the
+/// sampling mode and core count; the sweep sets the backend itself.
+fn sweep_configs(opts: FigureOpts) -> Vec<(String, SystemConfig)> {
     let backends = [
         ("fixed", MemBackendConfig::Fixed),
         ("ddr2", MemBackendConfig::Banked(BankedDramConfig::DDR2)),
@@ -64,12 +65,11 @@ fn sweep_configs(sc: SampleConfig) -> Vec<(String, SystemConfig)> {
     let mut cfgs = Vec::new();
     for (bname, backend) in backends {
         for (pname, prefetch) in prefetchers {
-            let cfg = SystemConfig::builder()
-                .memory(backend)
-                .prefetch(prefetch)
-                .sample(sc)
-                .build()
-                .expect("sweep configs are valid");
+            let on = FigureOpts {
+                dram: backend,
+                ..opts
+            };
+            let cfg = on.config(SystemConfig::with_prefetch(prefetch));
             cfgs.push((format!("{bname}+{pname}"), cfg));
         }
     }
@@ -113,13 +113,17 @@ fn main() {
     engine::set_disk_cache(None);
     tk_sim::set_checkpoint_dir(None);
 
-    let cfgs = sweep_configs(sc);
+    let cfgs = sweep_configs(FigureOpts {
+        sample: Some(sc),
+        ..opts
+    });
     let jobs: Vec<Job> = cfgs
         .iter()
         .flat_map(|(_, cfg)| {
-            SpecBenchmark::ALL
-                .iter()
-                .map(|&b| Job::new(b, *cfg, opts.seed, budget))
+            SpecBenchmark::ALL.iter().map(|&b| Job {
+                check: opts.check,
+                ..Job::new(b, *cfg, opts.seed, budget)
+            })
         })
         .collect();
     println!(

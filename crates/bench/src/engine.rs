@@ -30,13 +30,14 @@
 //!   the checkpoint's fixed order, so the schedule cannot affect the
 //!   output: a sharded run is bit-identical to `Job::simulate`.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use timekeeping::snapshot::{Json, Snapshot};
-use tk_sim::{run_workload, RunResult, SampleCheckpoint, SystemConfig};
+use tk_sim::{run_workload, run_workload_checked, RunResult, SampleCheckpoint, SystemConfig};
 
 use crate::workload::WorkloadId;
 
@@ -53,11 +54,16 @@ pub struct Job {
     pub seed: u64,
     /// Instruction budget.
     pub instructions: u64,
+    /// Run in lockstep with the functional oracle (`--check`). Checking
+    /// panics on a divergence and otherwise returns the bit-identical
+    /// result, so it is not part of [`cache_key`](Self::cache_key).
+    pub check: bool,
 }
 
 impl Job {
-    /// Creates a job. Accepts a bare [`SpecBenchmark`](tk_workloads::SpecBenchmark)
-    /// or any [`WorkloadId`].
+    /// Creates an unchecked job. Accepts a bare
+    /// [`SpecBenchmark`](tk_workloads::SpecBenchmark) or any
+    /// [`WorkloadId`].
     pub fn new(
         bench: impl Into<WorkloadId>,
         cfg: SystemConfig,
@@ -69,6 +75,7 @@ impl Job {
             cfg,
             seed,
             instructions,
+            check: false,
         }
     }
 
@@ -92,7 +99,11 @@ impl Job {
     /// The simulation itself (no caching).
     fn simulate(&self) -> RunResult {
         let mut w = self.bench.build(self.seed);
-        run_workload(&mut w, self.cfg, self.instructions)
+        if self.check {
+            run_workload_checked(&mut w, self.cfg, self.instructions)
+        } else {
+            run_workload(&mut w, self.cfg, self.instructions)
+        }
     }
 }
 
@@ -110,7 +121,6 @@ pub(crate) fn fnv1a64(data: &str) -> u64 {
 struct Engine {
     memo: Mutex<HashMap<Job, Arc<RunResult>>>,
     disk_dir: Mutex<Option<PathBuf>>,
-    recorded: Mutex<Option<Vec<Job>>>,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
     sims_run: AtomicU64,
@@ -121,7 +131,6 @@ fn engine() -> &'static Engine {
     ENGINE.get_or_init(|| Engine {
         memo: Mutex::new(HashMap::new()),
         disk_dir: Mutex::new(None),
-        recorded: Mutex::new(None),
         memo_hits: AtomicU64::new(0),
         disk_hits: AtomicU64::new(0),
         sims_run: AtomicU64::new(0),
@@ -142,23 +151,26 @@ pub fn disk_cache_dir() -> Option<PathBuf> {
     engine().disk_dir.lock().expect("cache poisoned").clone()
 }
 
-/// Turns the job log on or off. While on, every *distinct* job submitted
-/// to [`run_jobs`] is appended (in submission order, including memo and
-/// disk hits) so a caller can discover exactly which simulations back a
-/// figure — the golden-figure harness uses this to build its digests.
-pub fn record_jobs(enable: bool) {
-    let mut rec = engine().recorded.lock().expect("record poisoned");
-    *rec = if enable { Some(Vec::new()) } else { None };
+thread_local! {
+    /// The calling thread's job log (see [`record_jobs`]).
+    static RECORDED: RefCell<Option<Vec<Job>>> = const { RefCell::new(None) };
 }
 
-/// Drains the job log accumulated since [`record_jobs`]`(true)` (or the
-/// previous drain), leaving recording on. Empty when recording is off.
+/// Turns the calling thread's job log on or off. While on, every
+/// *distinct* job this thread submits to [`run_jobs`] is appended (in
+/// submission order, including memo and disk hits) so a caller can
+/// discover exactly which simulations back a figure — the golden-figure
+/// harness uses this to build its digests. Jobs submitted by other
+/// threads never enter the log.
+pub fn record_jobs(enable: bool) {
+    RECORDED.with_borrow_mut(|rec| *rec = enable.then(Vec::new));
+}
+
+/// Drains the calling thread's job log accumulated since
+/// [`record_jobs`]`(true)` (or the previous drain), leaving recording
+/// on. Empty when recording is off.
 pub fn take_recorded_jobs() -> Vec<Job> {
-    let mut rec = engine().recorded.lock().expect("record poisoned");
-    match rec.as_mut() {
-        Some(v) => std::mem::take(v),
-        None => Vec::new(),
-    }
+    RECORDED.with_borrow_mut(|rec| rec.as_mut().map(std::mem::take).unwrap_or_default())
 }
 
 /// Engine counters since process start (or the last [`reset_stats`]):
@@ -231,13 +243,15 @@ fn disk_store(dir: &Path, key: &str, result: &RunResult) {
 pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
     let e = engine();
     let disk_dir = e.disk_dir.lock().expect("cache poisoned").clone();
-    if let Some(rec) = e.recorded.lock().expect("record poisoned").as_mut() {
-        for job in jobs {
-            if !rec.contains(job) {
-                rec.push(*job);
+    RECORDED.with_borrow_mut(|rec| {
+        if let Some(rec) = rec.as_mut() {
+            for job in jobs {
+                if !rec.contains(job) {
+                    rec.push(*job);
+                }
             }
         }
-    }
+    });
 
     // Resolve what we can from the memo and disk; collect the distinct
     // tuples that actually need simulating.
@@ -276,14 +290,16 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
     // Fan the work units across the pool. Each slot is written by
     // exactly one worker; unit order is fixed by `pending` order and
     // shard index, so the pool size cannot affect the output.
-    let checked = tk_sim::lockstep_check_enabled();
     let unit_results: Vec<Mutex<Option<RunResult>>> =
         units.iter().map(|_| Mutex::new(None)).collect();
     let run_unit = |u: &Unit| match *u {
         Unit::Whole(j) => pending[j].simulate(),
-        Unit::Shard { job, ckpt, shard } => {
-            tk_sim::run_shard(&plan.ckpts[ckpt], pending[job].cfg, shard, checked)
-        }
+        Unit::Shard { job, ckpt, shard } => tk_sim::run_shard(
+            &plan.ckpts[ckpt],
+            pending[job].cfg,
+            shard,
+            pending[job].check,
+        ),
     };
     let pool = workers.min(units.len().max(1));
     if pool <= 1 {
@@ -501,6 +517,32 @@ mod tests {
                 assert_ne!(k, other);
             }
         }
+    }
+
+    #[test]
+    fn job_log_records_only_the_arming_thread() {
+        let mine = Job::new(SpecBenchmark::Gzip, SystemConfig::base(), 1, 2_000);
+        let theirs = Job::new(SpecBenchmark::Mcf, SystemConfig::base(), 1, 2_000);
+        let barrier = std::sync::Barrier::new(2);
+        let log = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                record_jobs(true);
+                let _ = run_jobs(&[mine], 1);
+                barrier.wait();
+                // Thread B submits its job here.
+                barrier.wait();
+                let log = take_recorded_jobs();
+                record_jobs(false);
+                log
+            });
+            scope.spawn(|| {
+                barrier.wait();
+                let _ = run_jobs(&[theirs], 1);
+                barrier.wait();
+            });
+            a.join().expect("thread A")
+        });
+        assert_eq!(log, vec![mine]);
     }
 
     #[test]

@@ -25,10 +25,7 @@ use crate::workload::WorkloadId;
 fn warm(benches: &[WorkloadId], cfgs: &[SystemConfig], opts: FigureOpts) {
     let jobs: Vec<Job> = benches
         .iter()
-        .flat_map(|&b| {
-            cfgs.iter()
-                .map(move |&c| Job::new(b, c, opts.seed, opts.instructions))
-        })
+        .flat_map(|&b| cfgs.iter().map(move |&c| opts.job(b, c)))
         .collect();
     let _ = engine::run_jobs(&jobs, opts.jobs);
 }
@@ -635,31 +632,23 @@ pub fn dram_compare(opts: FigureOpts) -> String {
         ("ddr2", MemBackendConfig::Banked(BankedDramConfig::DDR2)),
         ("ddr4", MemBackendConfig::Banked(BankedDramConfig::DDR4)),
     ];
-    // Explicit `.memory(...)` per config: the figure compares backends
-    // side by side regardless of any process-wide `--dram` choice.
-    let cfg_of = |mem: MemBackendConfig, victim: Option<VictimMode>, pf: Option<PrefetchMode>| {
-        let mut b = SystemConfig::builder().memory(mem);
-        if let Some(v) = victim {
-            b = b.victim(v);
-        }
-        if let Some(p) = pf {
-            b = b.prefetch(p);
-        }
-        b.build().expect("dram_compare configs are valid")
-    };
+    // The figure sweeps the backend itself: each column runs under a
+    // copy of `opts` with its own `dram`, whatever `--dram` said.
+    let on = |dram: MemBackendConfig| FigureOpts { dram, ..opts };
     let tk_pf = PrefetchMode::Timekeeping(CorrelationConfig::PAPER_8KB);
-    let all_cfgs: Vec<SystemConfig> = backends
+    let base_cfg = SystemConfig::base();
+    let vc_cfg = SystemConfig::with_victim(VictimMode::paper_dead_time());
+    let pf_cfg = SystemConfig::with_prefetch(tk_pf);
+    let suite = suite_workloads();
+    let jobs: Vec<Job> = suite
         .iter()
-        .flat_map(|&(_, mem)| {
-            [
-                cfg_of(mem, None, None),
-                cfg_of(mem, Some(VictimMode::paper_dead_time()), None),
-                cfg_of(mem, None, Some(tk_pf)),
-            ]
+        .flat_map(|&b| {
+            backends
+                .iter()
+                .flat_map(move |&(_, mem)| [base_cfg, vc_cfg, pf_cfg].map(|c| on(mem).job(b, c)))
         })
         .collect();
-    let suite = suite_workloads();
-    warm(&suite, &all_cfgs, opts);
+    let _ = engine::run_jobs(&jobs, opts.jobs);
 
     let mut t = TextTable::new(vec![
         "benchmark",
@@ -679,7 +668,7 @@ pub fn dram_compare(opts: FigureOpts) -> String {
         let mut row = vec![b.name()];
         let mut pf_cells = Vec::new();
         for (i, &(_, mem)) in backends.iter().enumerate() {
-            let base = run_bench(b, cfg_of(mem, None, None), opts);
+            let base = run_bench(b, base_cfg, on(mem));
             if let Some(d) = base.dram {
                 let tot = &mut dram_totals[i];
                 tot.reads += d.reads;
@@ -691,12 +680,8 @@ pub fn dram_compare(opts: FigureOpts) -> String {
                 tot.bus_wait_cycles += d.bus_wait_cycles;
                 tot.read_latency_cycles += d.read_latency_cycles;
             }
-            let vc = run_bench(
-                b,
-                cfg_of(mem, Some(VictimMode::paper_dead_time()), None),
-                opts,
-            );
-            let pf = run_bench(b, cfg_of(mem, None, Some(tk_pf)), opts);
+            let vc = run_bench(b, vc_cfg, on(mem));
+            let pf = run_bench(b, pf_cfg, on(mem));
             let vi = vc.speedup_over(&base);
             let pi = pf.speedup_over(&base);
             vc_imps[i].push(vi);
@@ -771,8 +756,10 @@ fn mp_mixes(seed: u64) -> Vec<tk_workloads::ConcurrentMix> {
 /// The core counts every multi-core figure sweeps.
 const MP_CORES: [u32; 3] = [1, 2, 4];
 
-fn mp_cfg(cores: u32, victim: Option<VictimMode>, tk: bool) -> SystemConfig {
-    let mut b = SystemConfig::builder().cores(cores);
+/// A multi-core figure's machine; the core count comes from the
+/// [`FigureOpts`] copy the figure runs it under.
+fn mp_cfg(victim: Option<VictimMode>, tk: bool) -> SystemConfig {
+    let mut b = SystemConfig::builder();
     if let Some(v) = victim {
         b = b.victim(v);
     }
@@ -806,15 +793,14 @@ pub fn fig22_mp(opts: FigureOpts) -> String {
     ]);
     for mix in mp_mixes(opts.seed) {
         for &cores in &MP_CORES {
-            let base = tk_sim::run_workload(
+            let o = FigureOpts { cores, ..opts };
+            let base = o.simulate(
                 &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(cores, None, false),
-                opts.instructions,
+                mp_cfg(None, false),
             );
-            let vc = tk_sim::run_workload(
+            let vc = o.simulate(
                 &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(cores, Some(VictimMode::paper_dead_time()), false),
-                opts.instructions,
+                mp_cfg(Some(VictimMode::paper_dead_time()), false),
             );
             let coh = base.coherence;
             t.row(vec![
@@ -869,15 +855,14 @@ pub fn mesi_compare(opts: FigureOpts) -> String {
     ]);
     for mix in mp_mixes(opts.seed) {
         for &cores in &MP_CORES {
-            let vc = tk_sim::run_workload(
+            let o = FigureOpts { cores, ..opts };
+            let vc = o.simulate(
                 &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(cores, Some(VictimMode::paper_dead_time()), false),
-                opts.instructions,
+                mp_cfg(Some(VictimMode::paper_dead_time()), false),
             );
-            let tk = tk_sim::run_workload(
+            let tk = o.simulate(
                 &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(cores, None, true),
-                opts.instructions,
+                mp_cfg(None, true),
             );
             quality.row(vec![
                 mix.name().to_owned(),

@@ -16,7 +16,6 @@
 //! `TK_BLESS=1 cargo test --test golden_figures`.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use timekeeping::snapshot::{Json, Snapshot};
 
@@ -74,15 +73,8 @@ pub fn golden_dir() -> PathBuf {
 }
 
 /// Builds the digest document for one figure by running it at `opts`
-/// with the engine's job log on.
-///
-/// The engine's job log is process-global, so digest construction is
-/// serialized internally; concurrent [`digest`] calls are safe but run
-/// one at a time.
+/// with the calling thread's engine job log on.
 pub fn digest(name: &str, generate: FigureFn, opts: FigureOpts) -> Json {
-    static LOG_GUARD: Mutex<()> = Mutex::new(());
-    let _guard = LOG_GUARD.lock().expect("digest lock poisoned");
-
     engine::record_jobs(true);
     let _ = engine::take_recorded_jobs();
     let text = generate(opts);

@@ -19,10 +19,17 @@
 //! The run helpers ([`run_bench`], [`run_suite`], [`suite_metrics`]) sit
 //! on the [`engine`]: results are memoized per job tuple
 //! and suites fan out across `opts.jobs` workers.
+//!
+//! The run-wide choices that change a result (`--dram`, `--sample`,
+//! `--cores`, `--check`) live only in [`FigureOpts`]. They reach a
+//! simulation through [`FigureOpts::config`], [`FigureOpts::job`] and
+//! [`FigureOpts::simulate`]; `SystemConfig::builder()` itself always
+//! starts from the Table 1 machine.
 
 use std::sync::Arc;
 
 use timekeeping::MetricsCollector;
+use tk_sim::trace::Workload;
 use tk_sim::{RunResult, SystemConfig};
 use tk_workloads::SpecBenchmark;
 
@@ -44,39 +51,31 @@ pub struct FigureOpts {
     /// explicit `--instructions`.
     pub instructions_explicit: bool,
     /// Whether `--check` was given: every simulation runs in lockstep
-    /// with the functional oracle (see `tk_sim::oracle`). The parser
-    /// also sets the process-wide flag so the engine's workers pick it
-    /// up.
+    /// with the functional oracle (see `tk_sim::oracle`), carried to the
+    /// engine in each [`Job`].
     pub check: bool,
     /// Whether `--trace[=CATS]` was given: memory systems stream typed
-    /// event records (see `tk_sim::obs`). Like `--check`, the parser
-    /// sets the process-wide flag; this field records it for manifests.
+    /// event records (see `tk_sim::obs`). Tracing cannot change a
+    /// result, so the parser sets it process-wide; this field records
+    /// it for manifests.
     pub trace: bool,
     /// Whether `--profile` was given: memory systems time their own
     /// pipeline stages and report the breakdown.
     pub profile: bool,
-    /// The `--dram` memory backend. Like `--check`, the parser also sets
-    /// the process-wide default (`tk_sim::set_default_mem_backend`) so
-    /// every `SystemConfig::builder()` in every figure picks it up; this
-    /// field records the choice for manifests.
+    /// The `--dram` memory backend (default fixed latency), applied to
+    /// every simulated config by [`config`](Self::config).
     pub dram: tk_sim::MemBackendConfig,
     /// The `--sample[=interval,k]` statistical-sampling mode (`None` =
-    /// full simulation). Like `--dram`, the parser also sets the
-    /// process-wide default (`tk_sim::set_default_sample`) so every
-    /// `SystemConfig::builder()` in every figure picks it up; this field
-    /// records the choice for manifests.
+    /// full simulation), applied by [`config`](Self::config).
     pub sample: Option<tk_sim::SampleConfig>,
     /// The `--cores=N` timing-core count (default 1, the single-core
-    /// paper machine). Like `--dram`, the parser also sets the
-    /// process-wide default (`tk_sim::set_default_cores`) so every
-    /// `SystemConfig::builder()` in every figure picks it up; multi-core
+    /// paper machine), applied by [`config`](Self::config); multi-core
     /// configs run the MESI-coherent hierarchy (`tk_sim::multicore`).
     pub cores: u32,
-    /// Whether `--trace-once` was given: registered `--trace-file`
-    /// workloads play a single pass and then pad with `O` ops instead
-    /// of looping. Like `--check`, the parser sets the process-wide
-    /// flag ([`workload::set_trace_once`]); this field records it for
-    /// manifests.
+    /// Whether `--trace-once` was given: the `--trace-file` workloads
+    /// are registered single-pass ([`workload::register_trace_with`]),
+    /// padding with `O` ops instead of looping; this field records it
+    /// for manifests.
     pub trace_once: bool,
 }
 
@@ -104,10 +103,49 @@ impl FigureOpts {
             check: false,
             trace: false,
             profile: false,
-            dram: tk_sim::default_mem_backend(),
-            sample: tk_sim::default_sample(),
-            cores: tk_sim::default_cores(),
-            trace_once: workload::trace_once(),
+            dram: tk_sim::MemBackendConfig::Fixed,
+            sample: None,
+            cores: 1,
+            trace_once: false,
+        }
+    }
+
+    /// `cfg` with this run's `--dram`, `--sample` and `--cores` choices
+    /// applied, re-validated through the builder.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the combination is invalid, e.g. cache decay or the
+    /// cold-miss oracle at `--cores=2`.
+    pub fn config(&self, cfg: SystemConfig) -> SystemConfig {
+        let b = cfg.to_builder().memory(self.dram).cores(self.cores);
+        match self.sample {
+            Some(sc) => b.sample(sc),
+            None => b.no_sample(),
+        }
+        .build()
+        .unwrap_or_else(|e| panic!("invalid run configuration: {e}"))
+    }
+
+    /// The engine job that runs `bench` under [`config`](Self::config)`(cfg)`
+    /// at this run's seed, budget and `--check`.
+    pub fn job(&self, bench: impl Into<WorkloadId>, cfg: SystemConfig) -> Job {
+        Job {
+            check: self.check,
+            ..Job::new(bench, self.config(cfg), self.seed, self.instructions)
+        }
+    }
+
+    /// Runs `workload` directly, outside the engine (for workloads a
+    /// [`Job`] cannot name, like concurrent mixes), under
+    /// [`config`](Self::config)`(cfg)` for this run's budget, in lockstep
+    /// with the functional oracle under `--check`.
+    pub fn simulate<W: Workload + ?Sized>(&self, workload: &mut W, cfg: SystemConfig) -> RunResult {
+        let cfg = self.config(cfg);
+        if self.check {
+            tk_sim::run_workload_checked(workload, cfg, self.instructions)
+        } else {
+            tk_sim::run_workload(workload, cfg, self.instructions)
         }
     }
 
@@ -157,8 +195,11 @@ impl FigureOpts {
     /// The pure parser behind [`from_args`](Self::from_args).
     ///
     /// A bare number in first position is the instruction budget (the
-    /// legacy interface). `--cache` flags apply their side effect
-    /// (enabling or disabling the engine's disk cache) immediately.
+    /// legacy interface). Flags that cannot change a result apply their
+    /// side effect immediately: `--cache`/`--ckpt` (the engine's disk
+    /// cache, the checkpoint store) and the observability flags.
+    /// `--trace-file` registers its traces once all flags are read, so
+    /// a `--trace-once` anywhere on the line applies to them.
     ///
     /// # Errors
     ///
@@ -167,6 +208,7 @@ impl FigureOpts {
     pub fn parse(args: impl Iterator<Item = String>) -> Result<(Self, Vec<String>), String> {
         let mut opts = Self::new();
         let mut positionals = Vec::new();
+        let mut trace_files = Vec::new();
         let mut args = args.peekable();
         let mut first = true;
 
@@ -234,15 +276,10 @@ impl FigureOpts {
                     tk_sim::set_checkpoints_enabled(false);
                     tk_sim::set_checkpoint_dir(None);
                 }
-                "--check" => {
-                    opts.check = true;
-                    tk_sim::set_lockstep_check(true);
-                }
+                "--check" => opts.check = true,
                 "--dram" => {
                     let v = value_of(flag, inline, &mut args)?;
-                    let backend = tk_sim::parse_backend_arg(&v)?;
-                    opts.dram = backend;
-                    tk_sim::set_default_mem_backend(backend);
+                    opts.dram = tk_sim::parse_backend_arg(&v)?;
                 }
                 "--cores" => {
                     let v = value_of(flag, inline, &mut args)?;
@@ -254,19 +291,9 @@ impl FigureOpts {
                         ));
                     }
                     opts.cores = n as u32;
-                    tk_sim::set_default_cores(opts.cores);
                 }
-                "--trace-file" => {
-                    // Registers the trace process-wide (like --dram's
-                    // backend default): every suite-driving helper and
-                    // figure picks it up as a first-class workload.
-                    let v = value_of(flag, inline, &mut args)?;
-                    workload::register_trace(&v).map_err(|e| format!("--trace-file: {e}"))?;
-                }
-                "--trace-once" => {
-                    opts.trace_once = true;
-                    workload::set_trace_once(true);
-                }
+                "--trace-file" => trace_files.push(value_of(flag, inline, &mut args)?),
+                "--trace-once" => opts.trace_once = true,
                 "--sample" => {
                     // Bare `--sample` selects the default parameters
                     // rather than consuming the next argument (like
@@ -276,7 +303,6 @@ impl FigureOpts {
                         None => tk_sim::SampleConfig::DEFAULT,
                     };
                     opts.sample = Some(sc);
-                    tk_sim::set_default_sample(Some(sc));
                 }
                 "--help" | "-h" => {
                     println!("{}", usage());
@@ -285,7 +311,7 @@ impl FigureOpts {
                 _ if flag.starts_with('-') => {
                     // Observability flags share one parser with core_bench
                     // (tk_sim::obs::apply_cli_flag) — their side effects
-                    // are process-global, like --check and --cache.
+                    // are process-global, like --cache.
                     let mut next = || args.next();
                     if tk_sim::obs::apply_cli_flag(flag, inline, &mut next)? {
                         match flag {
@@ -313,6 +339,13 @@ impl FigureOpts {
                 }
             }
             first = false;
+        }
+        // Registered traces join the process-wide suite: every
+        // suite-driving helper and figure picks them up as first-class
+        // workloads.
+        for spec in trace_files {
+            workload::register_trace_with(&spec, opts.trace_once)
+                .map_err(|e| format!("--trace-file: {e}"))?;
         }
         Ok((opts, positionals))
     }
@@ -417,26 +450,24 @@ pub fn best_workloads() -> Vec<WorkloadId> {
         .collect()
 }
 
-/// Runs one workload under one configuration (memoized).
+/// Runs one workload under one configuration, with the run-wide
+/// choices of `opts` applied ([`FigureOpts::job`]; memoized).
 pub fn run_bench(
     bench: impl Into<WorkloadId>,
     cfg: SystemConfig,
     opts: FigureOpts,
 ) -> Arc<RunResult> {
-    engine::run_jobs(&[Job::new(bench, cfg, opts.seed, opts.instructions)], 1)
+    engine::run_jobs(&[opts.job(bench, cfg)], 1)
         .pop()
         .expect("one job in, one result out")
 }
 
 /// Runs every suite workload (benchmarks plus registered traces) under
-/// `cfg` on `opts.jobs` workers, returning per-workload results in
-/// suite order.
+/// `cfg` with the run-wide choices of `opts` applied, on `opts.jobs`
+/// workers, returning per-workload results in suite order.
 pub fn run_suite(cfg: SystemConfig, opts: FigureOpts) -> Vec<(WorkloadId, Arc<RunResult>)> {
     let suite = suite_workloads();
-    let jobs: Vec<Job> = suite
-        .iter()
-        .map(|&b| Job::new(b, cfg, opts.seed, opts.instructions))
-        .collect();
+    let jobs: Vec<Job> = suite.iter().map(|&b| opts.job(b, cfg)).collect();
     let results = engine::run_jobs(&jobs, opts.jobs);
     suite.into_iter().zip(results).collect()
 }
@@ -603,13 +634,22 @@ mod tests {
         assert!(o.instructions_explicit);
     }
 
+    /// The job `run_bench`/`run_suite` build from `o` for the base
+    /// machine.
+    fn base_job(o: &FigureOpts) -> Job {
+        o.job(SpecBenchmark::Gzip, SystemConfig::base())
+    }
+
     #[test]
     fn check_flag_arms_the_lockstep_oracle() {
         assert!(!FigureOpts::new().check);
+        assert!(!base_job(&FigureOpts::new()).check);
         let (o, _) = parse(&["--check"]).unwrap();
         assert!(o.check);
-        assert!(tk_sim::lockstep_check_enabled());
-        tk_sim::set_lockstep_check(false);
+        let job = base_job(&o);
+        assert!(job.check);
+        // Checking never changes a result, so it never changes the key.
+        assert_eq!(job.cache_key(), base_job(&FigureOpts::new()).cache_key());
     }
 
     #[test]
@@ -650,20 +690,17 @@ mod tests {
     }
 
     #[test]
-    fn dram_flag_sets_the_process_default_backend() {
-        // Mutates the process-global default: save and restore, like
-        // cache_flag_path_handling does for the disk cache.
-        let prev = tk_sim::default_mem_backend();
-
+    fn dram_flag_reaches_every_job() {
         let (o, pos) = parse(&["--dram=banked"]).unwrap();
         assert!(pos.is_empty());
         assert_eq!(
             o.dram,
             tk_sim::MemBackendConfig::Banked(tk_sim::BankedDramConfig::DDR2)
         );
-        assert_eq!(tk_sim::default_mem_backend(), o.dram);
-        // Configs built after the flag carry the backend.
-        assert_eq!(SystemConfig::base().memory, o.dram);
+        // Jobs built from the options carry the backend; the builder
+        // itself stays on the paper's fixed latency.
+        assert_eq!(base_job(&o).cfg.memory, o.dram);
+        assert_eq!(SystemConfig::base().memory, tk_sim::MemBackendConfig::Fixed);
 
         // Space-separated value form, explicit presets, and fixed.
         let (o, _) = parse(&["--dram", "banked:ddr4"]).unwrap();
@@ -671,32 +708,29 @@ mod tests {
             o.dram,
             tk_sim::MemBackendConfig::Banked(tk_sim::BankedDramConfig::DDR4)
         );
+        assert_eq!(base_job(&o).cfg.memory, o.dram);
         let (o, _) = parse(&["--dram=fixed"]).unwrap();
         assert_eq!(o.dram, tk_sim::MemBackendConfig::Fixed);
+        assert_eq!(base_job(&o).cfg, SystemConfig::base());
 
         // Malformed values surface as parse errors naming the value.
         assert!(parse(&["--dram=warp-core"])
             .unwrap_err()
             .contains("warp-core"));
         assert!(parse(&["--dram"]).is_err());
-
-        tk_sim::set_default_mem_backend(prev);
     }
 
     #[test]
-    fn sample_flag_sets_the_process_default() {
-        // Mutates the process-global default: save and restore, like
-        // dram_flag_sets_the_process_default_backend.
-        let prev = tk_sim::default_sample();
-
+    fn sample_flag_reaches_every_job() {
         let (o, pos) = parse(&["--sample"]).unwrap();
         assert!(pos.is_empty());
         assert_eq!(o.sample, Some(tk_sim::SampleConfig::DEFAULT));
-        assert_eq!(tk_sim::default_sample(), o.sample);
-        // Configs built after the flag carry the sampling mode (and
-        // their cache keys gain the fragment).
-        assert_eq!(SystemConfig::base().sample, o.sample);
-        assert!(SystemConfig::base().cache_key().contains("sample={"));
+        // Jobs built from the options carry the sampling mode (and their
+        // cache keys gain the fragment).
+        let job = base_job(&o);
+        assert_eq!(job.cfg.sample, o.sample);
+        assert!(job.cache_key().contains("sample={"));
+        assert_eq!(SystemConfig::base().sample, None);
 
         // Explicit parameters, both argument forms.
         let (o, _) = parse(&["--sample=50000,8"]).unwrap();
@@ -707,6 +741,7 @@ mod tests {
                 k: 8
             })
         );
+        assert_eq!(base_job(&o).cfg.sample, o.sample);
         // Bare `--sample` does not consume the next argument.
         let (o, pos) = parse(&["--sample", "777"]).unwrap();
         assert_eq!(o.sample, Some(tk_sim::SampleConfig::DEFAULT));
@@ -717,40 +752,41 @@ mod tests {
         assert!(parse(&["--sample=10,0"]).is_err());
         assert!(parse(&["--sample=nope"]).is_err());
 
-        tk_sim::set_default_sample(prev);
-        assert_eq!(SystemConfig::base().sample, prev);
+        // Without the flag, jobs run full detail.
+        assert!(!base_job(&FigureOpts::new()).cache_key().contains("sample="));
     }
 
     #[test]
-    fn cores_flag_sets_the_process_default() {
-        // Mutates the process-global default: save and restore, like
-        // dram_flag_sets_the_process_default_backend.
-        let prev = tk_sim::default_cores();
-
+    fn cores_flag_reaches_every_job() {
         let (o, pos) = parse(&["--cores=4"]).unwrap();
         assert!(pos.is_empty());
         assert_eq!(o.cores, 4);
-        assert_eq!(tk_sim::default_cores(), 4);
-        // Configs built after the flag carry the core count (and their
+        // Jobs built from the options carry the core count (and their
         // cache keys gain the fragment).
-        let cfg = SystemConfig::base();
-        assert_eq!(cfg.cores, 4);
-        assert!(cfg.cache_key().contains("cores=4"));
+        let job = base_job(&o);
+        assert_eq!(job.cfg.cores, 4);
+        assert!(job.cache_key().contains("cores=4"));
+        assert_eq!(SystemConfig::base().cores, 1);
 
-        // Space-separated form; cores=1 restores the single-core key.
+        // Space-separated form; cores=1 keeps the single-core key.
         let (o, _) = parse(&["--cores", "2"]).unwrap();
         assert_eq!(o.cores, 2);
         let (o, _) = parse(&["--cores=1"]).unwrap();
         assert_eq!(o.cores, 1);
-        assert!(!SystemConfig::base().cache_key().contains("cores="));
+        assert!(!base_job(&o).cache_key().contains("cores="));
 
         // Out-of-range and malformed values surface as parse errors.
         assert!(parse(&["--cores=0"]).unwrap_err().contains("between"));
         assert!(parse(&["--cores=9"]).unwrap_err().contains("between"));
         assert!(parse(&["--cores=two"]).is_err());
         assert!(parse(&["--cores"]).is_err());
+    }
 
-        tk_sim::set_default_cores(prev);
+    #[test]
+    #[should_panic(expected = "cores > 1")]
+    fn config_rejects_single_core_mechanisms_under_cores() {
+        let (o, _) = parse(&["--cores=2"]).unwrap();
+        let _ = o.config(SystemConfig::ideal());
     }
 
     #[test]

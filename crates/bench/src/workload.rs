@@ -12,13 +12,13 @@
 //!
 //! Cache-key discipline: a trace job's key fragment is
 //! `trace={digest:016x}` — the FNV-1a digest of the decoded
-//! instruction stream — where a synthetic job's is `bench={name}`.
+//! instruction stream, plus `;once` for a single-pass registration —
+//! where a synthetic job's is `bench={name}`.
 //! Digests are format- and compression-independent but sensitive to
 //! any one-record change, so memo entries, disk-cache files, sampling
 //! fingerprints and golden digests can never alias across traces, and
 //! never collide with a benchmark name.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use tk_sim::trace::{Instr, Workload};
@@ -52,15 +52,15 @@ impl PartialEq<SpecBenchmark> for WorkloadId {
 
 impl WorkloadId {
     /// The workload's report name. Trace names are digest-qualified
-    /// (`stem@{digest:016x}`, plus `+once` under `--trace-once`) so two
-    /// different captures sharing a file stem stay distinguishable in
-    /// reports and sampling fingerprints.
+    /// (`stem@{digest:016x}`, plus `+once` for a single-pass
+    /// registration) so two different captures sharing a file stem stay
+    /// distinguishable in reports and sampling fingerprints.
     pub fn name(&self) -> String {
         match self {
             WorkloadId::Spec(b) => b.name().to_owned(),
             WorkloadId::Trace(h) => {
                 let info = trace_info(*h);
-                let once = if trace_once() { "+once" } else { "" };
+                let once = if info.once { "+once" } else { "" };
                 format!("{}@{:016x}{}", info.name, info.digest, once)
             }
         }
@@ -69,15 +69,16 @@ impl WorkloadId {
     /// The workload half of [`Job::cache_key`](crate::Job::cache_key):
     /// `bench={name}` for synthetics (byte-identical to the pre-trace
     /// key format, so existing disk caches and golden digests survive),
-    /// `trace={digest:016x}` for traces, with `;once` appended under
-    /// `--trace-once` (padding with `O` ops after one pass changes the
-    /// result, so it must change the key).
+    /// `trace={digest:016x}` for traces, with `;once` appended for a
+    /// single-pass registration (padding with `O` ops after one pass
+    /// changes the result, so it must change the key).
     pub fn key_fragment(&self) -> String {
         match self {
             WorkloadId::Spec(b) => format!("bench={}", b.name()),
             WorkloadId::Trace(h) => {
-                let once = if trace_once() { ";once" } else { "" };
-                format!("trace={:016x}{}", trace_info(*h).digest, once)
+                let info = trace_info(*h);
+                let once = if info.once { ";once" } else { "" };
+                format!("trace={:016x}{}", info.digest, once)
             }
         }
     }
@@ -88,15 +89,11 @@ impl WorkloadId {
         match self {
             WorkloadId::Spec(b) => BuiltWorkload::Spec(b.build(seed)),
             WorkloadId::Trace(h) => {
-                let mut w = {
-                    let reg = registry().lock().expect("trace registry poisoned");
-                    reg.get(h.0 as usize)
-                        .unwrap_or_else(|| panic!("unregistered trace handle {}", h.0))
-                        .proto
-                        .clone()
-                };
-                w.set_once(trace_once());
-                BuiltWorkload::Trace(w)
+                let reg = registry().lock().expect("trace registry poisoned");
+                let e = reg
+                    .get(h.0 as usize)
+                    .unwrap_or_else(|| panic!("unregistered trace handle {}", h.0));
+                BuiltWorkload::Trace(e.proto.clone())
             }
         }
     }
@@ -146,6 +143,7 @@ impl Workload for BuiltWorkload {
 
 struct TraceEntry {
     spec: String,
+    /// The validated trace, in the play mode it was registered with.
     proto: TraceFileWorkload,
 }
 
@@ -154,21 +152,7 @@ fn registry() -> &'static Mutex<Vec<TraceEntry>> {
     &REGISTRY
 }
 
-static TRACE_ONCE: AtomicBool = AtomicBool::new(false);
-
-/// Arms or disarms `--trace-once` process-wide: registered traces play
-/// a single pass and then pad with non-memory `O` ops instead of
-/// looping.
-pub fn set_trace_once(once: bool) {
-    TRACE_ONCE.store(once, Ordering::Relaxed);
-}
-
-/// Whether `--trace-once` is armed.
-pub fn trace_once() -> bool {
-    TRACE_ONCE.load(Ordering::Relaxed)
-}
-
-/// Opens, fully validates and registers a trace from the CLI
+/// Opens, fully validates and registers a looping trace from the CLI
 /// `PATH[:fmt]` syntax, returning its handle. Registering the same
 /// instruction stream twice (by digest, so even via different paths,
 /// formats or compression) dedupes onto the first handle.
@@ -178,9 +162,26 @@ pub fn trace_once() -> bool {
 /// Returns the rendered [`tk_workloads::ParseTraceError`] for
 /// unreadable, malformed or empty traces.
 pub fn register_trace(spec: &str) -> Result<TraceHandle, String> {
-    let proto = TraceFileWorkload::open_spec(spec).map_err(|e| format!("{spec}: {e}"))?;
+    register_trace_with(spec, false)
+}
+
+/// Like [`register_trace`], but with `once` (`--trace-once`) the trace
+/// plays a single pass and then pads with non-memory `O` ops instead of
+/// looping. The play mode is part of the workload's identity: a
+/// single-pass registration gets its own handle, name and key, and never
+/// dedupes onto a looping one.
+///
+/// # Errors
+///
+/// As [`register_trace`].
+pub fn register_trace_with(spec: &str, once: bool) -> Result<TraceHandle, String> {
+    let mut proto = TraceFileWorkload::open_spec(spec).map_err(|e| format!("{spec}: {e}"))?;
+    proto.set_once(once);
     let mut reg = registry().lock().expect("trace registry poisoned");
-    if let Some(i) = reg.iter().position(|e| e.proto.digest() == proto.digest()) {
+    if let Some(i) = reg
+        .iter()
+        .position(|e| e.proto.digest() == proto.digest() && e.proto.once() == once)
+    {
         return Ok(TraceHandle(i as u32));
     }
     reg.push(TraceEntry {
@@ -219,6 +220,8 @@ pub struct TraceInfo {
     pub compressed: bool,
     /// Whether the constant-memory streaming backend is in use.
     pub streaming: bool,
+    /// Whether the trace plays a single pass (`--trace-once`).
+    pub once: bool,
 }
 
 /// Describes a registered trace.
@@ -240,6 +243,7 @@ pub fn trace_info(h: TraceHandle) -> TraceInfo {
         records: e.proto.len() as u64,
         compressed: e.proto.is_compressed(),
         streaming: e.proto.is_streaming(),
+        once: e.proto.once(),
     }
 }
 
@@ -247,17 +251,15 @@ pub fn trace_info(h: TraceHandle) -> TraceInfo {
 mod tests {
     use super::*;
 
-    // The registry and the once flag are process-global; every test
-    // that touches them serializes here and restores state on exit.
-    pub(super) static GLOBAL_GUARD: Mutex<()> = Mutex::new(());
+    // The trace registry is process-global; every test that touches it
+    // serializes here and leaves it empty on exit.
+    static REGISTRY_GUARD: Mutex<()> = Mutex::new(());
 
     fn with_clean_registry<R>(f: impl FnOnce() -> R) -> R {
-        let _g = GLOBAL_GUARD.lock().unwrap_or_else(|p| p.into_inner());
+        let _g = REGISTRY_GUARD.lock().unwrap_or_else(|p| p.into_inner());
         clear_registered_traces();
-        set_trace_once(false);
         let r = f();
         clear_registered_traces();
-        set_trace_once(false);
         r
     }
 
@@ -318,12 +320,15 @@ mod tests {
     fn once_mode_changes_key_name_and_stream() {
         with_clean_registry(|| {
             let p = write_trace("once.trace", "L 10 1\n");
-            let h = register_trace(&p.display().to_string()).unwrap();
+            let spec = p.display().to_string();
+            let looped = WorkloadId::Trace(register_trace(&spec).unwrap());
+            let h = register_trace_with(&spec, true).unwrap();
+            assert_eq!(register_trace_with(&spec, true).unwrap(), h);
             let id = WorkloadId::Trace(h);
-            let looped = id.key_fragment();
-            set_trace_once(true);
-            assert_eq!(id.key_fragment(), format!("{looped};once"));
+            assert_ne!(id, looped, "once mode is a distinct workload");
+            assert_eq!(id.key_fragment(), format!("{};once", looped.key_fragment()));
             assert!(id.name().ends_with("+once"));
+            assert!(!looped.name().ends_with("+once"));
             let mut w = id.build(1);
             assert!(matches!(w.next_instr(), Instr::Load(_)));
             assert_eq!(w.next_instr(), Instr::Op, "padding after one pass");

@@ -1,7 +1,5 @@
 //! Simulated-machine configuration (Table 1 of the paper).
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use timekeeping::{CacheGeometry, CorrelationConfig, DbcpConfig, MarkovConfig, StrideConfig};
 
 use crate::dram::{DramConfigError, MemBackendConfig};
@@ -9,23 +7,6 @@ use crate::dram::{DramConfigError, MemBackendConfig};
 /// Largest `--cores` value the coherent hierarchy supports (the sharer
 /// set is a byte-wide bitmask).
 pub const MAX_CORES: u32 = 8;
-
-/// Process-wide default core count, seeded into every
-/// [`SystemConfig::builder`] call — the same one-flag-to-every-config
-/// pattern as `--dram` and `--sample`.
-static DEFAULT_CORES: AtomicU32 = AtomicU32::new(1);
-
-/// Sets the process-wide default core count (the `--cores` CLI flag).
-/// Values outside `1..=MAX_CORES` still surface as a [`ConfigError`] at
-/// the next `build()`, so a bad flag fails loudly rather than silently.
-pub fn set_default_cores(n: u32) {
-    DEFAULT_CORES.store(n, Ordering::SeqCst);
-}
-
-/// The process-wide default core count (1 unless `--cores` changed it).
-pub fn default_cores() -> u32 {
-    DEFAULT_CORES.load(Ordering::SeqCst)
-}
 
 /// Processor-core and memory-hierarchy parameters.
 ///
@@ -451,32 +432,27 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Selects the main-memory backend (default: the process-wide
-    /// `--dram` choice, which itself defaults to
-    /// [`MemBackendConfig::Fixed`]).
+    /// Selects the main-memory backend (default:
+    /// [`MemBackendConfig::Fixed`], the paper's constant latency).
     pub fn memory(mut self, memory: MemBackendConfig) -> Self {
         self.cfg.memory = memory;
         self
     }
 
     /// Enables statistical sampling with the given interval length and
-    /// cluster count (default: the process-wide `--sample` choice, which
-    /// itself defaults to off).
+    /// cluster count (default: off).
     pub fn sample(mut self, sample: SampleConfig) -> Self {
         self.cfg.sample = Some(sample);
         self
     }
 
-    /// Disables statistical sampling (overrides the process-wide
-    /// `--sample` default for this one configuration — used by reference
-    /// runs inside the calibration harness).
+    /// Disables statistical sampling (the default).
     pub fn no_sample(mut self) -> Self {
         self.cfg.sample = None;
         self
     }
 
-    /// Sets the number of timing cores (default: the process-wide
-    /// `--cores` choice, which itself defaults to 1). See
+    /// Sets the number of timing cores (default: 1). See
     /// [`SystemConfig::cores`] for the combinations `build()` accepts at
     /// `n > 1`.
     pub fn cores(mut self, n: u32) -> Self {
@@ -545,8 +521,9 @@ impl SystemConfigBuilder {
 }
 
 impl SystemConfig {
-    /// Starts a validated builder from the base machine (no victim cache,
-    /// no prefetcher, metrics on).
+    /// Starts a validated builder from the base machine: Table 1, no
+    /// victim cache, no prefetcher, metrics on, fixed-latency memory, no
+    /// sampling, one core.
     pub fn builder() -> SystemConfigBuilder {
         SystemConfigBuilder {
             cfg: SystemConfig {
@@ -560,16 +537,17 @@ impl SystemConfig {
                 decay_interval: None,
                 slack_prefetch: false,
                 step_every_cycle: false,
-                // One orthogonal `--dram` flag flows to every config
-                // construction site through this process-wide default.
-                memory: crate::dram::default_mem_backend(),
-                // Likewise for `--sample`: every figure binary's configs
-                // pick up the process-wide sampling choice.
-                sample: crate::sample::default_sample(),
-                // And for `--cores`.
-                cores: default_cores(),
+                memory: MemBackendConfig::Fixed,
+                sample: None,
+                cores: 1,
             },
         }
+    }
+
+    /// A builder seeded with this configuration, so a caller can adjust
+    /// some fields and re-validate the result.
+    pub fn to_builder(self) -> SystemConfigBuilder {
+        SystemConfigBuilder { cfg: self }
     }
 
     /// The base machine: no victim cache, no prefetcher, metrics on.

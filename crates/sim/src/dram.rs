@@ -36,7 +36,6 @@
 //! DESIGN.md §2e.
 
 use std::fmt::Debug;
-use std::sync::Mutex;
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{Addr, Cycle};
@@ -163,24 +162,6 @@ pub fn parse_backend_arg(s: &str) -> Result<MemBackendConfig, String> {
             "unknown --dram value `{other}` (expected fixed | banked | banked:ddr2 | banked:ddr4)"
         )),
     }
-}
-
-/// Process-global default backend, set once by CLI parsing (the same
-/// side-effect idiom as `set_lockstep_check` and `obs::apply_cli_flag`).
-/// `SystemConfig::builder()` seeds its `memory` field from this, so one
-/// orthogonal `--dram` flag reaches every figure binary without touching
-/// each config-construction site.
-static DEFAULT_BACKEND: Mutex<MemBackendConfig> = Mutex::new(MemBackendConfig::Fixed);
-
-/// Sets the process-wide default [`MemBackendConfig`] picked up by
-/// `SystemConfig::builder()`.
-pub fn set_default_mem_backend(cfg: MemBackendConfig) {
-    *DEFAULT_BACKEND.lock().expect("default backend lock") = cfg;
-}
-
-/// The process-wide default [`MemBackendConfig`].
-pub fn default_mem_backend() -> MemBackendConfig {
-    *DEFAULT_BACKEND.lock().expect("default backend lock")
 }
 
 /// How a banked-DRAM access met the row buffer.

@@ -62,13 +62,13 @@ pub use ckpt::{
     stream_probe, take_recorded_checkpoints, CkptStats,
 };
 pub use config::{
-    default_cores, set_default_cores, ConfigError, L1Mode, MachineConfig, PrefetchMode,
-    SampleConfig, SystemConfig, SystemConfigBuilder, VictimMode, MAX_CORES,
+    ConfigError, L1Mode, MachineConfig, PrefetchMode, SampleConfig, SystemConfig,
+    SystemConfigBuilder, VictimMode, MAX_CORES,
 };
 pub use core::{CoreStats, OooCore};
 pub use dram::{
-    default_mem_backend, parse_backend_arg, set_default_mem_backend, BankedDram, BankedDramConfig,
-    DramConfigError, DramStats, FixedLatency, MemBackend, MemBackendConfig, MemReply, RowOutcome,
+    parse_backend_arg, BankedDram, BankedDramConfig, DramConfigError, DramStats, FixedLatency,
+    MemBackend, MemBackendConfig, MemReply, RowOutcome,
 };
 pub use hierarchy::{AccessOutcome, HierarchyStats, MemorySystem};
 pub use multicore::{run_multicore, CoherenceStats, CoherentChecker, Mesi, MultiCoreSystem};
@@ -77,11 +77,8 @@ pub use obs::{
     trace_enabled, ObsConfig, ProfileReport, TraceCategories, TraceCategory, TraceKind,
     TraceRecord,
 };
-pub use oracle::{lockstep_check_enabled, set_lockstep_check, FunctionalOracle, LockstepChecker};
-pub use sample::{
-    assemble_shards, default_sample, parse_sample_arg, run_shard, set_default_sample,
-    SampleCheckpoint, SampleStats,
-};
+pub use oracle::{FunctionalOracle, LockstepChecker};
+pub use sample::{assemble_shards, parse_sample_arg, run_shard, SampleCheckpoint, SampleStats};
 pub use system::{run_workload, run_workload_checked, RunResult, SimSystem};
 pub use trace::{Instr, MemRef, Workload};
 

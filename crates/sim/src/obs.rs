@@ -13,10 +13,11 @@
 //!
 //! # Zero-cost-when-off contract
 //!
-//! Observability is configured **process-globally** (like the lockstep
-//! checker's [`set_lockstep_check`](crate::set_lockstep_check)), *not*
-//! through [`SystemConfig`](crate::SystemConfig) — so enabling a trace
-//! never perturbs memo keys, disk-cache keys or golden digests. When
+//! Observability is configured **process-globally**, *not* through
+//! [`SystemConfig`](crate::SystemConfig): it cannot change a result, so
+//! enabling a trace never perturbs memo keys, disk-cache keys or golden
+//! digests. (Everything that *can* change a result — the memory
+//! backend, sampling, the core count — is a `SystemConfig` field.) When
 //! disabled (the default), a [`MemorySystem`](crate::MemorySystem)
 //! carries `None` for both the trace observer and the profiler: no
 //! allocation happens at construction

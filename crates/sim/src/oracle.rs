@@ -40,31 +40,11 @@
 //!   with tag logic) is verified independently.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use timekeeping::{Addr, CacheGeometry, LineAddr};
 
 use crate::cache::SetAssocCache;
 use crate::config::{L1Mode, SystemConfig, VictimMode};
-
-/// Process-wide lockstep-check switch, set by the `--check` CLI flag of
-/// the `tk-bench` binaries and consumed by
-/// [`run_workload`](crate::run_workload).
-static LOCKSTEP_CHECK: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables oracle lockstep checking for every subsequent
-/// [`run_workload`](crate::run_workload) call in this process.
-///
-/// Checking is a pure assertion layer: results are bit-identical with
-/// and without it (a divergence panics instead of returning).
-pub fn set_lockstep_check(enabled: bool) {
-    LOCKSTEP_CHECK.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether process-wide lockstep checking is enabled.
-pub fn lockstep_check_enabled() -> bool {
-    LOCKSTEP_CHECK.load(Ordering::Relaxed)
-}
 
 /// The hierarchy level that serviced a demand access, as observed by the
 /// cycle simulator.
@@ -738,14 +718,5 @@ mod tests {
             r.hierarchy.pf_issued > 0,
             "trace must exercise the prefetch path"
         );
-    }
-
-    #[test]
-    fn global_flag_round_trips() {
-        assert!(!lockstep_check_enabled());
-        set_lockstep_check(true);
-        assert!(lockstep_check_enabled());
-        set_lockstep_check(false);
-        assert!(!lockstep_check_enabled());
     }
 }

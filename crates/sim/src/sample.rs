@@ -42,8 +42,6 @@
 //! *estimate*, bounded by `sample_calibrate`; they never leak into
 //! full runs.
 
-use std::sync::Mutex;
-
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
     CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, LineMap, LineSet,
@@ -58,26 +56,6 @@ use crate::obs::TraceKind;
 use crate::oracle::{FunctionalOracle, LockstepChecker};
 use crate::system::{RunResult, SimSystem};
 use crate::trace::{Instr, Workload};
-
-// ---------------------------------------------------------------------------
-// Process-wide default (the `--sample` flag)
-// ---------------------------------------------------------------------------
-
-static DEFAULT_SAMPLE: Mutex<Option<SampleConfig>> = Mutex::new(None);
-
-/// Sets the process-wide default sampling mode. `None` (the initial
-/// state) means full simulation. [`SystemConfig::builder`] reads this,
-/// so every figure binary's configurations pick up a `--sample` flag
-/// without per-callsite plumbing — the same pattern as the `--dram`
-/// backend flag.
-pub fn set_default_sample(sample: Option<SampleConfig>) {
-    *DEFAULT_SAMPLE.lock().expect("sample default lock") = sample;
-}
-
-/// The process-wide default sampling mode.
-pub fn default_sample() -> Option<SampleConfig> {
-    *DEFAULT_SAMPLE.lock().expect("sample default lock")
-}
 
 /// Parses the value of a `--sample[=interval,k]` flag: empty selects
 /// [`SampleConfig::DEFAULT`], otherwise `interval,k` (e.g.
@@ -1591,15 +1569,7 @@ pub fn warm_prefix_then_time<W: Workload + ?Sized>(
 ) -> RunResult {
     let mut warm = WarmState::new(&cfg);
     warm.advance(workload, prefix);
-    run_rep(
-        workload,
-        &warm,
-        cfg,
-        suffix,
-        0,
-        1,
-        crate::oracle::lockstep_check_enabled(),
-    )
+    run_rep(workload, &warm, cfg, suffix, 0, 1, false)
 }
 
 #[cfg(test)]

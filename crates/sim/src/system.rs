@@ -159,7 +159,30 @@ pub fn run_workload<W: Workload + ?Sized>(
     cfg: SystemConfig,
     instructions: u64,
 ) -> RunResult {
-    let checked = crate::oracle::lockstep_check_enabled();
+    run(workload, cfg, instructions, false)
+}
+
+/// Like [`run_workload`], but with the functional-oracle lockstep checker
+/// installed (when the configuration supports it): every access is
+/// replayed into a timing-free reference model and any divergence panics
+/// with a diagnostic report. See [`crate::oracle`].
+///
+/// Checking is a pure assertion layer: the result is bit-identical to
+/// [`run_workload`]'s.
+pub fn run_workload_checked<W: Workload + ?Sized>(
+    workload: &mut W,
+    cfg: SystemConfig,
+    instructions: u64,
+) -> RunResult {
+    run(workload, cfg, instructions, true)
+}
+
+fn run<W: Workload + ?Sized>(
+    workload: &mut W,
+    cfg: SystemConfig,
+    instructions: u64,
+    checked: bool,
+) -> RunResult {
     if cfg.cores > 1 {
         // Multi-core configurations run the MESI-coherent hierarchy.
         // Statistical sampling is ignored there; the missing `sampled`
@@ -182,28 +205,6 @@ pub fn run_workload<W: Workload + ?Sized>(
         SimSystem::new(cfg)
     };
     sys.run(workload, instructions)
-}
-
-/// Like [`run_workload`], but with the functional-oracle lockstep checker
-/// installed (when the configuration supports it): every access is
-/// replayed into a timing-free reference model and any divergence panics
-/// with a diagnostic report. See [`crate::oracle`].
-pub fn run_workload_checked<W: Workload + ?Sized>(
-    workload: &mut W,
-    cfg: SystemConfig,
-    instructions: u64,
-) -> RunResult {
-    if cfg.cores > 1 {
-        return crate::multicore::run_multicore(workload, cfg, instructions, true);
-    }
-    if let Some(sc) = cfg.sample {
-        if crate::oracle::FunctionalOracle::supports(&cfg) {
-            if let Some(r) = crate::sample::run_sampled(workload, cfg, sc, instructions, true) {
-                return r;
-            }
-        }
-    }
-    SimSystem::checked(cfg).run(workload, instructions)
 }
 
 /// A constructed simulation — core plus memory system — with an explicit

@@ -18,7 +18,7 @@ use tk_sim::trace::{Instr, Workload};
 use tk_sim::{run_workload, HierarchyStats, MemorySystem, OooCore, RunResult, SystemConfig};
 use tk_workloads::{capture_to_trace_text, gzip, SpecBenchmark, TraceFileWorkload};
 
-/// The trace registry, once-mode flag and engine memo are process
+/// The trace registry and the engine memo and counters are process
 /// globals; tests that touch them must not interleave.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -184,9 +184,9 @@ fn registered_trace_runs_through_the_engine() {
 }
 
 /// `--trace-once` is part of the experiment identity: the same trace in
-/// once mode names itself differently and keys its results separately,
-/// so looped and single-pass runs never alias in the memo, the disk
-/// cache, or a golden digest.
+/// once mode names itself differently, keys its results separately and
+/// simulates separately, so looped and single-pass runs never alias in
+/// the memo, the disk cache, or a golden digest.
 #[test]
 fn once_mode_changes_the_cache_key() {
     let _guard = GLOBAL_LOCK.lock().unwrap();
@@ -203,23 +203,36 @@ fn once_mode_changes_the_cache_key() {
     let path = dir.join("once.trace");
     std::fs::write(&path, &text).expect("write trace");
 
-    let h = workload::register_trace(path.to_str().expect("utf-8 temp path"))
-        .expect("registering the trace");
-    let id = WorkloadId::Trace(h);
-    let job = Job::new(id, SystemConfig::base(), 1, 10_000);
+    let spec = path.to_str().expect("utf-8 temp path");
+    let looped = WorkloadId::Trace(workload::register_trace(spec).expect("registering the trace"));
+    let once =
+        WorkloadId::Trace(workload::register_trace_with(spec, true).expect("registering once"));
+    let looped_job = Job::new(looped, SystemConfig::base(), 1, 10_000);
+    let once_job = Job::new(once, SystemConfig::base(), 1, 10_000);
 
-    workload::set_trace_once(false);
-    let looped_key = job.cache_key();
-    let looped_name = id.name();
-    workload::set_trace_once(true);
-    let once_key = job.cache_key();
-    let once_name = id.name();
-    workload::set_trace_once(false);
-
+    let (looped_key, once_key) = (looped_job.cache_key(), once_job.cache_key());
     assert_ne!(looped_key, once_key);
     assert!(once_key.contains(";once"));
-    assert_ne!(looped_name, once_name);
-    assert!(once_name.ends_with("+once"));
+    assert_ne!(looped.name(), once.name());
+    assert!(once.name().ends_with("+once"));
+
+    // One process, one engine: the once run must be simulated, not
+    // served the looped run's memo entry.
+    engine::reset_stats();
+    let looped_r = engine::run_jobs(&[looped_job], 1)
+        .pop()
+        .expect("one result");
+    let once_r = engine::run_jobs(&[once_job], 1).pop().expect("one result");
+    assert_eq!(engine::memo_stats(), (0, 0, 2), "two distinct simulations");
+    assert_ne!(looped_r, once_r);
+    // The 1,000 records play once, then only non-memory padding.
+    assert_eq!(
+        once_r.hierarchy.l1_accesses,
+        run_workload(&mut once.build(1), SystemConfig::base(), 10_000)
+            .hierarchy
+            .l1_accesses
+    );
+    assert!(once_r.hierarchy.l1_accesses < looped_r.hierarchy.l1_accesses);
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_dir(&dir);
