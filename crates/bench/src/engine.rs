@@ -18,9 +18,13 @@
 //! * **Disk cache** (optional, [`set_disk_cache`]) — completed
 //!   [`RunResult`]s are persisted as JSON snapshots (default under
 //!   `reports/.cache/`), so re-running a report binary with the same
-//!   budgets skips straight to rendering. Files carry the full job key
-//!   and are ignored (and rewritten) on any mismatch. Delete the
-//!   directory to invalidate.
+//!   budgets skips straight to rendering. Loads and stores run on the
+//!   worker pool: the worker that owns a job tries its file first and
+//!   simulates and stores only on a miss. (Sampled jobs try their files
+//!   before checkpoint planning, so a hit never builds a checkpoint;
+//!   sharded jobs are stored once their shards are assembled.) Files
+//!   carry the full job key and are ignored (and rewritten) on any
+//!   mismatch. Delete the directory to invalidate.
 //! * **Checkpoint sharding** — sampled jobs that share a functional
 //!   fingerprint (same instruction stream, geometry and sampling
 //!   parameters; timing knobs free) reuse one profiled/clustered/warmed
@@ -31,7 +35,7 @@
 //!   output: a sharded run is bit-identical to `Job::simulate`.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -232,6 +236,24 @@ fn disk_store(dir: &Path, key: &str, result: &RunResult) {
     }
 }
 
+/// Resolves one unsharded job on the calling worker: a disk-cache hit if
+/// the cache holds it, otherwise a simulation whose result is then
+/// stored. Bumps the matching engine counter.
+fn load_or_simulate(job: &Job, disk_dir: Option<&Path>) -> RunResult {
+    let e = engine();
+    let entry = disk_dir.map(|dir| (dir, job.cache_key()));
+    if let Some(r) = entry.as_ref().and_then(|(dir, key)| disk_load(dir, key)) {
+        e.disk_hits.fetch_add(1, Ordering::Relaxed);
+        return r;
+    }
+    let r = job.simulate();
+    e.sims_run.fetch_add(1, Ordering::Relaxed);
+    if let Some((dir, key)) = &entry {
+        disk_store(dir, key, &r);
+    }
+    r
+}
+
 /// Runs a batch of jobs on a pool of `workers` threads, returning the
 /// results in submission order.
 ///
@@ -243,6 +265,7 @@ fn disk_store(dir: &Path, key: &str, result: &RunResult) {
 pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
     let e = engine();
     let disk_dir = e.disk_dir.lock().expect("cache poisoned").clone();
+    let disk_dir = disk_dir.as_deref();
     RECORDED.with_borrow_mut(|rec| {
         if let Some(rec) = rec.as_mut() {
             for job in jobs {
@@ -253,31 +276,39 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
         }
     });
 
-    // Resolve what we can from the memo and disk; collect the distinct
-    // tuples that actually need simulating.
+    // Answer what the memo already holds; collect the distinct tuples
+    // that still need a disk load or a simulation.
     let mut pending: Vec<Job> = Vec::new();
     {
-        let mut memo = e.memo.lock().expect("memo poisoned");
+        let memo = e.memo.lock().expect("memo poisoned");
+        let mut seen: HashSet<&Job> = HashSet::new();
         for job in jobs {
-            if memo.contains_key(job) {
-                e.memo_hits.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if let Some(r) = disk_dir
-                .as_deref()
-                .and_then(|d| disk_load(d, &job.cache_key()))
-            {
-                e.disk_hits.fetch_add(1, Ordering::Relaxed);
-                memo.insert(*job, Arc::new(r));
-                continue;
-            }
-            if pending.contains(job) {
-                // Duplicate within this batch: one simulation covers it.
+            if memo.contains_key(job) || !seen.insert(job) {
+                // Resolved earlier, or a duplicate within this batch: one
+                // load or simulation covers it.
                 e.memo_hits.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             pending.push(*job);
         }
+    }
+
+    // Sampled jobs may share a checkpoint build, so they try the disk
+    // before planning: a cached result must never trigger a build. Every
+    // other job tries it on the worker that would simulate it.
+    let mut resolved: Vec<(Job, RunResult)> = Vec::new();
+    if let Some(dir) = disk_dir.filter(|_| tk_sim::checkpoints_enabled()) {
+        pending.retain(|job| {
+            if job.cfg.sample.is_none() {
+                return true;
+            }
+            let Some(r) = disk_load(dir, &job.cache_key()) else {
+                return true;
+            };
+            e.disk_hits.fetch_add(1, Ordering::Relaxed);
+            resolved.push((*job, r));
+            false
+        });
     }
 
     // Plan the batch's checkpoint plane: group sampled jobs by
@@ -293,7 +324,7 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
     let unit_results: Vec<Mutex<Option<RunResult>>> =
         units.iter().map(|_| Mutex::new(None)).collect();
     let run_unit = |u: &Unit| match *u {
-        Unit::Whole(j) => pending[j].simulate(),
+        Unit::Whole(j) => load_or_simulate(&pending[j], disk_dir),
         Unit::Shard { job, ckpt, shard } => tk_sim::run_shard(
             &plan.ckpts[ckpt],
             pending[job].cfg,
@@ -319,11 +350,10 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
             }
         });
     }
-    e.sims_run
-        .fetch_add(pending.len() as u64, Ordering::Relaxed);
 
     // Reassemble sharded jobs — always in the checkpoint's fixed shard
-    // order, regardless of which worker timed which shard when.
+    // order, regardless of which worker timed which shard when — and
+    // store them; whole jobs were stored by their worker.
     let mut per_job: Vec<Vec<RunResult>> = (0..pending.len()).map(|_| Vec::new()).collect();
     for (u, slot) in units.iter().zip(unit_results) {
         let r = slot
@@ -334,22 +364,26 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
             Unit::Whole(j) | Unit::Shard { job: j, .. } => per_job[j].push(r),
         }
     }
+    for (j, (job, mut rs)) in pending.iter().zip(per_job).enumerate() {
+        let r = match plan.assignment[j] {
+            Some(c) => {
+                let r = tk_sim::assemble_shards(&plan.ckpts[c], &rs);
+                e.sims_run.fetch_add(1, Ordering::Relaxed);
+                if let Some(dir) = disk_dir {
+                    disk_store(dir, &job.cache_key(), &r);
+                }
+                r
+            }
+            None => rs.pop().expect("whole job ran"),
+        };
+        resolved.push((*job, r));
+    }
 
     // Publish the new results, then answer the batch in order.
-    {
-        let mut memo = e.memo.lock().expect("memo poisoned");
-        for (j, (job, mut rs)) in pending.iter().zip(per_job).enumerate() {
-            let r = match plan.assignment[j] {
-                Some(c) => tk_sim::assemble_shards(&plan.ckpts[c], &rs),
-                None => rs.pop().expect("whole job ran"),
-            };
-            if let Some(dir) = disk_dir.as_deref() {
-                disk_store(dir, &job.cache_key(), &r);
-            }
-            memo.insert(*job, Arc::new(r));
-        }
+    let mut memo = e.memo.lock().expect("memo poisoned");
+    for (job, r) in resolved {
+        memo.insert(job, Arc::new(r));
     }
-    let memo = e.memo.lock().expect("memo poisoned");
     jobs.iter()
         .map(|job| Arc::clone(memo.get(job).expect("job resolved")))
         .collect()
@@ -543,6 +577,73 @@ mod tests {
             a.join().expect("thread A")
         });
         assert_eq!(log, vec![mine]);
+    }
+
+    /// Deterministic SplitMix64 stream.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// A damaged cache file never panics the reader. Every truncation is
+    /// refused, and a byte flip either fails `parse`, fails `from_json`,
+    /// fails the key check, or loads exactly what those three accept.
+    #[test]
+    fn damaged_cache_files_are_refused_without_panicking() {
+        let dir = std::env::temp_dir().join(format!("tk-engine-fuzz-{}", std::process::id()));
+        let cfg = SystemConfig::builder()
+            .memory(tk_sim::MemBackendConfig::Banked(
+                tk_sim::BankedDramConfig::DDR2,
+            ))
+            .prefetch(tk_sim::PrefetchMode::Timekeeping(
+                timekeeping::CorrelationConfig::PAPER_8KB,
+            ))
+            .build()
+            .expect("banked prefetch config is valid");
+        let job = Job::new(SpecBenchmark::Mcf, cfg, 1, 50_000);
+        let key = job.cache_key();
+        disk_store(&dir, &key, &job.simulate());
+        let path = disk_path(&dir, &key);
+        let doc = std::fs::read(&path).expect("stored document");
+
+        // What the three layers accept, called one by one.
+        let accepted = |bytes: &[u8]| -> Option<RunResult> {
+            let v = Json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+            if v.get("key").ok()?.as_str().ok()? != key {
+                return None;
+            }
+            RunResult::from_json(v.get("result").ok()?).ok()
+        };
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).expect("rewrite cache file");
+            let loaded = disk_load(&dir, &key);
+            assert_eq!(loaded, accepted(bytes));
+            loaded
+        };
+
+        let mut rng = SplitMix(0x7e57_ca5e);
+        for _ in 0..128 {
+            let cut = (rng.next() % doc.len() as u64) as usize;
+            assert_eq!(load(&doc[..cut]), None, "truncated at byte {cut}");
+        }
+        let mut refused = 0;
+        for _ in 0..256 {
+            let mut bytes = doc.clone();
+            let at = (rng.next() % doc.len() as u64) as usize;
+            bytes[at] ^= 1 << (rng.next() % 8);
+            if load(&bytes).is_none() {
+                refused += 1;
+            }
+        }
+        assert!(refused > 0, "no byte flip was refused");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value, restricted to the shapes run statistics need.
 ///
@@ -102,7 +102,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::U64(n) => {
-                out.push_str(&n.to_string());
+                let _ = write!(out, "{n}");
             }
             Json::Str(s) => Self::write_str(s, out),
             Json::Arr(items) => {
@@ -130,21 +130,30 @@ impl Json {
         }
     }
 
+    /// Writes `s` as a quoted JSON string. Every byte that needs an escape
+    /// is ASCII, so the runs between them are whole UTF-8 and each is
+    /// copied with one `push_str`.
     fn write_str(s: &str, out: &mut String) {
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            out.push_str(&s[run..i]);
+            run = i + 1;
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => {
+                    let _ = write!(out, "\\u{b:04x}");
                 }
-                c => out.push(c),
             }
         }
+        out.push_str(&s[run..]);
         out.push('"');
     }
 
@@ -159,11 +168,10 @@ impl Json {
     /// fractional, or exponent-form numbers, and integers above
     /// `u64::MAX`).
     pub fn parse(text: &str) -> Result<Json, SnapshotError> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = Self::parse_value(bytes, &mut pos)?;
-        Self::skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = Self::parse_value(text, &mut pos)?;
+        Self::skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(SnapshotError::new(format!(
                 "trailing characters at byte {pos}"
             )));
@@ -189,14 +197,15 @@ impl Json {
         }
     }
 
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, SnapshotError> {
+    fn parse_value(text: &str, pos: &mut usize) -> Result<Json, SnapshotError> {
+        let b = text.as_bytes();
         Self::skip_ws(b, pos);
         match b.get(*pos) {
             None => Err(SnapshotError::new("unexpected end of input")),
             Some(b'n') => Self::expect(b, pos, "null").map(|()| Json::Null),
             Some(b't') => Self::expect(b, pos, "true").map(|()| Json::Bool(true)),
             Some(b'f') => Self::expect(b, pos, "false").map(|()| Json::Bool(false)),
-            Some(b'"') => Self::parse_string(b, pos).map(Json::Str),
+            Some(b'"') => Self::parse_string(text, pos).map(Json::Str),
             Some(b'[') => {
                 *pos += 1;
                 let mut items = Vec::new();
@@ -206,7 +215,7 @@ impl Json {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(Self::parse_value(b, pos)?);
+                    items.push(Self::parse_value(text, pos)?);
                     Self::skip_ws(b, pos);
                     match b.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -233,10 +242,10 @@ impl Json {
                 }
                 loop {
                     Self::skip_ws(b, pos);
-                    let key = Self::parse_string(b, pos)?;
+                    let key = Self::parse_string(text, pos)?;
                     Self::skip_ws(b, pos);
                     Self::expect(b, pos, ":")?;
-                    let value = Self::parse_value(b, pos)?;
+                    let value = Self::parse_value(text, pos)?;
                     map.insert(key, value);
                     Self::skip_ws(b, pos);
                     match b.get(*pos) {
@@ -264,10 +273,12 @@ impl Json {
                         "non-integer number at byte {start}"
                     )));
                 }
-                let text = std::str::from_utf8(&b[start..*pos]).expect("digits are valid UTF-8");
-                text.parse::<u64>().map(Json::U64).map_err(|_| {
-                    SnapshotError::new(format!("integer out of u64 range at byte {start}"))
-                })
+                text[start..*pos]
+                    .parse::<u64>()
+                    .map(Json::U64)
+                    .map_err(|_| {
+                        SnapshotError::new(format!("integer out of u64 range at byte {start}"))
+                    })
             }
             Some(c) => Err(SnapshotError::new(format!(
                 "unexpected byte `{}` at {}",
@@ -276,7 +287,8 @@ impl Json {
         }
     }
 
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, SnapshotError> {
+    fn parse_string(text: &str, pos: &mut usize) -> Result<String, SnapshotError> {
+        let b = text.as_bytes();
         if b.get(*pos) != Some(&b'"') {
             return Err(SnapshotError::new(format!(
                 "expected string at byte {}",
@@ -286,53 +298,48 @@ impl Json {
         *pos += 1;
         let mut out = String::new();
         loop {
-            match b.get(*pos) {
-                None => return Err(SnapshotError::new("unterminated string")),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or_else(|| SnapshotError::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| SnapshotError::new("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| SnapshotError::new("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| SnapshotError::new("bad \\u code point"))?,
-                            );
-                            *pos += 4;
-                        }
-                        _ => return Err(SnapshotError::new("bad escape")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (b is a str's bytes, so
-                    // boundaries are well-formed).
-                    let rest = std::str::from_utf8(&b[*pos..])
-                        .map_err(|_| SnapshotError::new("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
+            // Copy everything up to the next quote or backslash in one go.
+            // Both stop bytes are ASCII and escapes consume only ASCII, so
+            // every run starts and ends on a character boundary.
+            let run = b[*pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .ok_or_else(|| SnapshotError::new("unterminated string"))?;
+            out.push_str(&text[*pos..*pos + run]);
+            *pos += run;
+            if b[*pos] == b'"' {
+                *pos += 1;
+                return Ok(out);
             }
+            *pos += 1;
+            match b.get(*pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = b
+                        .get(*pos + 1..*pos + 5)
+                        .ok_or_else(|| SnapshotError::new("truncated \\u escape"))?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex)
+                            .map_err(|_| SnapshotError::new("bad \\u escape"))?,
+                        16,
+                    )
+                    .map_err(|_| SnapshotError::new("bad \\u escape"))?;
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| SnapshotError::new("bad \\u code point"))?,
+                    );
+                    *pos += 4;
+                }
+                _ => return Err(SnapshotError::new("bad escape")),
+            }
+            *pos += 1;
         }
     }
 
@@ -557,6 +564,71 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn strings_round_trip_across_utf8_widths_and_escapes() {
+        let cases = [
+            "",
+            "plain ascii",
+            "é", // 2-byte scalar
+            "€", // 3-byte scalar
+            "𝄞", // 4-byte scalar
+            "aé€𝄞z",
+            "\"\\\n\r\t", // every escape the writer emits
+            "\u{0}\u{1}\u{8}\u{c}\u{1f}",
+            "é\"€\\𝄞\n", // escapes next to multi-byte scalars
+            "\"é\"",
+            "𝄞\u{1}𝄞",
+            "\\\\\\",
+        ];
+        for s in cases {
+            let v = Json::Str(s.to_owned());
+            let text = v.render();
+            assert_eq!(Json::parse(&text).unwrap(), v, "{s:?} via {text:?}");
+            // As an object key too, which takes the same path.
+            let o = Json::Obj([(s.to_owned(), Json::Null)].into_iter().collect());
+            assert_eq!(Json::parse(&o.render()).unwrap(), o);
+        }
+        // Escapes the writer never emits still parse, between multi-byte
+        // scalars.
+        let v = Json::parse(r#""€\u0041𝄞\/é\b\f\u00e9""#).unwrap();
+        assert_eq!(v.as_str().unwrap(), "€A𝄞/é\u{8}\u{c}é");
+        assert_eq!(
+            Json::Str("\u{1}".to_owned()).render(),
+            "\"\\u0001\"",
+            "control characters render as \\u escapes"
+        );
+    }
+
+    #[test]
+    fn rejects_broken_strings_without_panicking() {
+        for bad in [
+            "\"",
+            "\"é",
+            "\"abc\\",
+            "\"\\x\"",
+            "\"\\é\"",
+            "\"\\u12\"",
+            "\"\\u12é\"",
+            "\"\\ud800\"",
+            "\"\\u00zz\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        // Long enough that re-scanning the remainder per character (the
+        // quadratic failure mode) would take minutes.
+        let unit = "timekeeping é€𝄞 \"quoted\" \\ back\tslash\n";
+        let s = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(s.len() >= 1 << 20);
+        let v = Json::obj([("big", Json::Str(s.clone())), ("n", Json::U64(7))]);
+        let back = Json::parse(&v.render()).unwrap();
+        assert_eq!(back.get("big").unwrap().as_str().unwrap(), s);
+        assert_eq!(back.u64_field("n").unwrap(), 7);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! term into a seam — the [`MemBackend`] trait — with two implementations:
 //!
 //! * [`FixedLatency`]: the bit-exact default. `issue(addr, t)` returns
-//!   `t + mem_latency`, no internal state, no wake-ups, no snapshot. Every
+//!   `t + mem_latency`, no internal state, no snapshot. Every
 //!   existing golden digest and cache key is preserved byte-for-byte.
 //! * [`BankedDram`]: channels × ranks × banks with an open-row policy.
 //!   A request's latency depends on the row buffer (hit / closed-row /
@@ -20,12 +20,9 @@
 //! program order at timestamps that are identical under clock hopping and
 //! per-cycle stepping (proved by `tests/step_equivalence.rs`), so backend
 //! state — and therefore every completion time and statistic — is
-//! identical under both clocks by construction. The backend additionally
-//! reports its earliest future state change via
-//! [`MemBackend::next_event`], which `MemorySystem::next_event` folds into
-//! the hop target; `advance_cycle` is idempotent at a fixed timestamp, so
-//! extra wake-ups are harmless and the contract is only that reported
-//! events lie strictly in the future.
+//! identical under both clocks by construction. Backend state changes
+//! only inside those calls, so the backend is never a wake-up source for
+//! the hopping clock.
 //!
 //! On FR-FCFS: arrivals at the backend are already serialized by the
 //! shared L2↔memory bus, so the per-channel queue never holds more than
@@ -214,20 +211,13 @@ pub trait MemBackend: Debug {
     /// close rows, so they shape subsequent read latencies.
     fn write(&mut self, addr: Addr, now: Cycle) -> Option<RowOutcome>;
 
-    /// Earliest cycle strictly after `now` at which backend state changes
-    /// on its own (a bank or channel bus frees). `None` when idle or when
-    /// the backend has no self-scheduled events. Extra or early wake-ups
-    /// are harmless (the caller's `advance_cycle` is idempotent); missed
-    /// ones are not, so report conservatively.
-    fn next_event(&self, now: Cycle) -> Option<Cycle>;
-
     /// End-of-run statistics; `None` for backends with nothing to report
     /// (keeps `RunResult` snapshots byte-identical for the default).
     fn snapshot(&self) -> Option<DramStats>;
 }
 
 /// The paper's constant-latency memory. Stateless: completion is always
-/// `now + latency`, writebacks are free, there are no wake-ups.
+/// `now + latency` and writebacks are free.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedLatency {
     latency: u64,
@@ -249,10 +239,6 @@ impl MemBackend for FixedLatency {
     }
 
     fn write(&mut self, _addr: Addr, _now: Cycle) -> Option<RowOutcome> {
-        None
-    }
-
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
         None
     }
 
@@ -461,22 +447,6 @@ impl MemBackend for BankedDram {
         let (_done, outcome, _start) = self.access(addr, now);
         self.stats.writes += 1;
         Some(outcome)
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut earliest: Option<Cycle> = None;
-        let mut consider = |c: Cycle| {
-            if c > now && earliest.is_none_or(|e| c < e) {
-                earliest = Some(c);
-            }
-        };
-        for bank in &self.banks {
-            consider(bank.busy_until);
-        }
-        for &free in &self.bus_free {
-            consider(free);
-        }
-        earliest
     }
 
     fn snapshot(&self) -> Option<DramStats> {
@@ -705,24 +675,12 @@ mod tests {
     }
 
     #[test]
-    fn next_event_reports_earliest_future_release() {
-        let mut d = BankedDram::new(tiny());
-        assert_eq!(d.next_event(Cycle::ZERO), None, "idle device");
-        d.issue(tiny_addr(0, 0, 0), Cycle::new(0)); // bank 0 + bus until 40
-        d.issue(tiny_addr(0, 0, 1), Cycle::new(0)); // bank 1 until 45
-        assert_eq!(d.next_event(Cycle::new(10)), Some(Cycle::new(40)));
-        assert_eq!(d.next_event(Cycle::new(40)), Some(Cycle::new(45)));
-        assert_eq!(d.next_event(Cycle::new(45)), None);
-    }
-
-    #[test]
     fn fixed_latency_is_the_identity_plus_constant() {
         let mut f = FixedLatency::new(70);
         let r = f.issue(Addr::new(0x00de_adc0), Cycle::new(123));
         assert_eq!(r.done, Cycle::new(193));
         assert_eq!(r.row, None);
         assert_eq!(f.write(Addr::new(0), Cycle::new(5)), None);
-        assert_eq!(f.next_event(Cycle::new(0)), None);
         assert_eq!(f.snapshot(), None);
     }
 

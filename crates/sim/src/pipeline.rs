@@ -1387,15 +1387,6 @@ impl MemorySystem {
         if let Some(c) = self.next_issue_opportunity(now) {
             consider(c);
         }
-        // The memory backend's self-scheduled releases (bank / channel-bus
-        // frees under BankedDram; none under FixedLatency). These unblock
-        // no pipeline gate directly — backend state only evolves at
-        // issue()/write() calls — so the extra wake-ups are harmless by
-        // the idempotence of `advance_cycle`, and conservative reporting
-        // keeps the hop target exact for any future gate that reads them.
-        if let Some(c) = self.backend.next_event(now) {
-            consider(c);
-        }
         next
     }
 

@@ -3,6 +3,7 @@
 //! produce bit-identical `RunResult`s, each distinct job tuple simulates at
 //! most once per process, and the JSON snapshot round-trips exactly.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use timekeeping::{CorrelationConfig, Snapshot};
@@ -206,6 +207,147 @@ fn disk_cache_round_trips_results_across_memo_resets() {
     assert_eq!(sims, 0, "disk cache must satisfy the re-run");
     assert_eq!(disk_hits, 1);
     assert_eq!(&*fresh[0], &*cached[0]);
+
+    engine::set_disk_cache(None);
+    engine::reset_stats();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small mixed batch for the result-cache tests: unsampled and
+/// sampled jobs, plus one duplicate.
+fn cache_batch() -> Vec<Job> {
+    let sampled = SystemConfig::builder()
+        .sample(SampleConfig {
+            interval: 10_000,
+            k: 2,
+        })
+        .build()
+        .expect("sampled base config");
+    let tk = SystemConfig::with_prefetch(PrefetchMode::Timekeeping(CorrelationConfig::PAPER_8KB));
+    let mut jobs = vec![
+        Job::new(SpecBenchmark::Gzip, SystemConfig::base(), 1, 60_000),
+        Job::new(SpecBenchmark::Mcf, tk, 1, 60_000),
+        Job::new(SpecBenchmark::Swim, SystemConfig::base(), 2, 60_000),
+        Job::new(SpecBenchmark::Art, sampled, 1, 60_000),
+    ];
+    jobs.push(jobs[1]);
+    jobs
+}
+
+/// Every cache file by name, in bytes.
+fn cache_files(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("cache directory")
+        .map(|e| {
+            let path = e.expect("cache entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("cache file"))
+        })
+        .collect()
+}
+
+/// Runs `jobs` on `workers` threads against the cache in `dir` from an
+/// empty memo; returns the results and `memo_stats()`.
+fn run_cached(
+    jobs: &[Job],
+    workers: usize,
+    dir: &std::path::Path,
+) -> (Vec<RunResult>, (u64, u64, u64)) {
+    engine::reset_stats();
+    engine::set_disk_cache(Some(dir.to_path_buf()));
+    let results = engine::run_jobs(jobs, workers)
+        .iter()
+        .map(|r| RunResult::clone(r))
+        .collect();
+    (results, engine::memo_stats())
+}
+
+/// Result-cache loads and stores run on the worker pool, so the pool
+/// size must not show in the files written, the counts, or the results.
+#[test]
+fn disk_cache_is_independent_of_pool_size() {
+    let _guard = ENGINE_LOCK.lock().unwrap();
+    let jobs = cache_batch();
+    let distinct = jobs.len() as u64 - 1;
+    let root = std::env::temp_dir().join(format!("tk-engine-pool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let checkpoint_uses = || {
+        let s = tk_sim::checkpoint_stats();
+        s.mem_hits + s.disk_hits + s.builds
+    };
+
+    let mut cold = Vec::new();
+    for workers in [1, 4] {
+        let dir = root.join(format!("w{workers}"));
+        let uses = checkpoint_uses();
+        let (results, stats) = run_cached(&jobs, workers, &dir);
+        assert_eq!(stats, (1, 0, distinct), "cold batch at {workers} workers");
+        assert!(checkpoint_uses() > uses, "the sampled job runs sharded");
+        cold.push((results, cache_files(&dir)));
+    }
+    assert_eq!(
+        cold[0].1.len() as u64,
+        distinct,
+        "one file per distinct job"
+    );
+    assert_eq!(
+        cold[0].1, cold[1].1,
+        "cache files differ between pool sizes"
+    );
+    assert_eq!(cold[0].0, cold[1].0);
+
+    let dir = root.join("w1");
+    for workers in [1, 4] {
+        let uses = checkpoint_uses();
+        let (results, stats) = run_cached(&jobs, workers, &dir);
+        assert_eq!(stats, (1, distinct, 0), "warm batch at {workers} workers");
+        assert_eq!(
+            checkpoint_uses(),
+            uses,
+            "a cached sampled job planned a checkpoint"
+        );
+        assert_eq!(results, cold[0].0, "warm results at {workers} workers");
+    }
+    assert_eq!(
+        cache_files(&dir),
+        cold[0].1,
+        "a warm batch rewrote the cache"
+    );
+
+    engine::set_disk_cache(None);
+    engine::reset_stats();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A damaged entry costs exactly its own job: that one re-simulates and
+/// its file is rewritten byte for byte; every other job still loads.
+#[test]
+fn truncated_cache_entry_resimulates_only_its_job() {
+    let _guard = ENGINE_LOCK.lock().unwrap();
+    let jobs = cache_batch();
+    let distinct = jobs.len() as u64 - 1;
+    let dir = std::env::temp_dir().join(format!("tk-engine-trunc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (cold, _) = run_cached(&jobs, 4, &dir);
+    let files = cache_files(&dir);
+
+    for victim in [jobs[1], jobs[3]] {
+        let key = victim.cache_key();
+        let (name, bytes) = files
+            .iter()
+            .find(|(_, b)| {
+                let doc = timekeeping::Json::parse(std::str::from_utf8(b).unwrap()).unwrap();
+                doc.get("key").unwrap().as_str().unwrap() == key
+            })
+            .expect("the job's cache file");
+        std::fs::write(dir.join(name), &bytes[..bytes.len() / 2]).unwrap();
+
+        let (results, stats) = run_cached(&jobs, 4, &dir);
+        assert_eq!(stats, (1, distinct - 1, 1), "only {key} re-simulates");
+        assert_eq!(results, cold);
+        assert_eq!(cache_files(&dir), files, "{key} was not rewritten intact");
+    }
 
     engine::set_disk_cache(None);
     engine::reset_stats();

@@ -106,10 +106,10 @@ fn victim_and_decay_configs() {
 }
 
 /// All 26 workloads under the banked DDR2 backend: DRAM completions now
-/// depend on row-buffer state and bank/channel busy times, so the
-/// hopping clock must wake at every `MemBackend::next_event` boundary
-/// and the backend must see the identical (request, timestamp) sequence
-/// under both clocks.
+/// depend on row-buffer state and bank/channel busy times. The backend
+/// is not a wake-up source (its state changes only when a request
+/// reaches it), so the hopping clock must still present it the
+/// identical (request, timestamp) sequence under both clocks.
 #[test]
 fn all_workloads_banked_ddr2() {
     let cfg = SystemConfig::builder()
@@ -145,6 +145,43 @@ fn banked_ddr4_with_mechanisms() {
     for cfg in configs {
         for b in [SpecBenchmark::Mcf, SpecBenchmark::Swim, SpecBenchmark::Gcc] {
             assert_equivalent(b, cfg, budget);
+        }
+    }
+}
+
+/// Banked DDR2 and DDR4 under the mechanisms whose prefetch-issue gates
+/// or lazily evaluated state meet variable DRAM completions: slack
+/// timekeeping prefetch (urgency and bus-idle gates), DBCP, and decay.
+/// No gate may depend on a bank or bus release the hopping clock does
+/// not visit.
+#[test]
+fn banked_dram_with_gated_mechanisms() {
+    let budget = FigureOpts::QUICK_INSTRUCTIONS / 2;
+    let tk = PrefetchMode::Timekeeping(timekeeping::CorrelationConfig::PAPER_8KB);
+    for dram in [BankedDramConfig::DDR2, BankedDramConfig::DDR4] {
+        let mem = MemBackendConfig::Banked(dram);
+        let configs = [
+            SystemConfig::builder()
+                .memory(mem)
+                .prefetch(tk)
+                .slack_prefetch()
+                .build()
+                .expect("banked slack config is valid"),
+            SystemConfig::builder()
+                .memory(mem)
+                .prefetch(PrefetchMode::Dbcp(timekeeping::DbcpConfig::PAPER_2MB))
+                .build()
+                .expect("banked DBCP config is valid"),
+            SystemConfig::builder()
+                .memory(mem)
+                .decay(8_192)
+                .build()
+                .expect("banked decay config is valid"),
+        ];
+        for cfg in configs {
+            for b in [SpecBenchmark::Mcf, SpecBenchmark::Swim, SpecBenchmark::Gcc] {
+                assert_equivalent(b, cfg, budget);
+            }
         }
     }
 }
