@@ -515,6 +515,10 @@ fn plan_checkpoints(pending: &[Job], workers: usize) -> SweepPlan {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::FigureOpts;
@@ -579,19 +583,6 @@ mod tests {
         assert_eq!(log, vec![mine]);
     }
 
-    /// Deterministic SplitMix64 stream.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-    }
-
     /// A damaged cache file never panics the reader. Every truncation is
     /// refused, and a byte flip either fails `parse`, fails `from_json`,
     /// fails the key check, or loads exactly what those three accept.
@@ -628,16 +619,16 @@ mod tests {
             loaded
         };
 
-        let mut rng = SplitMix(0x7e57_ca5e);
+        let mut rng = cases::Gen::new(0x7e57_ca5e);
         for _ in 0..128 {
-            let cut = (rng.next() % doc.len() as u64) as usize;
+            let cut = (rng.next_u64() % doc.len() as u64) as usize;
             assert_eq!(load(&doc[..cut]), None, "truncated at byte {cut}");
         }
         let mut refused = 0;
         for _ in 0..256 {
             let mut bytes = doc.clone();
-            let at = (rng.next() % doc.len() as u64) as usize;
-            bytes[at] ^= 1 << (rng.next() % 8);
+            let at = (rng.next_u64() % doc.len() as u64) as usize;
+            bytes[at] ^= 1 << (rng.next_u64() % 8);
             if load(&bytes).is_none() {
                 refused += 1;
             }

@@ -309,8 +309,8 @@ impl FigureOpts {
                     std::process::exit(0);
                 }
                 _ if flag.starts_with('-') => {
-                    // Observability flags share one parser with core_bench
-                    // (tk_sim::obs::apply_cli_flag) — their side effects
+                    // Observability flags are parsed by
+                    // tk_sim::obs::apply_cli_flag — their side effects
                     // are process-global, like --cache.
                     let mut next = || args.next();
                     if tk_sim::obs::apply_cli_flag(flag, inline, &mut next)? {

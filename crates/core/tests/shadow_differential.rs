@@ -7,22 +7,13 @@
 //! from empty shadows and from shadows seeded with `from_parts` and
 //! `from_parts_epoch` at several epoch cuts.
 
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
+
 use std::sync::Arc;
 
+use cases::Gen;
 use timekeeping::{FullyAssocShadow, LineAddr, LineMap, LineSet, MissBreakdown, MissKind};
-
-/// Deterministic SplitMix64 stream.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// The frozen "seen before" prefix a seeded shadow starts from.
 enum Base {
@@ -102,9 +93,9 @@ fn lockstep(
     steps: u32,
     seed: u64,
 ) {
-    let mut rng = SplitMix(seed);
+    let mut rng = Gen::new(seed);
     for step in 0..steps {
-        let r = rng.next();
+        let r = rng.next_u64();
         let line = r % footprint;
         let ctx = format!(
             "cap {} footprint {footprint} seed {seed} step {step}",
@@ -121,7 +112,7 @@ fn lockstep(
         assert_eq!(shadow.is_empty(), naive.stack.is_empty(), "{ctx}");
         assert_eq!(shadow.breakdown(), naive.breakdown, "{ctx}");
         assert!(shadow.contains(LineAddr::new(line)), "{ctx}");
-        let probe = rng.next() % (footprint + 4);
+        let probe = rng.next_u64() % (footprint + 4);
         assert_eq!(
             shadow.contains(LineAddr::new(probe)),
             naive.stack.contains(&probe),
@@ -175,10 +166,10 @@ fn warm(
     seed: u64,
 ) -> Vec<(Vec<u64>, Vec<u64>)> {
     let mut naive = NaiveLru::new(cap);
-    let mut rng = SplitMix(seed);
+    let mut rng = Gen::new(seed);
     let mut cuts = vec![(Vec::new(), Vec::new())];
     for step in 1..=steps {
-        naive.touch(rng.next() % footprint);
+        naive.touch(rng.next_u64() % footprint);
         if step % interval == 0 {
             cuts.push((naive.stack.clone(), naive.seen.clone()));
         }

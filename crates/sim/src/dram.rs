@@ -326,7 +326,8 @@ struct BankState {
 /// Address interleaving spreads consecutive blocks across channels first,
 /// then across the columns of one row, then across banks, so sequential
 /// streams are row-hit-friendly while strided and pointer-chasing access
-/// patterns generate conflicts — the behavior `dram_bench` measures.
+/// patterns generate conflicts — swim against mcf in
+/// `tests/end_to_end.rs` pins that spread.
 ///
 /// Timing of a request arriving at `now`:
 ///

@@ -350,20 +350,19 @@ impl MemorySystem {
 
     /// Capacity of the reusable buffer receiving tick-fired prefetches.
     /// Pre-sized to one request per L1 frame (the per-tick maximum), so a
-    /// value unchanged across a run demonstrates the global-tick hot path
-    /// performed no allocation — `core_bench` asserts exactly that.
-    #[doc(hidden)]
-    pub fn tick_scratch_capacity(&self) -> usize {
+    /// value unchanged across a run shows the global-tick hot path
+    /// performed no allocation.
+    #[cfg(test)]
+    pub(crate) fn tick_scratch_capacity(&self) -> usize {
         self.tick_scratch.capacity()
     }
 
     /// Bytes of trace ring-buffer capacity held by this system: 0 when
-    /// tracing is disabled. With observability off this must stay 0 for
-    /// the life of the system — `core_bench` asserts it, the same way it
-    /// asserts [`tick_scratch_capacity`](Self::tick_scratch_capacity)
-    /// proves the tick hot path allocation-free.
-    #[doc(hidden)]
-    pub fn obs_trace_capacity(&self) -> usize {
+    /// tracing is disabled, and fixed for the life of the system either
+    /// way — the trace ring is bounded and the disabled path allocates
+    /// nothing.
+    #[cfg(test)]
+    pub(crate) fn obs_trace_capacity(&self) -> usize {
         self.obs.trace.as_deref().map_or(0, |t| {
             t.ring_capacity() * std::mem::size_of::<TraceRecord>()
         })
@@ -812,6 +811,50 @@ mod tests {
         assert_eq!(sys.metrics().generations(), 0);
         sys.finish(Cycle::new(1000));
         assert_eq!(sys.metrics().generations(), 2);
+    }
+
+    /// A timekeeping-prefetch run through the OOO core allocates nothing
+    /// per global tick, and its trace ring neither appears when tracing
+    /// is off nor grows when it is on.
+    #[test]
+    fn core_run_keeps_tick_scratch_and_trace_ring_fixed() {
+        use crate::core::OooCore;
+        use crate::obs::TraceCategories;
+        use crate::trace::{Instr, Workload};
+
+        /// Loads cycling over a 64 KB footprint: twice the L1, so every
+        /// lap misses and the correlation table learns the successors.
+        struct Cyclic(u64);
+        impl Workload for Cyclic {
+            fn next_instr(&mut self) -> Instr {
+                self.0 = (self.0 + 32) % (64 * 1024);
+                Instr::Load(mref(0x10_0000 + self.0))
+            }
+            fn name(&self) -> &str {
+                "cyclic"
+            }
+        }
+
+        let cfg =
+            SystemConfig::with_prefetch(PrefetchMode::Timekeeping(CorrelationConfig::PAPER_8KB));
+        for traced in [false, true] {
+            let mut mem = MemorySystem::new(cfg);
+            if traced {
+                mem.install_trace(TraceCategories::all(), 1);
+            }
+            let scratch = mem.tick_scratch_capacity();
+            let ring = mem.obs_trace_capacity();
+            assert!(scratch > 0, "tick scratch is pre-sized");
+            assert_eq!(ring > 0, traced, "a ring exists only when traced");
+            let stats = OooCore::new(&cfg).run(&mut Cyclic(0), &mut mem, 60_000);
+            assert_eq!(stats.instructions, 60_000);
+            assert!(
+                mem.stats().pf_issued > 0,
+                "the tick path must fire prefetches"
+            );
+            assert_eq!(mem.tick_scratch_capacity(), scratch, "traced={traced}");
+            assert_eq!(mem.obs_trace_capacity(), ring, "traced={traced}");
+        }
     }
 
     #[test]

@@ -20,13 +20,12 @@
 //! backend, sampling, the core count — is a `SystemConfig` field.) When
 //! disabled (the default), a [`MemorySystem`](crate::MemorySystem)
 //! carries `None` for both the trace observer and the profiler: no
-//! allocation happens at construction
-//! ([`MemorySystem::obs_trace_capacity`](crate::MemorySystem::obs_trace_capacity)
-//! returns 0, asserted by `core_bench` exactly like the PR-4
-//! no-per-tick-allocation invariant) and the per-event cost is a single
-//! `Option` branch. Traced and untraced runs are bit-identical: the
-//! trace observer runs last and writes nothing into the
-//! [`Reactions`] scratchpad.
+//! allocation happens at construction (the trace ring's capacity stays
+//! 0 for the life of the system, which a `hierarchy` unit test asserts
+//! over a full core run next to the no-per-tick-allocation invariant)
+//! and the per-event cost is a single `Option` branch. Traced and
+//! untraced runs are bit-identical: the trace observer runs last and
+//! writes nothing into the [`Reactions`] scratchpad.
 //!
 //! # Sampling semantics
 //!
@@ -540,8 +539,8 @@ pub fn next_seq() -> u64 {
 }
 
 /// Applies one of the shared observability CLI flags, so every binary
-/// (the 18 figure binaries through `FigureOpts::parse`, plus
-/// `core_bench`'s hand-rolled loop) accepts the identical syntax:
+/// parsing its arguments through `FigureOpts::parse` accepts the
+/// identical syntax:
 ///
 /// * `--trace[=CATS]` — enable tracing (all categories by default);
 /// * `--trace-sample N` — keep 1-in-N L1 sets;

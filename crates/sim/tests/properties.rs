@@ -1,18 +1,21 @@
-//! Property-based tests of the simulator substrate: the set-associative
+//! Property tests of the simulator substrate: the set-associative
 //! cache against a reference LRU model, MSHR bookkeeping, bus
-//! serialization, and whole-system conservation laws.
+//! serialization, and whole-system conservation laws, each on seeded
+//! random inputs.
 
-#![cfg(feature = "property-tests")]
+#[path = "../../../tests/support/cases.rs"]
+mod cases;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+use std::collections::HashMap;
 
+use cases::{check, Gen, CASES};
+use timekeeping::snapshot::{Json, Snapshot};
 use timekeeping::{Addr, CacheGeometry, Cycle, LineAddr, Pc};
 use tk_sim::bus::Bus;
 use tk_sim::cache::{ProbeResult, SetAssocCache};
 use tk_sim::mshr::MshrFile;
 use tk_sim::trace::{Instr, MemRef, Workload};
-use tk_sim::{run_workload, SystemConfig};
+use tk_sim::{run_workload, PrefetchMode, RunResult, SystemConfig, VictimMode};
 
 // ----------------------------------------------------- set-assoc cache LRU
 
@@ -48,144 +51,187 @@ impl RefCache {
     }
 }
 
-proptest! {
-    /// probe+fill agrees with the reference LRU model on hit/miss for
-    /// every access of any trace and any small geometry.
-    #[test]
-    fn cache_matches_reference_lru(
-        trace in vec(0u64..4096, 1..500),
-        assoc_log in 0u32..3,
-    ) {
-        let geom = CacheGeometry::new(1024, 1 << assoc_log, 32).unwrap();
-        let mut cache = SetAssocCache::new(geom);
-        let mut reference = RefCache::new(geom);
-        for &raw in &trace {
-            let addr = Addr::new(raw * 8);
-            let expected_hit = reference.access(addr);
-            match cache.probe(addr) {
-                ProbeResult::Hit(frame) => {
-                    prop_assert!(expected_hit, "model says miss, cache hit");
-                    prop_assert_eq!(cache.line_in_frame(frame), Some(geom.line_of(addr)));
-                }
-                ProbeResult::Miss { .. } => {
-                    prop_assert!(!expected_hit, "model says hit, cache missed");
-                    cache.fill(addr);
-                }
-            }
-        }
-        prop_assert_eq!(
-            cache.hits() + cache.misses(),
-            trace.len() as u64
-        );
-    }
-
-    /// The victim reported by a missing probe is exactly the line that a
-    /// subsequent fill evicts.
-    #[test]
-    fn probe_victim_prediction_matches_fill(trace in vec(0u64..512, 1..200)) {
-        let geom = CacheGeometry::new(512, 2, 32).unwrap();
-        let mut cache = SetAssocCache::new(geom);
-        for &raw in &trace {
-            let addr = Addr::new(raw * 32);
-            if let ProbeResult::Miss { victim_frame, evicted } = cache.probe(addr) {
-                let (frame, evicted2) = cache.fill(addr);
-                prop_assert_eq!(frame, victim_frame);
-                prop_assert_eq!(evicted2, evicted);
-            }
-        }
-    }
-}
-
-proptest! {
-    /// probe/fill/invalidate agree with the reference model under a mixed
-    /// op stream: invalidated lines miss on re-access, and the cache never
-    /// resurrects a line the model dropped.
-    #[test]
-    fn cache_matches_reference_with_invalidate(
-        ops in vec((0u64..512, any::<bool>()), 1..400),
-        assoc_log in 0u32..3,
-    ) {
-        let geom = CacheGeometry::new(1024, 1 << assoc_log, 32).unwrap();
-        let mut cache = SetAssocCache::new(geom);
-        let mut reference = RefCache::new(geom);
-        for &(raw, is_invalidate) in &ops {
-            let addr = Addr::new(raw * 32);
-            if is_invalidate {
-                let set = &mut reference.sets[geom.index_of(addr) as usize];
-                let tag = geom.tag_of(addr);
-                let expected = set.iter().position(|&t| t == tag).map(|i| {
-                    set.remove(i);
-                });
-                match cache.peek(addr) {
-                    Some(frame) => {
-                        prop_assert!(expected.is_some(), "cache holds a line the model dropped");
-                        prop_assert_eq!(cache.invalidate(frame), Some(geom.line_of(addr)));
-                    }
-                    None => prop_assert!(expected.is_none(), "model holds a line the cache lost"),
-                }
-            } else {
+/// probe+fill agrees with the reference LRU model on hit/miss for
+/// every access of any trace and any small geometry.
+#[test]
+fn cache_matches_reference_lru() {
+    check(
+        "cache_matches_reference_lru",
+        CASES,
+        |g| (g.vec(1..500, |g| g.range(0..4096)), g.range_u32(0..3)),
+        |(trace, assoc_log)| {
+            let geom = CacheGeometry::new(1024, 1 << assoc_log, 32).unwrap();
+            let mut cache = SetAssocCache::new(geom);
+            let mut reference = RefCache::new(geom);
+            for &raw in trace {
+                let addr = Addr::new(raw * 8);
                 let expected_hit = reference.access(addr);
                 match cache.probe(addr) {
-                    ProbeResult::Hit(_) => prop_assert!(expected_hit),
+                    ProbeResult::Hit(frame) => {
+                        assert!(expected_hit, "model says miss, cache hit");
+                        assert_eq!(cache.line_in_frame(frame), Some(geom.line_of(addr)));
+                    }
                     ProbeResult::Miss { .. } => {
-                        prop_assert!(!expected_hit);
+                        assert!(!expected_hit, "model says hit, cache missed");
                         cache.fill(addr);
                     }
                 }
             }
-        }
-    }
+            assert_eq!(cache.hits() + cache.misses(), trace.len() as u64);
+        },
+    );
+}
+
+/// The victim reported by a missing probe is exactly the line that a
+/// subsequent fill evicts.
+#[test]
+fn probe_victim_prediction_matches_fill() {
+    check(
+        "probe_victim_prediction_matches_fill",
+        CASES,
+        |g| g.vec(1..200, |g| g.range(0..512)),
+        |trace| {
+            let geom = CacheGeometry::new(512, 2, 32).unwrap();
+            let mut cache = SetAssocCache::new(geom);
+            for &raw in trace {
+                let addr = Addr::new(raw * 32);
+                if let ProbeResult::Miss {
+                    victim_frame,
+                    evicted,
+                } = cache.probe(addr)
+                {
+                    let (frame, evicted2) = cache.fill(addr);
+                    assert_eq!(frame, victim_frame);
+                    assert_eq!(evicted2, evicted);
+                }
+            }
+        },
+    );
+}
+
+/// probe/fill/invalidate agree with the reference model under a mixed
+/// op stream: invalidated lines miss on re-access, and the cache never
+/// resurrects a line the model dropped.
+#[test]
+fn cache_matches_reference_with_invalidate() {
+    check(
+        "cache_matches_reference_with_invalidate",
+        CASES,
+        |g| {
+            (
+                g.vec(1..400, |g| (g.range(0..512), g.bool())),
+                g.range_u32(0..3),
+            )
+        },
+        |(ops, assoc_log)| {
+            let geom = CacheGeometry::new(1024, 1 << assoc_log, 32).unwrap();
+            let mut cache = SetAssocCache::new(geom);
+            let mut reference = RefCache::new(geom);
+            for &(raw, is_invalidate) in ops {
+                let addr = Addr::new(raw * 32);
+                if is_invalidate {
+                    let set = &mut reference.sets[geom.index_of(addr) as usize];
+                    let tag = geom.tag_of(addr);
+                    let expected = set.iter().position(|&t| t == tag).map(|i| {
+                        set.remove(i);
+                    });
+                    match cache.peek(addr) {
+                        Some(frame) => {
+                            assert!(expected.is_some(), "cache holds a line the model dropped");
+                            assert_eq!(cache.invalidate(frame), Some(geom.line_of(addr)));
+                        }
+                        None => assert!(expected.is_none(), "model holds a line the cache lost"),
+                    }
+                } else {
+                    let expected_hit = reference.access(addr);
+                    match cache.probe(addr) {
+                        ProbeResult::Hit(_) => assert!(expected_hit),
+                        ProbeResult::Miss { .. } => {
+                            assert!(!expected_hit);
+                            cache.fill(addr);
+                        }
+                    }
+                }
+            }
+        },
+    );
 }
 
 // ------------------------------------------------------------------- MSHRs
 
-proptest! {
-    /// Outstanding count tracks allocations minus expiries; merges find
-    /// exactly the outstanding lines.
-    #[test]
-    fn mshr_bookkeeping(allocs in vec((0u64..64, 1u64..10_000), 1..64)) {
-        let mut m = MshrFile::new(64);
-        let mut expected: std::collections::HashMap<u64, u64> = Default::default();
-        let mut t = 0u64;
-        for (line, dur) in allocs {
-            t += 1;
-            let now = Cycle::new(t);
-            expected.retain(|_, &mut ready| ready > t);
-            m.expire(now);
-            if let Some(ready) = m.lookup(LineAddr::new(line)) {
-                prop_assert_eq!(Some(&ready.get()), expected.get(&line));
-            } else if expected.len() < 64 {
-                m.allocate(LineAddr::new(line), now + dur);
-                expected.insert(line, t + dur);
-            }
-            prop_assert_eq!(m.outstanding(now), expected.len());
+/// One MSHR schedule: (line, fill latency) per cycle, one allocation
+/// attempt each.
+fn mshr_case(allocs: &[(u64, u64)]) {
+    let mut m = MshrFile::new(64);
+    let mut expected: HashMap<u64, u64> = HashMap::new();
+    let mut t = 0u64;
+    for &(line, dur) in allocs {
+        t += 1;
+        let now = Cycle::new(t);
+        expected.retain(|_, &mut ready| ready > t);
+        m.expire(now);
+        if let Some(ready) = m.lookup(LineAddr::new(line)) {
+            assert_eq!(
+                Some(&ready.get()),
+                expected.get(&line),
+                "line {line} at {t}"
+            );
+        } else if expected.len() < 64 {
+            m.allocate(LineAddr::new(line), now + dur);
+            expected.insert(line, t + dur);
         }
+        assert_eq!(m.outstanding(now), expected.len(), "outstanding at {t}");
     }
+}
+
+/// Outstanding count tracks allocations minus expiries; merges find
+/// exactly the outstanding lines.
+#[test]
+fn mshr_bookkeeping() {
+    check(
+        "mshr_bookkeeping",
+        CASES,
+        |g| g.vec(1..64, |g| (g.range(0..64), g.range(1..10_000))),
+        |allocs| mshr_case(allocs),
+    );
+}
+
+/// A recorded failing input of `mshr_bookkeeping`, kept as a fixed
+/// case: a long-lived miss followed by a line that re-misses every
+/// cycle.
+#[test]
+fn mshr_bookkeeping_recorded_case() {
+    let mut allocs = vec![(47, 25)];
+    allocs.extend(std::iter::repeat_n((0, 1), 25));
+    mshr_case(&allocs);
 }
 
 // --------------------------------------------------------------------- bus
 
-proptest! {
-    /// Bus grants are non-overlapping, in order, and never before the
-    /// request time.
-    #[test]
-    fn bus_serializes_without_overlap(
-        occupancy in 1u64..16,
-        reqs in vec(0u64..10_000, 1..100),
-    ) {
-        let mut sorted = reqs.clone();
-        sorted.sort_unstable();
-        let mut bus = Bus::new(occupancy);
-        let mut last_end = 0u64;
-        for &r in &sorted {
-            let start = bus.schedule(Cycle::new(r));
-            prop_assert!(start.get() >= r, "grant before request");
-            prop_assert!(start.get() >= last_end, "overlapping transfers");
-            last_end = start.get() + occupancy;
-        }
-        prop_assert_eq!(bus.transfers(), sorted.len() as u64);
-        prop_assert_eq!(bus.busy_cycles(), occupancy * sorted.len() as u64);
-    }
+/// Bus grants are non-overlapping, in order, and never before the
+/// request time.
+#[test]
+fn bus_serializes_without_overlap() {
+    check(
+        "bus_serializes_without_overlap",
+        CASES,
+        |g| (g.range(1..16), g.vec(1..100, |g| g.range(0..10_000))),
+        |(occupancy, reqs)| {
+            let occupancy = *occupancy;
+            let mut sorted = reqs.clone();
+            sorted.sort_unstable();
+            let mut bus = Bus::new(occupancy);
+            let mut last_end = 0u64;
+            for &r in &sorted {
+                let start = bus.schedule(Cycle::new(r));
+                assert!(start.get() >= r, "grant before request");
+                assert!(start.get() >= last_end, "overlapping transfers");
+                last_end = start.get() + occupancy;
+            }
+            assert_eq!(bus.transfers(), sorted.len() as u64);
+            assert_eq!(bus.busy_cycles(), occupancy * sorted.len() as u64);
+        },
+    );
 }
 
 // ---------------------------------------------------------- whole system
@@ -195,6 +241,16 @@ struct ParamStream {
     pos: u64,
     stride: u64,
     footprint: u64,
+}
+
+impl ParamStream {
+    fn new(stride_log: u32, footprint_log: u32) -> Self {
+        ParamStream {
+            pos: 0,
+            stride: 1 << stride_log,
+            footprint: 1 << footprint_log,
+        }
+    }
 }
 
 impl Workload for ParamStream {
@@ -207,156 +263,158 @@ impl Workload for ParamStream {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-    /// System-level conservation: hits + misses = accesses; classified
-    /// misses = L1 misses; L2 demand accesses = L1 misses (no victim
-    /// cache, no prefetch); memory accesses <= L2 accesses; cycles > 0 and
-    /// IPC <= issue width.
-    #[test]
-    fn system_conservation_laws(
-        stride_log in 3u32..8,
-        footprint_log in 12u32..22,
-    ) {
-        let mut w = ParamStream {
-            pos: 0,
-            stride: 1 << stride_log,
-            footprint: 1 << footprint_log,
-        };
-        let r = run_workload(&mut w, SystemConfig::base(), 30_000);
-        let h = r.hierarchy;
-        prop_assert_eq!(h.l1_accesses, 30_000);
-        prop_assert!(h.l1_hits <= h.l1_accesses);
-        prop_assert_eq!(r.breakdown.total(), h.l1_misses());
-        prop_assert_eq!(h.l2_accesses, h.l1_misses());
-        prop_assert!(h.mem_accesses <= h.l2_accesses);
-        prop_assert!(r.core.cycles > 0);
-        prop_assert!(r.ipc() <= 8.0 + 1e-9);
-    }
+/// (stride log, footprint log) for the whole-system properties.
+fn stream_shape(g: &mut Gen, footprint_log: std::ops::Range<u32>) -> (u32, u32) {
+    (g.range_u32(3..7), g.range_u32(footprint_log))
+}
+
+/// System-level conservation: hits + misses = accesses; classified
+/// misses = L1 misses; L2 demand accesses = L1 misses (no victim
+/// cache, no prefetch); memory accesses <= L2 accesses; cycles > 0 and
+/// IPC <= issue width.
+#[test]
+fn system_conservation_laws() {
+    check(
+        "system_conservation_laws",
+        8,
+        |g| (g.range_u32(3..8), g.range_u32(12..22)),
+        |&(stride_log, footprint_log)| {
+            let mut w = ParamStream::new(stride_log, footprint_log);
+            let r = run_workload(&mut w, SystemConfig::base(), 30_000);
+            let h = r.hierarchy;
+            assert_eq!(h.l1_accesses, 30_000);
+            assert!(h.l1_hits <= h.l1_accesses);
+            assert_eq!(r.breakdown.total(), h.l1_misses());
+            assert_eq!(h.l2_accesses, h.l1_misses());
+            assert!(h.mem_accesses <= h.l2_accesses);
+            assert!(r.core.cycles > 0);
+            assert!(r.ipc() <= 8.0 + 1e-9);
+        },
+    );
 }
 
 // ------------------------------------------------- core-model monotonicity
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-    /// A wider issue width never slows the machine down (same workload,
-    /// same hierarchy).
-    #[test]
-    fn ipc_monotone_in_issue_width(stride_log in 3u32..7, footprint_log in 14u32..20) {
-        let run = |width: u32| {
-            let mut cfg = SystemConfig::base();
-            cfg.machine.issue_width = width;
-            cfg.machine.commit_width = width;
-            let mut w = ParamStream {
-                pos: 0,
-                stride: 1 << stride_log,
-                footprint: 1 << footprint_log,
+/// A wider issue width never slows the machine down (same workload,
+/// same hierarchy).
+#[test]
+fn ipc_monotone_in_issue_width() {
+    check(
+        "ipc_monotone_in_issue_width",
+        6,
+        |g| stream_shape(g, 14..20),
+        |&(stride_log, footprint_log)| {
+            let run = |width: u32| {
+                let mut cfg = SystemConfig::base();
+                cfg.machine.issue_width = width;
+                cfg.machine.commit_width = width;
+                let mut w = ParamStream::new(stride_log, footprint_log);
+                run_workload(&mut w, cfg, 20_000).ipc()
             };
-            run_workload(&mut w, cfg, 20_000).ipc()
-        };
-        let (one, four, eight) = (run(1), run(4), run(8));
-        prop_assert!(four >= one - 1e-9, "4-wide {four} < 1-wide {one}");
-        prop_assert!(eight >= four - 1e-9, "8-wide {eight} < 4-wide {four}");
-    }
+            let (one, four, eight) = (run(1), run(4), run(8));
+            assert!(four >= one - 1e-9, "4-wide {four} < 1-wide {one}");
+            assert!(eight >= four - 1e-9, "8-wide {eight} < 4-wide {four}");
+        },
+    );
+}
 
+/// A larger instruction window never slows the machine down.
+#[test]
+fn ipc_monotone_in_window() {
+    check(
+        "ipc_monotone_in_window",
+        6,
+        |g| stream_shape(g, 14..20),
+        |&(stride_log, footprint_log)| {
+            let run = |window: u32| {
+                let mut cfg = SystemConfig::base();
+                cfg.machine.window_size = window;
+                let mut w = ParamStream::new(stride_log, footprint_log);
+                run_workload(&mut w, cfg, 20_000).ipc()
+            };
+            let (small, large) = (run(32), run(256));
+            assert!(
+                large >= small - 1e-9,
+                "256-entry {large} < 32-entry {small}"
+            );
+        },
+    );
 }
 
 // ------------------------------------------------- snapshot round-trip
 
-use timekeeping::snapshot::{Json, Snapshot};
-use tk_sim::{PrefetchMode, RunResult, VictimMode};
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-    /// A complete `RunResult` — core, hierarchy, breakdown, metrics and
-    /// any victim/prefetch extras — serializes to JSON and back
-    /// bit-exactly, for runs on machines that populate the optional
-    /// sections as well as the base machine.
-    #[test]
-    fn run_result_snapshot_roundtrips(
-        stride_log in 3u32..8,
-        footprint_log in 13u32..20,
-        machine in 0usize..3,
-    ) {
-        let cfg = match machine {
-            0 => SystemConfig::base(),
-            1 => SystemConfig::with_victim(VictimMode::Collins),
-            _ => SystemConfig::with_prefetch(PrefetchMode::Stride(
-                timekeeping::StrideConfig::default(),
-            )),
-        };
-        let mut w = ParamStream {
-            pos: 0,
-            stride: 1 << stride_log,
-            footprint: 1 << footprint_log,
-        };
-        let r = run_workload(&mut w, cfg, 20_000);
-        let doc = r.to_json().render();
-        let parsed = Json::parse(&doc).expect("rendered snapshots parse back");
-        prop_assert_eq!(parsed.render(), &doc, "render→parse→render changed the text");
-        let back = RunResult::from_json(&parsed).expect("snapshot shape matches");
-        prop_assert_eq!(&back, &r, "from_json(to_json(r)) != r");
-        prop_assert_eq!(back.to_json().render(), doc);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-    /// A larger instruction window never slows the machine down.
-    #[test]
-    fn ipc_monotone_in_window(stride_log in 3u32..7, footprint_log in 14u32..20) {
-        let run = |window: u32| {
-            let mut cfg = SystemConfig::base();
-            cfg.machine.window_size = window;
-            let mut w = ParamStream {
-                pos: 0,
-                stride: 1 << stride_log,
-                footprint: 1 << footprint_log,
+/// A complete `RunResult` — core, hierarchy, breakdown, metrics and
+/// any victim/prefetch extras — serializes to JSON and back
+/// bit-exactly, for runs on machines that populate the optional
+/// sections as well as the base machine.
+#[test]
+fn run_result_snapshot_roundtrips() {
+    check(
+        "run_result_snapshot_roundtrips",
+        6,
+        |g| (g.range_u32(3..8), g.range_u32(13..20), g.range_usize(0..3)),
+        |&(stride_log, footprint_log, machine)| {
+            let cfg = match machine {
+                0 => SystemConfig::base(),
+                1 => SystemConfig::with_victim(VictimMode::Collins),
+                _ => SystemConfig::with_prefetch(PrefetchMode::Stride(
+                    timekeeping::StrideConfig::default(),
+                )),
             };
-            run_workload(&mut w, cfg, 20_000).ipc()
-        };
-        let (small, large) = (run(32), run(256));
-        prop_assert!(large >= small - 1e-9, "256-entry {large} < 32-entry {small}");
-    }
+            let mut w = ParamStream::new(stride_log, footprint_log);
+            let r = run_workload(&mut w, cfg, 20_000);
+            let doc = r.to_json().render();
+            let parsed = Json::parse(&doc).expect("rendered snapshots parse back");
+            assert_eq!(parsed.render(), doc, "render→parse→render changed the text");
+            let back = RunResult::from_json(&parsed).expect("snapshot shape matches");
+            assert_eq!(back, r, "from_json(to_json(r)) != r");
+            assert_eq!(back.to_json().render(), doc);
+        },
+    );
 }
 
 // --------------------------------------------------- event-driven advance
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Advancing the memory system cycle-by-cycle from a to b is
-    /// indistinguishable from a single jump `advance(b)`: the event-driven
-    /// advance replays every intermediate wake-up (global tick, prefetch
-    /// arrival, issue-gate opening) at its true timestamp, so access
-    /// outcomes and every hierarchy statistic stay bit-equal under an
-    /// arbitrary access schedule with arbitrary idle gaps.
-    #[test]
-    fn advance_jump_equals_stepping(
-        schedule in vec((1u64..1_500, 0u64..512, any::<bool>()), 1..80),
-    ) {
-        let cfg = SystemConfig::with_prefetch(tk_sim::PrefetchMode::Timekeeping(
-            timekeeping::CorrelationConfig::PAPER_8KB,
-        ));
-        let mut jump = tk_sim::MemorySystem::new(cfg);
-        let mut step = tk_sim::MemorySystem::new(cfg);
-        let mut now = 0u64;
-        for (gap, line, is_store) in schedule {
-            let prev = now;
-            now += gap;
-            for c in prev + 1..=now {
-                step.advance(Cycle::new(c));
+/// Advancing the memory system cycle-by-cycle from a to b is
+/// indistinguishable from a single jump `advance(b)`: the event-driven
+/// advance replays every intermediate wake-up (global tick, prefetch
+/// arrival, issue-gate opening) at its true timestamp, so access
+/// outcomes and every hierarchy statistic stay bit-equal under an
+/// arbitrary access schedule with arbitrary idle gaps.
+#[test]
+fn advance_jump_equals_stepping() {
+    check(
+        "advance_jump_equals_stepping",
+        48,
+        |g| g.vec(1..80, |g| (g.range(1..1_500), g.range(0..16), g.bool())),
+        |schedule| {
+            let cfg = SystemConfig::with_prefetch(PrefetchMode::Timekeeping(
+                timekeeping::CorrelationConfig::PAPER_8KB,
+            ));
+            let mut jump = tk_sim::MemorySystem::new(cfg);
+            let mut step = tk_sim::MemorySystem::new(cfg);
+            let mut now = 0u64;
+            for &(gap, line, is_store) in schedule {
+                let prev = now;
+                now += gap;
+                for c in prev + 1..=now {
+                    step.advance(Cycle::new(c));
+                }
+                jump.advance(Cycle::new(now));
+                // Sixteen lines 16 KB apart share two direct-mapped L1
+                // sets, so generations keep closing and the correlation
+                // table trains and fires prefetches whose arrivals the
+                // jump must replay.
+                let mref = MemRef::new(Addr::new(0x4_0000 + line * 16 * 1024), Pc::new(0x10));
+                let a = jump.access(&mref, is_store, Cycle::new(now));
+                let b = step.access(&mref, is_store, Cycle::new(now));
+                assert_eq!(a, b, "outcome diverged at cycle {now}");
             }
-            jump.advance(Cycle::new(now));
-            // Reuse a small set of lines so prefetches actually train/fire.
-            let mref = MemRef::new(Addr::new(0x4_0000 + line * 32), Pc::new(0x10));
-            let a = jump.access(&mref, is_store, Cycle::new(now));
-            let b = step.access(&mref, is_store, Cycle::new(now));
-            prop_assert_eq!(a, b, "outcome diverged at cycle {}", now);
-        }
-        jump.finish(Cycle::new(now));
-        step.finish(Cycle::new(now));
-        prop_assert_eq!(jump.stats(), step.stats());
-        prop_assert_eq!(jump.miss_breakdown(), step.miss_breakdown());
-        prop_assert_eq!(jump.pf_queue_discards(), step.pf_queue_discards());
-    }
+            jump.finish(Cycle::new(now));
+            step.finish(Cycle::new(now));
+            assert_eq!(jump.stats(), step.stats());
+            assert_eq!(jump.miss_breakdown(), step.miss_breakdown());
+            assert_eq!(jump.pf_queue_discards(), step.pf_queue_discards());
+        },
+    );
 }

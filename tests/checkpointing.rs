@@ -16,8 +16,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
+use timekeeping::{CorrelationConfig, DbcpConfig};
 use tk_bench::engine::{self, Job};
-use tk_sim::{BankedDramConfig, MemBackendConfig, SampleConfig, SystemConfig};
+use tk_sim::{BankedDramConfig, MemBackendConfig, PrefetchMode, SampleConfig, SystemConfig};
 use tk_workloads::SpecBenchmark;
 
 /// Serializes tests that toggle the process-global checkpoint flags.
@@ -85,6 +86,18 @@ fn sampled_banked() -> SystemConfig {
         .expect("banked sampled config is valid")
 }
 
+/// Sampled banked DDR4 under `prefetch`: a second backend and each
+/// issuing prefetcher are timing knobs too, so these jobs share the
+/// base machine's checkpoints.
+fn sampled_ddr4(prefetch: PrefetchMode) -> SystemConfig {
+    SystemConfig::builder()
+        .memory(MemBackendConfig::Banked(BankedDramConfig::DDR4))
+        .prefetch(prefetch)
+        .sample(SAMPLE)
+        .build()
+        .expect("banked prefetch sampled config is valid")
+}
+
 fn dual_core() -> SystemConfig {
     SystemConfig::builder()
         .cores(2)
@@ -94,37 +107,47 @@ fn dual_core() -> SystemConfig {
 }
 
 /// Runs `jobs` on a cold engine memo and returns the plain results.
+/// Every job must really run, so pass-to-pass comparisons never compare
+/// a memo entry with itself.
 fn run_pass(jobs: &[Job]) -> Vec<tk_sim::RunResult> {
     engine::reset_stats();
-    engine::run_jobs(jobs, 2)
-        .iter()
-        .map(|r| (**r).clone())
-        .collect()
+    let results = engine::run_jobs(jobs, 2);
+    let (_, _, sims) = engine::memo_stats();
+    assert_eq!(sims, jobs.len() as u64, "a pass must simulate every job");
+    results.iter().map(|r| (**r).clone()).collect()
 }
 
 /// Warm, cold and disabled runs of one sweep must agree bit-for-bit.
 ///
-/// The sweep composes the base machine and the banked-DDR2 backend
-/// (identical functional fingerprint — the checkpoint is shared across
-/// the two timing variants) with a dual-core config that the plane must
-/// leave untouched (multi-core runs bypass sampling checkpoints).
+/// The sweep composes the base machine, the banked-DDR2 backend and
+/// banked DDR4 under DBCP and under timekeeping prefetch — every timing
+/// axis of a backend × prefetcher design sweep, all with one functional
+/// fingerprint, so each stream's checkpoint is shared across the four —
+/// with a dual-core config that the plane must leave untouched
+/// (multi-core runs bypass sampling checkpoints).
 #[test]
 fn warm_cold_and_disabled_runs_are_bit_identical() {
     let _g = lock();
     let _restore = RestoreFlags::capture();
     tk_sim::set_checkpoint_dir(None);
 
-    let jobs: Vec<Job> = [sampled_base(), sampled_banked(), dual_core()]
-        .iter()
-        .flat_map(|cfg| BENCHES.iter().map(|&b| Job::new(b, *cfg, 1, BUDGET)))
-        .collect();
+    let jobs: Vec<Job> = [
+        sampled_base(),
+        sampled_banked(),
+        sampled_ddr4(PrefetchMode::Dbcp(DbcpConfig::PAPER_2MB)),
+        sampled_ddr4(PrefetchMode::Timekeeping(CorrelationConfig::PAPER_8KB)),
+        dual_core(),
+    ]
+    .iter()
+    .flat_map(|cfg| BENCHES.iter().map(|&b| Job::new(b, *cfg, 1, BUDGET)))
+    .collect();
 
     // Per-job sampling: the pre-checkpoint behavior.
     tk_sim::set_checkpoints_enabled(false);
     let disabled = run_pass(&jobs);
 
     // Cold store: one checkpoint per distinct stream, shared across the
-    // base and banked variants; dual-core jobs are gated out.
+    // four single-core variants; dual-core jobs are gated out.
     tk_sim::set_checkpoints_enabled(true);
     tk_sim::reset_checkpoint_store();
     let cold = run_pass(&jobs);
@@ -132,7 +155,7 @@ fn warm_cold_and_disabled_runs_are_bit_identical() {
     assert_eq!(
         stats.builds,
         BENCHES.len() as u64,
-        "one checkpoint per distinct stream, shared by base + banked"
+        "one checkpoint per distinct stream, shared by every timing variant"
     );
 
     // Warm store: only the timing shards run.

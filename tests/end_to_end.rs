@@ -3,7 +3,9 @@
 //! aggregate behavior must be self-consistent.
 
 use timekeeping::{CorrelationConfig, DbcpConfig};
-use tk_sim::{run_workload, PrefetchMode, SystemConfig, VictimMode};
+use tk_sim::{
+    run_workload, BankedDramConfig, MemBackendConfig, PrefetchMode, SystemConfig, VictimMode,
+};
 use tk_workloads::SpecBenchmark;
 
 const INSTS: u64 = 400_000;
@@ -174,6 +176,42 @@ fn memory_bound_benchmarks_are_memory_bound() {
     );
     assert!(r.ipc() < 1.0, "mcf must crawl, got {:.2}", r.ipc());
     assert!(r.hierarchy.mem_accesses > 0, "mcf must reach main memory");
+}
+
+/// Banked DDR2 tells apart two memory personalities that a
+/// fixed-latency backend charges alike. swim's dense sweeps walk
+/// consecutive blocks of open rows; mcf's pointer chase lands in
+/// unrelated rows of the same banks. Row hits still do not make swim's
+/// reads cheaper: its sweeps keep many misses in flight and they queue,
+/// while mcf's chase issues one dependent miss at a time.
+#[test]
+fn banked_dram_separates_row_locality_from_row_conflicts() {
+    let cfg = SystemConfig::builder()
+        .memory(MemBackendConfig::Banked(BankedDramConfig::DDR2))
+        .build()
+        .expect("banked config is valid");
+    let dram = |b: SpecBenchmark| {
+        run_workload(&mut b.build(1), cfg, 100_000)
+            .dram
+            .expect("banked runs report DRAM stats")
+    };
+    let (swim, mcf) = (dram(SpecBenchmark::Swim), dram(SpecBenchmark::Mcf));
+    assert!(
+        swim.row_hit_rate() >= 0.5,
+        "swim row-hit rate {:.3}",
+        swim.row_hit_rate()
+    );
+    assert!(
+        mcf.row_hit_rate() <= 0.05,
+        "mcf row-hit rate {:.3}",
+        mcf.row_hit_rate()
+    );
+    assert!(
+        swim.avg_read_latency() > mcf.avg_read_latency(),
+        "swim {:.1} vs mcf {:.1} cycles per read",
+        swim.avg_read_latency(),
+        mcf.avg_read_latency()
+    );
 }
 
 #[test]

@@ -15,10 +15,22 @@ use tk_bench::FigureOpts;
 use tk_sim::{
     run_workload, BankedDramConfig, MemBackendConfig, PrefetchMode, SystemConfig, VictimMode,
 };
-use tk_workloads::SpecBenchmark;
+use tk_workloads::patterns::PointerChasePattern;
+use tk_workloads::{SpecBenchmark, SyntheticWorkload};
 
 /// Runs `bench` under `cfg` with both clocks and asserts bit-equality.
 fn assert_equivalent(bench: SpecBenchmark, cfg: SystemConfig, instructions: u64) {
+    assert_workload_equivalent(bench.name(), || bench.build(1), cfg, instructions);
+}
+
+/// Runs the workload `build` makes under `cfg` with both clocks and
+/// asserts bit-equality.
+fn assert_workload_equivalent(
+    name: &str,
+    build: impl Fn() -> SyntheticWorkload,
+    cfg: SystemConfig,
+    instructions: u64,
+) {
     assert!(
         !cfg.step_every_cycle,
         "pass the hopping config; the reference is derived here"
@@ -26,22 +38,20 @@ fn assert_equivalent(bench: SpecBenchmark, cfg: SystemConfig, instructions: u64)
     let mut step_cfg = cfg;
     step_cfg.step_every_cycle = true;
 
-    let hop = run_workload(&mut bench.build(1), cfg, instructions);
-    let step = run_workload(&mut bench.build(1), step_cfg, instructions);
+    let hop = run_workload(&mut build(), cfg, instructions);
+    let step = run_workload(&mut build(), step_cfg, instructions);
 
     // The load-bearing snapshots first, for readable failures...
     assert_eq!(
         hop.core,
         step.core,
-        "CoreStats diverged on {} under {}",
-        bench.name(),
+        "CoreStats diverged on {name} under {}",
         cfg.cache_key()
     );
     assert_eq!(
         hop.hierarchy,
         step.hierarchy,
-        "HierarchyStats diverged on {} under {}",
-        bench.name(),
+        "HierarchyStats diverged on {name} under {}",
         cfg.cache_key()
     );
     // ...then the full result (breakdown, metrics, victim, timeliness,
@@ -49,8 +59,7 @@ fn assert_equivalent(bench: SpecBenchmark, cfg: SystemConfig, instructions: u64)
     assert_eq!(
         hop.to_json(),
         step.to_json(),
-        "RunResult snapshot diverged on {} under {}",
-        bench.name(),
+        "RunResult snapshot diverged on {name} under {}",
         cfg.cache_key()
     );
 }
@@ -182,6 +191,50 @@ fn banked_dram_with_gated_mechanisms() {
             for b in [SpecBenchmark::Mcf, SpecBenchmark::Swim, SpecBenchmark::Gcc] {
                 assert_equivalent(b, cfg, budget);
             }
+        }
+    }
+}
+
+/// A pure pointer chase over 32 MB (512 Ki nodes x 64 B) with 10%
+/// pointer noise: every access is a chained load that misses to DRAM,
+/// the window-full, chain-stalled regime where the hopping clock skips
+/// the most cycles and no history predictor can hide the misses. Runs
+/// the base machine and the four mechanisms on fixed and banked DDR4
+/// memory.
+#[test]
+fn miss_chase_under_every_mechanism() {
+    let chase = || {
+        SyntheticWorkload::builder("miss_chase", 1)
+            .compute_per_mem(1, 0)
+            .pattern(
+                1,
+                Box::new(
+                    PointerChasePattern::new(0x4000_0000, 512 * 1024, 64, 0x400, 1, 1)
+                        .with_noise_pct(10),
+                ),
+            )
+            .build()
+    };
+    let mechanisms = [
+        SystemConfig::base(),
+        SystemConfig::with_victim(VictimMode::paper_dead_time()),
+        SystemConfig::with_prefetch(PrefetchMode::Timekeeping(
+            timekeeping::CorrelationConfig::PAPER_8KB,
+        )),
+        SystemConfig::with_prefetch(PrefetchMode::Dbcp(timekeeping::DbcpConfig::PAPER_2MB)),
+        SystemConfig::with_decay(8_192),
+    ];
+    for memory in [
+        MemBackendConfig::Fixed,
+        MemBackendConfig::Banked(BankedDramConfig::DDR4),
+    ] {
+        for cfg in mechanisms {
+            let cfg = cfg
+                .to_builder()
+                .memory(memory)
+                .build()
+                .expect("miss-chase config is valid");
+            assert_workload_equivalent("miss_chase", chase, cfg, 20_000);
         }
     }
 }
