@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use crate::addr::LineAddr;
 use crate::meta::{LineMap, LineSet};
-use crate::snapshot::{Json, Snapshot, SnapshotError};
 
 /// Hill's three-way miss classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,23 +98,11 @@ impl MissBreakdown {
     }
 }
 
-impl Snapshot for MissBreakdown {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cold", Json::U64(self.cold)),
-            ("conflict", Json::U64(self.conflict)),
-            ("capacity", Json::U64(self.capacity)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(MissBreakdown {
-            cold: v.u64_field("cold")?,
-            conflict: v.u64_field("conflict")?,
-            capacity: v.u64_field("capacity")?,
-        })
-    }
-}
+crate::counter_block!(MissBreakdown {
+    cold,
+    conflict,
+    capacity
+});
 
 impl fmt::Display for MissBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

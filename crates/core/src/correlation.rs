@@ -19,7 +19,6 @@
 //! 2 MB DBCP.
 
 use crate::addr::CacheGeometry;
-use crate::snapshot::{Json, Snapshot, SnapshotError};
 
 /// Geometry of the correlation table.
 ///
@@ -132,25 +131,12 @@ impl CorrelationStats {
     }
 }
 
-impl Snapshot for CorrelationStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("lookups", Json::U64(self.lookups)),
-            ("hits", Json::U64(self.hits)),
-            ("updates", Json::U64(self.updates)),
-            ("allocations", Json::U64(self.allocations)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(CorrelationStats {
-            lookups: v.u64_field("lookups")?,
-            hits: v.u64_field("hits")?,
-            updates: v.u64_field("updates")?,
-            allocations: v.u64_field("allocations")?,
-        })
-    }
-}
+crate::counter_block!(CorrelationStats {
+    lookups,
+    hits,
+    updates,
+    allocations
+});
 
 /// The set-associative correlation table.
 ///

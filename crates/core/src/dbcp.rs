@@ -21,7 +21,6 @@
 //! prefetch issue, as in the original's two-bit saturating vote.
 
 use crate::addr::{LineAddr, Pc};
-use crate::snapshot::{Json, Snapshot, SnapshotError};
 
 /// Geometry of the DBCP history table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,25 +111,12 @@ pub struct DbcpStats {
     pub updates: u64,
 }
 
-impl Snapshot for DbcpStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("lookups", Json::U64(self.lookups)),
-            ("predictions", Json::U64(self.predictions)),
-            ("prefetches", Json::U64(self.prefetches)),
-            ("updates", Json::U64(self.updates)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(DbcpStats {
-            lookups: v.u64_field("lookups")?,
-            predictions: v.u64_field("predictions")?,
-            prefetches: v.u64_field("prefetches")?,
-            updates: v.u64_field("updates")?,
-        })
-    }
-}
+crate::counter_block!(DbcpStats {
+    lookups,
+    predictions,
+    prefetches,
+    updates
+});
 
 /// The DBCP predictor + prefetcher.
 ///

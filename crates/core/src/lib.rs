@@ -106,5 +106,58 @@ pub use victim::{
     ReloadIntervalFilter, VictimCache, VictimFilter, VictimStats,
 };
 
+/// Counter blocks that combine by weighted addition: summed over the
+/// cores of a multi-core run (weight 1) and over the representatives of
+/// a sampled run (weight = intervals represented).
+pub trait WeightedSum {
+    /// Adds `w` copies of `other` to `self`.
+    fn add_weighted(&mut self, other: &Self, w: u64);
+}
+
+impl WeightedSum for u64 {
+    fn add_weighted(&mut self, other: &Self, w: u64) {
+        *self += other * w;
+    }
+}
+
+/// An optional block is absent until the first present one is added.
+impl<T: WeightedSum + Default> WeightedSum for Option<T> {
+    fn add_weighted(&mut self, other: &Self, w: u64) {
+        if let Some(o) = other {
+            self.get_or_insert_with(T::default).add_weighted(o, w);
+        }
+    }
+}
+
+/// Declares a struct of `u64` counters a counter block: a [`Snapshot`]
+/// that stores every field under its own name, and a [`WeightedSum`]
+/// that adds field by field. Every field must be listed.
+#[macro_export]
+macro_rules! counter_block {
+    ($t:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::WeightedSum for $t {
+            fn add_weighted(&mut self, other: &Self, w: u64) {
+                $(self.$f += other.$f * w;)+
+            }
+        }
+
+        impl $crate::snapshot::Snapshot for $t {
+            fn to_json(&self) -> $crate::snapshot::Json {
+                $crate::snapshot::Json::obj([
+                    $((stringify!($f), $crate::snapshot::Json::U64(self.$f))),+
+                ])
+            }
+
+            fn from_json(
+                v: &$crate::snapshot::Json,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($t {
+                    $($f: v.u64_field(stringify!($f))?),+
+                })
+            }
+        }
+    };
+}
+
 /// The crate version, for run manifests.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -333,12 +333,6 @@ impl LinePlane {
         self.lines.get(&line.get()).filter(|m| m.filled)
     }
 
-    /// Compatibility name for [`line_meta`](Self::line_meta).
-    #[inline]
-    pub fn line_history(&self, line: LineAddr) -> Option<&LineMeta> {
-        self.line_meta(line)
-    }
-
     /// Records that `line` was accessed at the L2 (i.e. missed in L1) at
     /// `now`. Returns the L2 access interval — the time since the previous
     /// L2 access to the same line, if one was observed.

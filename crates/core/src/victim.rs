@@ -19,7 +19,6 @@
 
 use crate::addr::LineAddr;
 use crate::generation::EvictCause;
-use crate::snapshot::{Json, Snapshot, SnapshotError};
 use crate::time::GlobalTicker;
 
 /// Everything a filter may consult about an eviction.
@@ -337,25 +336,12 @@ impl VictimStats {
     }
 }
 
-impl Snapshot for VictimStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("offered", Json::U64(self.offered)),
-            ("admitted", Json::U64(self.admitted)),
-            ("probes", Json::U64(self.probes)),
-            ("hits", Json::U64(self.hits)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(VictimStats {
-            offered: v.u64_field("offered")?,
-            admitted: v.u64_field("admitted")?,
-            probes: v.u64_field("probes")?,
-            hits: v.u64_field("hits")?,
-        })
-    }
-}
+crate::counter_block!(VictimStats {
+    offered,
+    admitted,
+    probes,
+    hits
+});
 
 /// A small fully-associative LRU victim cache.
 ///

@@ -4,17 +4,22 @@
 //! SimpleScalar configuration: instructions enter the window in program
 //! order (up to `issue_width` per cycle, blocking when the window is
 //! full), execute with their individual latencies (memory operations ask
-//! the [`MemorySystem`] for a completion
-//! time, which embeds cache, bus and MSHR contention), and retire in
-//! order (up to `commit_width` per cycle). Memory-level parallelism
-//! emerges naturally: independent misses overlap until the window fills.
+//! the memory system for a completion time, which embeds cache, bus and
+//! MSHR contention), and retire in order (up to `commit_width` per
+//! cycle). Memory-level parallelism emerges naturally: independent misses
+//! overlap until the window fills.
+//!
+//! One driver, `OooCore::run_cores`, runs any number of cores against
+//! one `CoreMemory`: the single-core [`MemorySystem`] (through
+//! [`OooCore::run`]) and the MESI-coherent
+//! [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) alike. The
+//! issue, retire and clock-hop rules live only here.
 
-use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::Cycle;
 
 use crate::config::SystemConfig;
 use crate::hierarchy::MemorySystem;
-use crate::trace::{Instr, Workload};
+use crate::trace::{Instr, MemRef, Workload};
 
 /// Execution statistics of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,41 +50,51 @@ impl CoreStats {
     }
 }
 
-impl Snapshot for CoreStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("instructions", Json::U64(self.instructions)),
-            ("cycles", Json::U64(self.cycles)),
-            ("loads", Json::U64(self.loads)),
-            ("stores", Json::U64(self.stores)),
-            ("sw_prefetches", Json::U64(self.sw_prefetches)),
-            ("window_full_cycles", Json::U64(self.window_full_cycles)),
-        ])
-    }
+timekeeping::counter_block!(CoreStats {
+    instructions,
+    cycles,
+    loads,
+    stores,
+    sw_prefetches,
+    window_full_cycles
+});
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(CoreStats {
-            instructions: v.u64_field("instructions")?,
-            cycles: v.u64_field("cycles")?,
-            loads: v.u64_field("loads")?,
-            stores: v.u64_field("stores")?,
-            sw_prefetches: v.u64_field("sw_prefetches")?,
-            window_full_cycles: v.u64_field("window_full_cycles")?,
-        })
-    }
+/// The memory side of the core model: what the driver needs from a
+/// memory system to time references and hop the clock.
+pub(crate) trait CoreMemory {
+    /// Performs one data reference by `core` at `now` and returns the
+    /// cycle its data is available. Stores mark the line dirty; the core
+    /// decides whether to wait.
+    fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle;
+    /// Replays the memory system's self-scheduled events up to `now`.
+    fn advance(&mut self, now: Cycle);
+    /// The earliest self-scheduled event after `now`, if any.
+    fn next_event(&self, now: Cycle) -> Option<Cycle>;
+    /// Ends the run at `now` (closes open generations, flushes sinks).
+    fn finish(&mut self, now: Cycle);
 }
 
-/// The core model. Owns nothing but its window; drive it with
-/// [`run`](OooCore::run).
+/// One core's window. Drive a single core with [`run`](OooCore::run);
+/// several share one memory system through `run_cores`.
 #[derive(Debug)]
 pub struct OooCore {
     issue_width: usize,
     window_size: usize,
     commit_width: usize,
+    ignore_sw_prefetch: bool,
+    step_every_cycle: bool,
     /// Completion cycles of in-flight instructions, in program order.
     window: std::collections::VecDeque<Cycle>,
     /// A fetched chained load waiting for its address to become available.
     stalled: Option<Instr>,
+    /// Completion time of the most recent chained load: the next chained
+    /// load's address is not known before this.
+    chain_ready: Cycle,
+    /// Instructions fetched into the window so far this run.
+    fetched: u64,
+    /// Whether the core has retired its whole budget.
+    done: bool,
+    stats: CoreStats,
 }
 
 impl OooCore {
@@ -90,161 +105,221 @@ impl OooCore {
             issue_width: m.issue_width as usize,
             window_size: m.window_size as usize,
             commit_width: m.commit_width as usize,
+            ignore_sw_prefetch: cfg.ignore_sw_prefetch,
+            step_every_cycle: cfg.step_every_cycle,
             window: std::collections::VecDeque::with_capacity(m.window_size as usize),
             stalled: None,
+            chain_ready: Cycle::ZERO,
+            fetched: 0,
+            done: false,
+            stats: CoreStats::default(),
         }
     }
 
-    /// Runs `max_instructions` instructions of `workload` against `mem`,
-    /// returning the core statistics. Deterministic for a given workload
-    /// state.
+    /// Statistics of the last run.
+    pub(crate) fn stats(&self) -> CoreStats {
+        self.stats
+    }
+
+    /// Runs `max_instructions` instructions of `workload` against `mem`
+    /// as core 0, returning the core statistics. Deterministic for a
+    /// given workload state.
     pub fn run<W: Workload + ?Sized>(
         &mut self,
         workload: &mut W,
         mem: &mut MemorySystem,
         max_instructions: u64,
     ) -> CoreStats {
-        let mut stats = CoreStats::default();
-        let ignore_swpf = mem.config().ignore_sw_prefetch;
-        let step_every_cycle = mem.config().step_every_cycle;
+        Self::run_cores(std::slice::from_mut(self), mem, max_instructions, |_| {
+            workload.next_instr()
+        });
+        self.stats
+    }
+
+    /// Runs `max_instructions` instructions on every core of `cores`
+    /// against the shared `mem`, fetching core `i`'s instructions from
+    /// `fetch(i)`, and returns the cycle the last core finished. Each
+    /// core's statistics are left in `stats`.
+    ///
+    /// Within a cycle, live cores are serviced in index order, which
+    /// fixes the global order of memory references. When no live core
+    /// can retire or issue, the clock hops to the earliest wake-up: the
+    /// minimum over live cores of window-head retirement and stalled
+    /// chained-load addresses, and the memory system's next event.
+    /// Every skipped cycle is provably a no-op (completion times are
+    /// fixed at issue, and `mem` replays its own events inside
+    /// `advance`); `step_every_cycle` keeps the per-cycle reference loop
+    /// for differential testing. All cores must share one configuration.
+    pub(crate) fn run_cores<M: CoreMemory>(
+        cores: &mut [OooCore],
+        mem: &mut M,
+        max_instructions: u64,
+        mut fetch: impl FnMut(usize) -> Instr,
+    ) -> Cycle {
+        let step_every_cycle = cores.first().is_some_and(|c| c.step_every_cycle);
+        for core in cores.iter_mut() {
+            core.fetched = 0;
+            core.chain_ready = Cycle::ZERO;
+            core.done = false;
+            core.stats = CoreStats::default();
+        }
         let mut cycle = Cycle::ZERO;
-        let mut fetched: u64 = 0;
-        // Completion time of the most recent chained load: the next
-        // chained load's address is not known before this.
-        let mut chain_ready = Cycle::ZERO;
         loop {
             mem.advance(cycle);
-
-            // Retire in order.
-            let mut retired = 0;
-            while retired < self.commit_width {
-                match self.window.front() {
-                    Some(&ready) if ready <= cycle => {
-                        self.window.pop_front();
-                        stats.instructions += 1;
-                        retired += 1;
-                    }
-                    _ => break,
+            let mut live = false;
+            for (id, core) in cores.iter_mut().enumerate() {
+                if !core.done {
+                    live |= core.step(id, cycle, mem, max_instructions, &mut fetch);
                 }
             }
-            if stats.instructions >= max_instructions && self.window.is_empty() {
+            if !live {
                 break;
             }
 
-            // Issue in order while the window has room.
-            let mut issued = 0;
-            let mut window_was_full = false;
-            while issued < self.issue_width && fetched < max_instructions {
-                if self.window.len() >= self.window_size {
-                    window_was_full = true;
-                    break;
-                }
-                let instr = match self.stalled.take() {
-                    Some(i) => i,
-                    None => workload.next_instr(),
-                };
-                // A chained load cannot access the cache before the
-                // previous chained load has produced its address; issue
-                // stalls until then.
-                if let Instr::ChainedLoad(_) = instr {
-                    if chain_ready > cycle {
-                        self.stalled = Some(instr);
-                        break;
-                    }
-                }
-                let ready = match instr {
-                    Instr::Op => cycle + 1,
-                    Instr::Load(m) => {
-                        stats.loads += 1;
-                        mem.access(&m, false, cycle).ready_at
-                    }
-                    Instr::ChainedLoad(m) => {
-                        stats.loads += 1;
-                        let ready = mem.access(&m, false, cycle).ready_at;
-                        chain_ready = ready;
-                        ready
-                    }
-                    Instr::Store(m) => {
-                        stats.stores += 1;
-                        // Stores retire through the write buffer: the cache
-                        // is updated but the core does not wait for data.
-                        mem.access(&m, true, cycle);
-                        cycle + 1
-                    }
-                    Instr::SwPrefetch(m) => {
-                        if ignore_swpf {
-                            cycle + 1
-                        } else {
-                            stats.sw_prefetches += 1;
-                            // Treated as a normal memory reference (§2.2)
-                            // that does not block retirement.
-                            mem.access(&m, false, cycle);
-                            cycle + 1
-                        }
-                    }
-                };
-                self.window.push_back(ready);
-                fetched += 1;
-                issued += 1;
-            }
-            if window_was_full {
-                stats.window_full_cycles += 1;
-            }
-
-            // Event-driven clock hopping: when the next cycle can neither
-            // retire (window head not ready) nor issue (window full, no
-            // more instructions to fetch, or a stalled chained load whose
-            // address is not ready), every cycle up to the earliest wake-up
-            // source is provably a no-op — the window's completion times
-            // are fixed at issue, and the memory system replays its own
-            // events inside `advance`. Hop straight there, bulk-accounting
-            // the skipped span. `step_every_cycle` keeps the original
-            // per-cycle reference loop for differential testing.
             let mut next = cycle + 1;
-            if !step_every_cycle {
-                let blocked = fetched >= max_instructions
-                    || self.window.len() >= self.window_size
-                    || self.stalled.is_some();
-                if blocked {
-                    // The earliest cycle at which anything can happen:
-                    // in-order retirement of the window head, a stalled
-                    // chained load's address becoming available, or the
-                    // memory system's next self-scheduled event.
-                    let mut wake = Cycle::new(u64::MAX);
-                    if let Some(&front) = self.window.front() {
-                        wake = front;
-                    }
-                    if self.stalled.is_some() && chain_ready < wake {
-                        wake = chain_ready;
-                    }
-                    if let Some(e) = mem.next_event(cycle) {
-                        if e < wake {
-                            wake = e;
+            if !step_every_cycle && cores.iter().all(|c| c.done || c.blocked(max_instructions)) {
+                // The earliest cycle at which anything can happen.
+                let mut wake = Cycle::new(u64::MAX);
+                for core in cores.iter().filter(|c| !c.done) {
+                    wake = wake.min(core.wake());
+                }
+                if let Some(e) = mem.next_event(cycle) {
+                    wake = wake.min(e);
+                }
+                if wake > next {
+                    // Every skipped cycle would have counted as a
+                    // window-full stall iff the issue loop ran and hit a
+                    // full window — exactly this condition.
+                    for core in cores.iter_mut().filter(|c| !c.done) {
+                        if core.window.len() >= core.window_size && core.fetched < max_instructions
+                        {
+                            core.stats.window_full_cycles += wake.get() - next.get();
                         }
                     }
-                    if wake > next {
-                        // Every skipped cycle would have counted as a
-                        // window-full stall iff the issue loop ran and hit
-                        // a full window — exactly this condition.
-                        if self.window.len() >= self.window_size && fetched < max_instructions {
-                            stats.window_full_cycles += wake.get() - next.get();
-                        }
-                        next = wake;
-                    }
+                    next = wake;
                 }
             }
             cycle = next;
-            stats.cycles = cycle.get();
         }
         mem.finish(cycle);
-        stats
+        cycle
+    }
+
+    /// One cycle of core `id`: retire in order, then issue in order while
+    /// the window has room. Returns `false` once the core has retired its
+    /// budget (it is then done and records its finishing cycle).
+    #[inline]
+    fn step<M: CoreMemory>(
+        &mut self,
+        id: usize,
+        cycle: Cycle,
+        mem: &mut M,
+        max_instructions: u64,
+        fetch: &mut impl FnMut(usize) -> Instr,
+    ) -> bool {
+        let mut retired = 0;
+        while retired < self.commit_width {
+            match self.window.front() {
+                Some(&ready) if ready <= cycle => {
+                    self.window.pop_front();
+                    self.stats.instructions += 1;
+                    retired += 1;
+                }
+                _ => break,
+            }
+        }
+        if self.stats.instructions >= max_instructions && self.window.is_empty() {
+            self.done = true;
+            self.stats.cycles = cycle.get();
+            return false;
+        }
+
+        let mut issued = 0;
+        let mut window_was_full = false;
+        while issued < self.issue_width && self.fetched < max_instructions {
+            if self.window.len() >= self.window_size {
+                window_was_full = true;
+                break;
+            }
+            let instr = match self.stalled.take() {
+                Some(i) => i,
+                None => fetch(id),
+            };
+            // A chained load cannot access the cache before the previous
+            // chained load has produced its address; issue stalls until
+            // then.
+            if let Instr::ChainedLoad(_) = instr {
+                if self.chain_ready > cycle {
+                    self.stalled = Some(instr);
+                    break;
+                }
+            }
+            let ready = match instr {
+                Instr::Op => cycle + 1,
+                Instr::Load(m) => {
+                    self.stats.loads += 1;
+                    mem.access(id, &m, false, cycle)
+                }
+                Instr::ChainedLoad(m) => {
+                    self.stats.loads += 1;
+                    let ready = mem.access(id, &m, false, cycle);
+                    self.chain_ready = ready;
+                    ready
+                }
+                Instr::Store(m) => {
+                    self.stats.stores += 1;
+                    // Stores retire through the write buffer: the cache
+                    // is updated but the core does not wait for data.
+                    mem.access(id, &m, true, cycle);
+                    cycle + 1
+                }
+                Instr::SwPrefetch(m) => {
+                    if !self.ignore_sw_prefetch {
+                        self.stats.sw_prefetches += 1;
+                        // Treated as a normal memory reference (§2.2)
+                        // that does not block retirement.
+                        mem.access(id, &m, false, cycle);
+                    }
+                    cycle + 1
+                }
+            };
+            self.window.push_back(ready);
+            self.fetched += 1;
+            issued += 1;
+        }
+        if window_was_full {
+            self.stats.window_full_cycles += 1;
+        }
+        true
+    }
+
+    /// Whether the next cycle can neither retire nor issue without
+    /// something outside this core happening first: no more instructions
+    /// to fetch, a full window, or a stalled chained load.
+    #[inline]
+    fn blocked(&self, max_instructions: u64) -> bool {
+        self.fetched >= max_instructions
+            || self.window.len() >= self.window_size
+            || self.stalled.is_some()
+    }
+
+    /// The earliest cycle at which a blocked core can act: in-order
+    /// retirement of the window head, or a stalled chained load's
+    /// address becoming available.
+    #[inline]
+    fn wake(&self) -> Cycle {
+        let mut wake = self.window.front().copied().unwrap_or(Cycle::new(u64::MAX));
+        if self.stalled.is_some() {
+            wake = wake.min(self.chain_ready);
+        }
+        wake
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MemRef;
+    use crate::hierarchy::MemorySystem;
     use timekeeping::{Addr, Pc};
 
     /// All-ALU workload: IPC should approach the issue width.

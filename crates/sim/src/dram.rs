@@ -34,7 +34,6 @@
 
 use std::fmt::Debug;
 
-use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{Addr, Cycle};
 
 /// Memory-bus transfer granularity: one L2 block.
@@ -287,33 +286,16 @@ impl DramStats {
     }
 }
 
-impl Snapshot for DramStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("reads", Json::U64(self.reads)),
-            ("writes", Json::U64(self.writes)),
-            ("row_hits", Json::U64(self.row_hits)),
-            ("row_closed", Json::U64(self.row_closed)),
-            ("row_conflicts", Json::U64(self.row_conflicts)),
-            ("bank_wait_cycles", Json::U64(self.bank_wait_cycles)),
-            ("bus_wait_cycles", Json::U64(self.bus_wait_cycles)),
-            ("read_latency_cycles", Json::U64(self.read_latency_cycles)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(DramStats {
-            reads: v.u64_field("reads")?,
-            writes: v.u64_field("writes")?,
-            row_hits: v.u64_field("row_hits")?,
-            row_closed: v.u64_field("row_closed")?,
-            row_conflicts: v.u64_field("row_conflicts")?,
-            bank_wait_cycles: v.u64_field("bank_wait_cycles")?,
-            bus_wait_cycles: v.u64_field("bus_wait_cycles")?,
-            read_latency_cycles: v.u64_field("read_latency_cycles")?,
-        })
-    }
-}
+timekeeping::counter_block!(DramStats {
+    reads,
+    writes,
+    row_hits,
+    row_closed,
+    row_conflicts,
+    bank_wait_cycles,
+    bus_wait_cycles,
+    read_latency_cycles
+});
 
 #[derive(Debug, Clone, Copy)]
 struct BankState {
@@ -532,6 +514,7 @@ pub fn validate(cfg: &BankedDramConfig) -> Result<(), DramConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timekeeping::snapshot::Snapshot;
 
     /// Small hand-checkable geometry: 1 channel, 1 rank, 2 banks, 128 B
     /// rows (2 blocks per row), tRCD=20 tRP=10 tCAS=15 burst=5.

@@ -17,18 +17,16 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
+use timekeeping::snapshot::Snapshot;
 use timekeeping::{
-    AdaptiveDeadTimeFilter, CollinsFilter, DeadTimeFilter, NoFilter, ReloadIntervalFilter,
-};
-use timekeeping::{
-    Cycle, Dbcp, FullyAssocShadow, GenerationTracker, GlobalTicker, LineSet, MetricsCollector,
-    MissBreakdown, PrefetchQueue, TimekeepingPrefetcher, TimelinessStats, VictimCache,
+    Cycle, FullyAssocShadow, GenerationTracker, GlobalTicker, LineSet, MetricsCollector,
+    MissBreakdown, PrefetchQueue, TimelinessStats,
 };
 
 use crate::bus::Bus;
 use crate::cache::SetAssocCache;
-use crate::config::{PrefetchMode, SystemConfig, VictimMode};
+use crate::config::{PrefetchMode, SystemConfig};
+use crate::core::CoreMemory;
 use crate::dram::{DramStats, MemBackend};
 use crate::mshr::MshrFile;
 use crate::obs::{
@@ -37,7 +35,7 @@ use crate::obs::{
 use crate::oracle::{FunctionalOracle, LockstepChecker, SimLevel, SimObservation};
 use crate::pipeline::{
     GenObserver, MetricsObserver, Observers, OracleTap, PendingPf, PipelineEvent,
-    PredictorObserver, PrefetcherImpl, TapEvent, VictimObserver, VictimUnit,
+    PredictorObserver, TapEvent, VictimObserver, VictimUnit,
 };
 use crate::trace::MemRef;
 
@@ -114,51 +112,25 @@ impl HierarchyStats {
     }
 }
 
-impl Snapshot for HierarchyStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("l1_accesses", Json::U64(self.l1_accesses)),
-            ("l1_hits", Json::U64(self.l1_hits)),
-            ("vc_hits", Json::U64(self.vc_hits)),
-            ("l2_accesses", Json::U64(self.l2_accesses)),
-            ("l2_hits", Json::U64(self.l2_hits)),
-            ("mem_accesses", Json::U64(self.mem_accesses)),
-            ("pf_enqueued", Json::U64(self.pf_enqueued)),
-            ("pf_issued", Json::U64(self.pf_issued)),
-            ("pf_fills", Json::U64(self.pf_fills)),
-            ("pf_redundant", Json::U64(self.pf_redundant)),
-            ("pf_dropped_live", Json::U64(self.pf_dropped_live)),
-            ("addr_predictions", Json::U64(self.addr_predictions)),
-            ("addr_correct", Json::U64(self.addr_correct)),
-            ("l1_writebacks", Json::U64(self.l1_writebacks)),
-            ("l2_writebacks", Json::U64(self.l2_writebacks)),
-            ("decay_misses", Json::U64(self.decay_misses)),
-            ("decay_off_cycles", Json::U64(self.decay_off_cycles)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(HierarchyStats {
-            l1_accesses: v.u64_field("l1_accesses")?,
-            l1_hits: v.u64_field("l1_hits")?,
-            vc_hits: v.u64_field("vc_hits")?,
-            l2_accesses: v.u64_field("l2_accesses")?,
-            l2_hits: v.u64_field("l2_hits")?,
-            mem_accesses: v.u64_field("mem_accesses")?,
-            pf_enqueued: v.u64_field("pf_enqueued")?,
-            pf_issued: v.u64_field("pf_issued")?,
-            pf_fills: v.u64_field("pf_fills")?,
-            pf_redundant: v.u64_field("pf_redundant")?,
-            pf_dropped_live: v.u64_field("pf_dropped_live")?,
-            addr_predictions: v.u64_field("addr_predictions")?,
-            addr_correct: v.u64_field("addr_correct")?,
-            l1_writebacks: v.u64_field("l1_writebacks")?,
-            l2_writebacks: v.u64_field("l2_writebacks")?,
-            decay_misses: v.u64_field("decay_misses")?,
-            decay_off_cycles: v.u64_field("decay_off_cycles")?,
-        })
-    }
-}
+timekeeping::counter_block!(HierarchyStats {
+    l1_accesses,
+    l1_hits,
+    vc_hits,
+    l2_accesses,
+    l2_hits,
+    mem_accesses,
+    pf_enqueued,
+    pf_issued,
+    pf_fills,
+    pf_redundant,
+    pf_dropped_live,
+    addr_predictions,
+    addr_correct,
+    l1_writebacks,
+    l2_writebacks,
+    decay_misses,
+    decay_off_cycles
+});
 
 /// The complete simulated memory system.
 ///
@@ -216,45 +188,6 @@ impl MemorySystem {
         let num_sets = m.l1d.num_sets() as usize;
         let collect = cfg.collect_metrics;
         let ticker = GlobalTicker::new(m.tick_period);
-        let victim = match cfg.victim {
-            VictimMode::None => None,
-            VictimMode::Unfiltered => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(NoFilter),
-                swap_fills: 0,
-            }),
-            VictimMode::Collins => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(CollinsFilter::new(num_sets)),
-                swap_fills: 0,
-            }),
-            VictimMode::DeadTime { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(DeadTimeFilter::new(threshold, ticker)),
-                swap_fills: 0,
-            }),
-            VictimMode::AdaptiveDeadTime => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(AdaptiveDeadTimeFilter::new(ticker, m.victim_entries)),
-                swap_fills: 0,
-            }),
-            VictimMode::ReloadInterval { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(ReloadIntervalFilter::new(threshold)),
-                swap_fills: 0,
-            }),
-        };
-        let prefetcher = match cfg.prefetch {
-            PrefetchMode::None => PrefetcherImpl::None,
-            PrefetchMode::Timekeeping(tcfg) => {
-                PrefetcherImpl::Tk(TimekeepingPrefetcher::new(m.l1d, tcfg, ticker))
-            }
-            PrefetchMode::Dbcp(dcfg) => PrefetcherImpl::Dbcp(Dbcp::new(dcfg, num_frames)),
-            PrefetchMode::Markov(mcfg) => PrefetcherImpl::Markov(timekeeping::Markov::new(mcfg)),
-            PrefetchMode::Stride(scfg) => {
-                PrefetcherImpl::Stride(timekeeping::StridePrefetcher::new(scfg, m.l1d))
-            }
-        };
         let obs = Observers {
             gens: GenObserver {
                 plane: GenerationTracker::new(num_frames),
@@ -266,12 +199,10 @@ impl MemorySystem {
                 l2_monitor: timekeeping::L2IntervalMonitor::new(m.l2, ticker, 16_384),
                 collect,
             },
-            predictors: PredictorObserver {
-                prefetcher,
-                addr_pred: vec![None; num_frames],
-                geom: m.l1d,
+            predictors: PredictorObserver::new(&cfg, ticker),
+            victim: VictimObserver {
+                unit: VictimUnit::new(&cfg, ticker),
             },
-            victim: VictimObserver { unit: victim },
             oracle: OracleTap::default(),
             trace: obs::trace_from_global(m.l1d),
         };
@@ -469,10 +400,7 @@ impl MemorySystem {
     /// Correlation-table statistics of the timekeeping prefetcher, if
     /// configured (hit rate = Figure 20 coverage).
     pub fn correlation_stats(&self) -> Option<timekeeping::CorrelationStats> {
-        match &self.obs.predictors.prefetcher {
-            PrefetcherImpl::Tk(p) => Some(p.table_stats()),
-            _ => None,
-        }
+        self.obs.predictors.correlation_stats()
     }
 
     /// Banked-DRAM statistics; `None` under the fixed-latency backend
@@ -483,10 +411,7 @@ impl MemorySystem {
 
     /// DBCP statistics, if configured.
     pub fn dbcp_stats(&self) -> Option<timekeeping::DbcpStats> {
-        match &self.obs.predictors.prefetcher {
-            PrefetcherImpl::Dbcp(d) => Some(d.stats()),
-            _ => None,
-        }
+        self.obs.predictors.dbcp_stats()
     }
 
     /// Performs one data reference. Stores mark the line dirty
@@ -579,9 +504,33 @@ impl MemorySystem {
     }
 }
 
+/// The single-core memory system serves core 0 only.
+impl CoreMemory for MemorySystem {
+    #[inline]
+    fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
+        debug_assert_eq!(core, 0, "MemorySystem serves one core");
+        MemorySystem::access(self, mref, is_store, now).ready_at
+    }
+
+    #[inline]
+    fn advance(&mut self, now: Cycle) {
+        MemorySystem::advance(self, now);
+    }
+
+    #[inline]
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        MemorySystem::next_event(self, now)
+    }
+
+    fn finish(&mut self, now: Cycle) {
+        MemorySystem::finish(self, now);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::VictimMode;
     use timekeeping::{Addr, CorrelationConfig, Pc};
 
     fn mref(addr: u64) -> MemRef {

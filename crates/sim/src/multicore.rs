@@ -24,41 +24,42 @@
 //! live/dead time along that axis, which is what the `mesi_compare`
 //! report plots.
 //!
-//! Determinism and clock hopping: cores are serviced in (cycle,
-//! core-index) order by the driver loop in [`MultiCoreSystem::run`], so
-//! the global bus-transaction order is a pure function of the workload.
-//! The hierarchy schedules no background events (multi-core runs reject
-//! issuing prefetchers and decay at `build()`, and predict-only ticks
-//! are synchronized lazily at access time), so the event-driven clock
+//! Determinism and clock hopping: one [`OooCore`] per core runs under
+//! the same driver as the single-core machine (`OooCore::run_cores`),
+//! which services cores in (cycle, core-index) order, so the global
+//! bus-transaction order is a pure function of the workload. This
+//! module is that driver's `CoreMemory`: it schedules no background
+//! events (multi-core runs reject issuing prefetchers and decay at
+//! `build()`, and predict-only ticks are synchronized lazily at access
+//! time), so `advance` is a no-op, `next_event` is `None`, and the clock
 //! hop is provably equivalent to per-cycle stepping — the
 //! `step_equivalence` suite checks bit-identity over multiprogrammed
 //! mixes.
 //!
-//! Predict-only scoring note: at `cores > 1` only the timekeeping
-//! prefetcher's predictor is scored; other predictor families
-//! (`Dbcp`/`Markov`/`Stride`) pass validation with `predict_only` but
-//! record no address predictions here.
+//! Predictors: each core holds the single-core predictor observer built
+//! from `cfg.prefetch` and receives the same lookup, hit, miss and fill
+//! events, so every predictor family trains and is scored in
+//! predict-only mode; the prefetches it asks for are dropped.
 
-use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    AdaptiveDeadTimeFilter, Addr, CacheGeometry, CollinsFilter, Cycle, DeadTimeFilter, EvictCause,
-    EvictionInfo, FullyAssocShadow, GenerationRecord, GenerationTracker, GlobalTicker, LineAddr,
-    LineMap, LineSet, MetricsCollector, MissBreakdown, MissKind, NoFilter, PrefetchRequest,
-    ReloadIntervalFilter, TimekeepingPrefetcher, VictimCache, VictimStats,
+    Addr, CacheGeometry, Cycle, EvictCause, EvictionInfo, FullyAssocShadow, GenerationRecord,
+    GenerationTracker, GlobalTicker, LineAddr, LineMap, LineSet, MetricsCollector, MissBreakdown,
+    MissKind, PrefetchRequest, WeightedSum,
 };
 
 use crate::bus::{Bus, SnoopBus};
 use crate::cache::{ProbeResult, SetAssocCache};
-use crate::config::{PrefetchMode, SystemConfig, VictimMode};
-use crate::core::CoreStats;
+use crate::config::{SystemConfig, VictimMode};
+use crate::core::{CoreMemory, CoreStats, OooCore};
 use crate::dram::MemBackend;
 use crate::hierarchy::HierarchyStats;
 use crate::obs::{self, TraceObserver};
 use crate::pipeline::{
-    C2cEvent, CoherenceKind, InvalidateEvent, MemObserver, Reactions, SnoopEvent, VictimUnit,
+    C2cEvent, CoherenceKind, FillEvent, HitEvent, InvalidateEvent, LookupEvent, MemObserver,
+    MissEvent, PredictorObserver, PrefetcherImpl, Reactions, SnoopEvent, VictimUnit,
 };
 use crate::system::RunResult;
-use crate::trace::{Instr, Workload};
+use crate::trace::{MemRef, Workload};
 
 // ------------------------------------------------------------------- MESI
 
@@ -148,70 +149,28 @@ impl CoherenceStats {
     }
 }
 
-impl Snapshot for CoherenceStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("bus_reads", Json::U64(self.bus_reads)),
-            ("bus_read_exclusives", Json::U64(self.bus_read_exclusives)),
-            ("bus_upgrades", Json::U64(self.bus_upgrades)),
-            ("c2c_transfers", Json::U64(self.c2c_transfers)),
-            (
-                "coherence_invalidations",
-                Json::U64(self.coherence_invalidations),
-            ),
-            (
-                "inclusion_invalidations",
-                Json::U64(self.inclusion_invalidations),
-            ),
-            ("vc_invalidations", Json::U64(self.vc_invalidations)),
-            ("inval_refetches", Json::U64(self.inval_refetches)),
-            ("evict_deaths", Json::U64(self.evict_deaths)),
-            ("evict_live_time", Json::U64(self.evict_live_time)),
-            ("evict_dead_time", Json::U64(self.evict_dead_time)),
-            ("inval_deaths", Json::U64(self.inval_deaths)),
-            ("inval_live_time", Json::U64(self.inval_live_time)),
-            ("inval_dead_time", Json::U64(self.inval_dead_time)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        Ok(CoherenceStats {
-            bus_reads: v.u64_field("bus_reads")?,
-            bus_read_exclusives: v.u64_field("bus_read_exclusives")?,
-            bus_upgrades: v.u64_field("bus_upgrades")?,
-            c2c_transfers: v.u64_field("c2c_transfers")?,
-            coherence_invalidations: v.u64_field("coherence_invalidations")?,
-            inclusion_invalidations: v.u64_field("inclusion_invalidations")?,
-            vc_invalidations: v.u64_field("vc_invalidations")?,
-            inval_refetches: v.u64_field("inval_refetches")?,
-            evict_deaths: v.u64_field("evict_deaths")?,
-            evict_live_time: v.u64_field("evict_live_time")?,
-            evict_dead_time: v.u64_field("evict_dead_time")?,
-            inval_deaths: v.u64_field("inval_deaths")?,
-            inval_live_time: v.u64_field("inval_live_time")?,
-            inval_dead_time: v.u64_field("inval_dead_time")?,
-        })
-    }
-}
+timekeeping::counter_block!(CoherenceStats {
+    bus_reads,
+    bus_read_exclusives,
+    bus_upgrades,
+    c2c_transfers,
+    coherence_invalidations,
+    inclusion_invalidations,
+    vc_invalidations,
+    inval_refetches,
+    evict_deaths,
+    evict_live_time,
+    evict_dead_time,
+    inval_deaths,
+    inval_live_time,
+    inval_dead_time
+});
 
 // ---------------------------------------------------------- per-core plane
 
-/// Predict-only timekeeping-prefetcher scoring state of one core.
-#[derive(Debug)]
-struct TkPlane {
-    pred: TimekeepingPrefetcher,
-    /// Outstanding address prediction per frame, scored at the next fill
-    /// (mirrors the single-core `PredictorObserver`).
-    addr_pred: Vec<Option<u64>>,
-    /// Cycle up to which global ticks have been applied.
-    last_sync: Cycle,
-    /// Reusable buffer for tick-fired requests (discarded: predict-only).
-    scratch: Vec<PrefetchRequest>,
-}
-
 /// One core's private slice of the hierarchy: L1 tags, MESI states,
 /// generation tracking, classification shadow, metrics, optional victim
-/// cache, optional predict-only prefetcher scoring.
+/// cache, and the predict-only predictor plane.
 #[derive(Debug)]
 struct CorePlane {
     l1: SetAssocCache,
@@ -221,7 +180,12 @@ struct CorePlane {
     shadow: FullyAssocShadow,
     metrics: MetricsCollector,
     victim: Option<VictimUnit>,
-    tk: Option<TkPlane>,
+    predictors: PredictorObserver,
+    /// Cycle up to which global ticks have been applied to the
+    /// timekeeping predictor.
+    last_sync: Cycle,
+    /// Reusable buffer for tick-fired requests (discarded: predict-only).
+    tick_scratch: Vec<PrefetchRequest>,
     /// In-flight demand fills: line → data-ready cycle. Tags allocate at
     /// miss time (as in the single-core model), so a subsequent access
     /// to an in-flight line hits in the tag array; this map supplies the
@@ -246,52 +210,16 @@ impl CorePlane {
     fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
         let m = &cfg.machine;
         let num_frames = m.l1d.num_frames() as usize;
-        let num_sets = m.l1d.num_sets() as usize;
-        let victim = match cfg.victim {
-            VictimMode::None => None,
-            VictimMode::Unfiltered => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(NoFilter),
-                swap_fills: 0,
-            }),
-            VictimMode::Collins => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(CollinsFilter::new(num_sets)),
-                swap_fills: 0,
-            }),
-            VictimMode::DeadTime { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(DeadTimeFilter::new(threshold, ticker)),
-                swap_fills: 0,
-            }),
-            VictimMode::AdaptiveDeadTime => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(AdaptiveDeadTimeFilter::new(ticker, m.victim_entries)),
-                swap_fills: 0,
-            }),
-            VictimMode::ReloadInterval { threshold } => Some(VictimUnit {
-                cache: VictimCache::new(m.victim_entries),
-                filter: Box::new(ReloadIntervalFilter::new(threshold)),
-                swap_fills: 0,
-            }),
-        };
-        let tk = match cfg.prefetch {
-            PrefetchMode::Timekeeping(tcfg) => Some(TkPlane {
-                pred: TimekeepingPrefetcher::new(m.l1d, tcfg, ticker),
-                addr_pred: vec![None; num_frames],
-                last_sync: Cycle::ZERO,
-                scratch: Vec::with_capacity(num_frames),
-            }),
-            _ => None,
-        };
         CorePlane {
             l1: SetAssocCache::new(m.l1d),
             mesi: vec![Mesi::Invalid; num_frames],
             gens: GenerationTracker::new(num_frames),
             shadow: FullyAssocShadow::new(num_frames),
             metrics: MetricsCollector::new(),
-            victim,
-            tk,
+            victim: VictimUnit::new(cfg, ticker),
+            predictors: PredictorObserver::new(cfg, ticker),
+            last_sync: Cycle::ZERO,
+            tick_scratch: Vec::new(),
             pending: LineMap::default(),
             inval_lost: LineSet::default(),
             stats: HierarchyStats::default(),
@@ -303,14 +231,28 @@ impl CorePlane {
     /// Lazy, cycle-count-based synchronization keeps hop and per-cycle
     /// stepping bit-identical.
     fn sync_ticks(&mut self, now: Cycle, ticker: &GlobalTicker) {
-        if let Some(tk) = &mut self.tk {
-            let n = ticker.ticks_between(tk.last_sync, now);
+        if let PrefetcherImpl::Tk(pred) = &mut self.predictors.prefetcher {
+            let n = ticker.ticks_between(self.last_sync, now);
             for _ in 0..n {
-                tk.scratch.clear();
-                tk.pred.tick_into(&mut tk.scratch);
+                self.tick_scratch.clear();
+                pred.tick_into(&mut self.tick_scratch);
             }
-            tk.scratch.clear();
-            tk.last_sync = now;
+            self.tick_scratch.clear();
+            self.last_sync = now;
+        }
+    }
+
+    /// Dispatches one event to the predictor plane and scores the address
+    /// prediction it settles, if any. The prefetches it asks for are
+    /// dropped: multi-core runs are predict-only.
+    fn predict(&mut self, dispatch: impl FnOnce(&mut PredictorObserver, &mut Reactions)) {
+        let mut rx = Reactions::default();
+        dispatch(&mut self.predictors, &mut rx);
+        if let Some(correct) = rx.addr_scored {
+            self.stats.addr_predictions += 1;
+            if correct {
+                self.stats.addr_correct += 1;
+            }
         }
     }
 
@@ -329,34 +271,35 @@ impl CorePlane {
         Some(rec)
     }
 
-    /// Starts a generation in `frame` and scores/updates the predict-only
-    /// prefetcher exactly as the single-core `PredictorObserver` does.
+    /// Starts a generation in `frame` for a demand fill of `mref`'s line
+    /// (displacing `evicted`) and sends the Fill event to the predictors.
     fn fill_bookkeeping(
         &mut self,
         frame: usize,
-        line: LineAddr,
+        mref: &MemRef,
+        evicted: Option<LineAddr>,
         now: Cycle,
         kind: MissKind,
         collect: bool,
-        geom: &CacheGeometry,
     ) {
+        let geom = *self.l1.geometry();
+        let line = geom.line_of(mref.addr);
         let history = self.gens.line_meta(line).copied();
         let reload = self.gens.fill(frame, line, now);
         if collect {
             self.metrics.on_miss(kind, history.as_ref(), reload);
         }
-        if let Some(tk) = &mut self.tk {
-            let set = geom.index_of_line(line);
-            let tag = geom.tag_of_line(line);
-            if let Some(pred) = tk.addr_pred[frame].take() {
-                self.stats.addr_predictions += 1;
-                if pred == tag {
-                    self.stats.addr_correct += 1;
-                }
-            }
-            tk.pred.on_fill(frame, set, tag);
-            tk.addr_pred[frame] = tk.pred.predicted_next(frame);
-        }
+        let ev = FillEvent {
+            line,
+            frame,
+            set: geom.index_of_line(line),
+            tag: geom.tag_of_line(line),
+            pc: Some(mref.pc),
+            demand: true,
+            evicted,
+            now,
+        };
+        self.predict(|p, rx| p.on_fill(&ev, rx));
     }
 
     /// Kills this core's copy of `line` (L1 frame or victim-cache entry),
@@ -713,9 +656,9 @@ impl CoherentChecker {
 /// The N-core MESI-coherent memory system.
 ///
 /// Build with [`MultiCoreSystem::new`] from a validated multi-core
-/// [`SystemConfig`], then drive with [`run`](MultiCoreSystem::run) over
-/// per-core instruction streams. [`crate::run_workload`] routes here
-/// automatically when `cfg.cores > 1`.
+/// [`SystemConfig`], then drive it with one [`OooCore`] per core through
+/// `OooCore::run_cores`; [`run_multicore`] does both, and
+/// [`crate::run_workload`] routes there when `cfg.cores > 1`.
 #[derive(Debug)]
 pub struct MultiCoreSystem {
     cfg: SystemConfig,
@@ -807,7 +750,7 @@ impl MultiCoreSystem {
     pub fn stats(&self) -> HierarchyStats {
         let mut sum = HierarchyStats::default();
         for c in &self.cores {
-            add_hierarchy(&mut sum, &c.stats);
+            sum.add_weighted(&c.stats, 1);
         }
         sum
     }
@@ -975,13 +918,7 @@ impl MultiCoreSystem {
 
     /// One demand access by `core` at `now`. Returns the cycle at which
     /// the data is available to the core.
-    pub fn access(
-        &mut self,
-        core: usize,
-        mref: &crate::trace::MemRef,
-        is_store: bool,
-        now: Cycle,
-    ) -> Cycle {
+    pub fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
         let m = self.cfg.machine;
         let geom = m.l1d;
         let addr = mref.addr;
@@ -991,6 +928,12 @@ impl MultiCoreSystem {
 
         self.cores[core].sync_ticks(now, &self.ticker);
         self.cores[core].stats.l1_accesses += 1;
+        let lookup = LookupEvent {
+            addr,
+            pc: mref.pc,
+            now,
+        };
+        self.cores[core].predict(|p, rx| p.on_lookup(&lookup, rx));
 
         let mut report = checking.then(|| AccessReport {
             core,
@@ -1012,9 +955,13 @@ impl MultiCoreSystem {
                     plane.metrics.on_access_interval(interval);
                 }
                 plane.shadow.on_access(line);
-                if let Some(tk) = &mut plane.tk {
-                    tk.pred.on_hit(frame);
-                }
+                let hit = HitEvent {
+                    line,
+                    frame,
+                    pc: mref.pc,
+                    now,
+                };
+                plane.predict(|p, rx| p.on_hit(&hit, rx));
                 // Hit-under-miss: the tag allocated at miss time, but the
                 // data may still be in flight.
                 let data_ready = plane
@@ -1057,6 +1004,13 @@ impl MultiCoreSystem {
             } => {
                 let plane = &mut self.cores[core];
                 let kind = plane.shadow.classify_miss(line);
+                let miss = MissEvent {
+                    line,
+                    addr,
+                    kind,
+                    now,
+                };
+                plane.predict(|p, rx| p.on_miss(&miss, rx));
                 if plane.inval_lost.remove(&line.get()) {
                     self.coh.inval_refetches += 1;
                 }
@@ -1124,11 +1078,11 @@ impl MultiCoreSystem {
                     }
                     self.cores[core].fill_bookkeeping(
                         victim_frame,
-                        line,
+                        mref,
+                        evicted,
                         now,
                         kind,
                         collect,
-                        &geom,
                     );
                     if let Some(r) = report.as_mut() {
                         r.level = ServiceLevel::VictimCache;
@@ -1297,11 +1251,11 @@ impl MultiCoreSystem {
                     self.cores[core].mesi[victim_frame] = state;
                     self.cores[core].fill_bookkeeping(
                         victim_frame,
-                        line,
+                        mref,
+                        evicted,
                         now,
                         kind,
                         collect,
-                        &geom,
                     );
                     if data_ready > now {
                         self.cores[core]
@@ -1339,250 +1293,36 @@ impl MultiCoreSystem {
         }
     }
 
-    /// Runs `instructions` instructions on every core, one stream per
-    /// core, and returns the aggregated core statistics (`cycles` is the
-    /// last core's completion time; the rest are sums).
-    ///
-    /// The driver replicates the single-core out-of-order window model
-    /// per core and services cores in index order within each cycle,
-    /// which fixes the global coherence-transaction order. When every
-    /// live core is blocked, the clock hops to the earliest per-core
-    /// wake-up (window head or chained-load address) — there are no
-    /// memory-system background events — so hopping is bit-identical to
-    /// `step_every_cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams.len() != cfg.cores`.
-    pub fn run(&mut self, streams: &mut [Box<dyn Workload>], instructions: u64) -> CoreStats {
-        assert_eq!(
-            streams.len(),
-            self.cores.len(),
-            "one instruction stream per core"
-        );
-        let m = self.cfg.machine;
-        let issue_width = m.issue_width as usize;
-        let window_size = m.window_size as usize;
-        let commit_width = m.commit_width as usize;
-        let ignore_swpf = self.cfg.ignore_sw_prefetch;
-        let step_every_cycle = self.cfg.step_every_cycle;
-
-        struct Exec {
-            window: std::collections::VecDeque<Cycle>,
-            stalled: Option<Instr>,
-            chain_ready: Cycle,
-            fetched: u64,
-            stats: CoreStats,
-            done: bool,
-        }
-        let mut execs: Vec<Exec> = (0..self.cores.len())
-            .map(|_| Exec {
-                window: std::collections::VecDeque::with_capacity(window_size),
-                stalled: None,
-                chain_ready: Cycle::ZERO,
-                fetched: 0,
-                stats: CoreStats::default(),
-                done: false,
-            })
-            .collect();
-
-        let mut cycle = Cycle::ZERO;
-        loop {
-            let mut all_done = true;
-            for c in 0..execs.len() {
-                if execs[c].done {
-                    continue;
-                }
-                // Retire in order.
-                let mut retired = 0;
-                while retired < commit_width {
-                    match execs[c].window.front() {
-                        Some(&ready) if ready <= cycle => {
-                            execs[c].window.pop_front();
-                            execs[c].stats.instructions += 1;
-                            retired += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                if execs[c].stats.instructions >= instructions && execs[c].window.is_empty() {
-                    execs[c].done = true;
-                    execs[c].stats.cycles = cycle.get();
-                    continue;
-                }
-                all_done = false;
-
-                // Issue in order while the window has room.
-                let mut issued = 0;
-                let mut window_was_full = false;
-                while issued < issue_width && execs[c].fetched < instructions {
-                    if execs[c].window.len() >= window_size {
-                        window_was_full = true;
-                        break;
-                    }
-                    let instr = match execs[c].stalled.take() {
-                        Some(i) => i,
-                        None => streams[c].next_instr(),
-                    };
-                    if let Instr::ChainedLoad(_) = instr {
-                        if execs[c].chain_ready > cycle {
-                            execs[c].stalled = Some(instr);
-                            break;
-                        }
-                    }
-                    let ready = match instr {
-                        Instr::Op => cycle + 1,
-                        Instr::Load(mr) => {
-                            execs[c].stats.loads += 1;
-                            self.access(c, &mr, false, cycle)
-                        }
-                        Instr::ChainedLoad(mr) => {
-                            execs[c].stats.loads += 1;
-                            let ready = self.access(c, &mr, false, cycle);
-                            execs[c].chain_ready = ready;
-                            ready
-                        }
-                        Instr::Store(mr) => {
-                            execs[c].stats.stores += 1;
-                            self.access(c, &mr, true, cycle);
-                            cycle + 1
-                        }
-                        Instr::SwPrefetch(mr) => {
-                            if ignore_swpf {
-                                cycle + 1
-                            } else {
-                                execs[c].stats.sw_prefetches += 1;
-                                self.access(c, &mr, false, cycle);
-                                cycle + 1
-                            }
-                        }
-                    };
-                    execs[c].window.push_back(ready);
-                    execs[c].fetched += 1;
-                    issued += 1;
-                }
-                if window_was_full {
-                    execs[c].stats.window_full_cycles += 1;
-                }
-            }
-            if all_done {
-                break;
-            }
-
-            // Event-driven clock hopping: when every live core is blocked,
-            // every cycle before the earliest wake-up is provably a no-op
-            // (completion times are fixed at issue; nothing in the memory
-            // system fires on its own).
-            let mut next = cycle + 1;
-            if !step_every_cycle {
-                let mut all_blocked = true;
-                let mut wake = Cycle::new(u64::MAX);
-                for ex in execs.iter().filter(|e| !e.done) {
-                    let blocked = ex.fetched >= instructions
-                        || ex.window.len() >= window_size
-                        || ex.stalled.is_some();
-                    if !blocked {
-                        all_blocked = false;
-                        break;
-                    }
-                    if let Some(&front) = ex.window.front() {
-                        if front < wake {
-                            wake = front;
-                        }
-                    }
-                    if ex.stalled.is_some() && ex.chain_ready < wake {
-                        wake = ex.chain_ready;
-                    }
-                }
-                if all_blocked && wake > next && wake < Cycle::new(u64::MAX) {
-                    for ex in execs.iter_mut().filter(|e| !e.done) {
-                        if ex.window.len() >= window_size && ex.fetched < instructions {
-                            ex.stats.window_full_cycles += wake.get() - next.get();
-                        }
-                    }
-                    next = wake;
-                }
-            }
-            cycle = next;
-            for ex in execs.iter_mut().filter(|e| !e.done) {
-                ex.stats.cycles = cycle.get();
-            }
-        }
-        self.finish(cycle);
-
-        let mut agg = CoreStats::default();
-        for ex in &execs {
-            agg.instructions += ex.stats.instructions;
-            agg.loads += ex.stats.loads;
-            agg.stores += ex.stats.stores;
-            agg.sw_prefetches += ex.stats.sw_prefetches;
-            agg.window_full_cycles += ex.stats.window_full_cycles;
-            agg.cycles = agg.cycles.max(ex.stats.cycles);
-        }
-        agg
-    }
-
     /// Consumes the system into a [`RunResult`]: hierarchy counters,
     /// victim and correlation statistics summed over cores, metric
     /// distributions merged, plus the coherence plane.
     pub fn into_result(mut self, workload: &str, core: CoreStats) -> RunResult {
         self.finish(Cycle::new(core.cycles));
-        let hierarchy = self.stats();
         let mut breakdown = MissBreakdown::default();
-        for p in &self.cores {
-            let b = p.shadow.breakdown();
-            breakdown.cold += b.cold;
-            breakdown.conflict += b.conflict;
-            breakdown.capacity += b.capacity;
-        }
         let mut metrics = MetricsCollector::new();
+        let mut victim = None;
+        let mut victim_swap_fills = None;
+        let mut correlation = None;
+        let mut dbcp = None;
         for p in &self.cores {
+            breakdown.add_weighted(&p.shadow.breakdown(), 1);
             metrics.merge(&p.metrics);
+            victim.add_weighted(&p.victim.as_ref().map(|v| v.cache.stats()), 1);
+            victim_swap_fills.add_weighted(&p.victim.as_ref().map(|v| v.swap_fills), 1);
+            correlation.add_weighted(&p.predictors.correlation_stats(), 1);
+            dbcp.add_weighted(&p.predictors.dbcp_stats(), 1);
         }
-        let victim = (self.cfg.victim != VictimMode::None).then(|| {
-            let mut sum = VictimStats::default();
-            for p in &self.cores {
-                if let Some(v) = &p.victim {
-                    let s = v.cache.stats();
-                    sum.offered += s.offered;
-                    sum.admitted += s.admitted;
-                    sum.probes += s.probes;
-                    sum.hits += s.hits;
-                }
-            }
-            sum
-        });
-        let victim_swap_fills = (self.cfg.victim != VictimMode::None).then(|| {
-            self.cores
-                .iter()
-                .filter_map(|p| p.victim.as_ref())
-                .map(|v| v.swap_fills)
-                .sum()
-        });
-        let correlation = matches!(self.cfg.prefetch, PrefetchMode::Timekeeping(_)).then(|| {
-            let mut sum = timekeeping::CorrelationStats::default();
-            for p in &self.cores {
-                if let Some(tk) = &p.tk {
-                    let s = tk.pred.table_stats();
-                    sum.lookups += s.lookups;
-                    sum.hits += s.hits;
-                    sum.updates += s.updates;
-                    sum.allocations += s.allocations;
-                }
-            }
-            sum
-        });
         RunResult {
             workload: workload.to_owned(),
             core,
-            hierarchy,
+            hierarchy: self.stats(),
             breakdown,
             metrics,
             victim,
             victim_swap_fills,
             timeliness: timekeeping::TimelinessStats::new(),
             correlation,
-            dbcp: None,
+            dbcp,
             pf_queue_discards: 0,
             dram: self.backend.snapshot(),
             sampled: None,
@@ -1591,24 +1331,51 @@ impl MultiCoreSystem {
     }
 }
 
-fn add_hierarchy(sum: &mut HierarchyStats, s: &HierarchyStats) {
-    sum.l1_accesses += s.l1_accesses;
-    sum.l1_hits += s.l1_hits;
-    sum.vc_hits += s.vc_hits;
-    sum.l2_accesses += s.l2_accesses;
-    sum.l2_hits += s.l2_hits;
-    sum.mem_accesses += s.mem_accesses;
-    sum.pf_enqueued += s.pf_enqueued;
-    sum.pf_issued += s.pf_issued;
-    sum.pf_fills += s.pf_fills;
-    sum.pf_redundant += s.pf_redundant;
-    sum.pf_dropped_live += s.pf_dropped_live;
-    sum.addr_predictions += s.addr_predictions;
-    sum.addr_correct += s.addr_correct;
-    sum.l1_writebacks += s.l1_writebacks;
-    sum.l2_writebacks += s.l2_writebacks;
-    sum.decay_misses += s.decay_misses;
-    sum.decay_off_cycles += s.decay_off_cycles;
+/// The coherent hierarchy as the core driver's memory system. It has no
+/// self-scheduled events: there is nothing to advance and no event to
+/// wake for.
+impl CoreMemory for MultiCoreSystem {
+    fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
+        MultiCoreSystem::access(self, core, mref, is_store, now)
+    }
+
+    fn advance(&mut self, _now: Cycle) {}
+
+    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
+        None
+    }
+
+    fn finish(&mut self, now: Cycle) {
+        MultiCoreSystem::finish(self, now);
+    }
+}
+
+/// Runs `instructions` instructions of each of `streams` on its own
+/// [`OooCore`] against `sys` (stream `i` on core `i`) and returns the
+/// core statistics summed over cores, with `cycles` the last core's
+/// finishing cycle.
+///
+/// # Panics
+///
+/// Panics if `streams.len() != cfg.cores`.
+fn run_streams(
+    sys: &mut MultiCoreSystem,
+    streams: &mut [Box<dyn Workload>],
+    instructions: u64,
+) -> CoreStats {
+    assert_eq!(
+        streams.len(),
+        sys.cores.len(),
+        "one instruction stream per core"
+    );
+    let mut cores: Vec<OooCore> = streams.iter().map(|_| OooCore::new(&sys.cfg)).collect();
+    OooCore::run_cores(&mut cores, sys, instructions, |c| streams[c].next_instr());
+    let mut agg = CoreStats::default();
+    for c in &cores {
+        agg.add_weighted(&c.stats(), 1);
+    }
+    agg.cycles = cores.iter().map(|c| c.stats().cycles).max().unwrap_or(0);
+    agg
 }
 
 /// Runs `instructions` instructions per core of `workload`'s per-core
@@ -1646,15 +1413,16 @@ pub fn run_multicore<W: Workload + ?Sized>(
     if checked {
         sys.install_checker();
     }
-    let core = sys.run(&mut streams, instructions);
+    let core = run_streams(&mut sys, &mut streams, instructions);
     sys.into_result(workload.name(), core)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
-    use crate::trace::MemRef;
+    use crate::config::{PrefetchMode, SystemConfig};
+    use crate::trace::Instr;
+    use timekeeping::snapshot::Snapshot;
     use timekeeping::{Addr, Pc};
 
     /// Per-core strided load stream over a private region.
@@ -1722,7 +1490,7 @@ mod tests {
                 base: i * 1024 * 1024,
             })
         });
-        let agg = sys.run(&mut s, 5_000);
+        let agg = run_streams(&mut sys, &mut s, 5_000);
         assert_eq!(agg.instructions, 10_000);
         let coh = *sys.coherence();
         assert_eq!(coh.coherence_invalidations, 0);
@@ -1736,7 +1504,7 @@ mod tests {
         let mut sys = MultiCoreSystem::new(dual());
         sys.install_checker();
         let mut s = streams_of(2, |i| Box::new(SharedMix { next: 0, salt: i }));
-        let agg = sys.run(&mut s, 20_000);
+        let agg = run_streams(&mut sys, &mut s, 20_000);
         assert_eq!(agg.instructions, 40_000);
         let coh = *sys.coherence();
         assert!(coh.bus_read_exclusives > 0, "{coh:?}");
@@ -1827,7 +1595,7 @@ mod tests {
             };
             let mut sys = MultiCoreSystem::new(cfg);
             let mut s = streams_of(2, |i| Box::new(SharedMix { next: 0, salt: i }));
-            let agg = sys.run(&mut s, 8_000);
+            let agg = run_streams(&mut sys, &mut s, 8_000);
             (agg, sys.stats(), *sys.coherence())
         };
         assert_eq!(run(false), run(true));
@@ -1869,7 +1637,7 @@ mod tests {
         let mut sys = MultiCoreSystem::new(cfg);
         sys.install_checker();
         let mut s = streams_of(2, |i| Box::new(ConflictShare { next: 0, salt: i }));
-        sys.run(&mut s, 20_000);
+        run_streams(&mut sys, &mut s, 20_000);
         let stats = sys.stats();
         let coh = *sys.coherence();
         assert!(stats.vc_hits > 0, "{stats:?}");
@@ -1895,7 +1663,7 @@ mod tests {
                 base: i * 1024 * 1024,
             })
         });
-        sys.run(&mut s, 20_000);
+        run_streams(&mut sys, &mut s, 20_000);
         assert!(sys.coherence().inclusion_invalidations > 0);
     }
 
@@ -1927,9 +1695,54 @@ mod tests {
             .unwrap();
         let mut sys = MultiCoreSystem::new(cfg);
         let mut s = streams_of(2, |i| Box::new(SharedMix { next: 0, salt: i }));
-        sys.run(&mut s, 30_000);
+        run_streams(&mut sys, &mut s, 30_000);
         let stats = sys.stats();
         assert!(stats.addr_predictions > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn predict_only_dbcp_trains_at_two_cores() {
+        let cfg = SystemConfig::builder()
+            .cores(2)
+            .prefetch(PrefetchMode::Dbcp(timekeeping::DbcpConfig::PAPER_2MB))
+            .predict_only()
+            .build()
+            .unwrap();
+        let mut w = SharedMix { next: 0, salt: 0 };
+        let r = run_multicore(&mut w, cfg, 20_000, true);
+        let dbcp = r.dbcp.expect("DBCP statistics reach the result");
+        assert!(dbcp.lookups > 0, "{dbcp:?}");
+        assert!(dbcp.updates > 0, "{dbcp:?}");
+        assert_eq!(r.hierarchy.pf_issued, 0, "predict-only issues nothing");
+    }
+
+    /// The multi-core half of the swap-accounting pin (the one-core half
+    /// is `pipeline::tests::swap_closes_are_offered_at_one_core`): a
+    /// victim-cache swap closes the displaced generation without offering
+    /// it to the admission filter.
+    #[test]
+    fn swap_closes_are_not_offered_at_two_cores() {
+        let cfg = SystemConfig::builder()
+            .cores(2)
+            .victim(VictimMode::Unfiltered)
+            .build()
+            .unwrap();
+        let mut sys = MultiCoreSystem::new(cfg);
+        sys.install_checker();
+        // Three lines conflicting in one direct-mapped set, in rotation.
+        let rounds = 10u64;
+        for i in 0..3 * rounds {
+            let a = MemRef::new(Addr::new(0x1000 + (i % 3) * 32 * 1024), Pc::new(4));
+            sys.access(0, &a, false, Cycle::new(i * 200));
+        }
+        let v = sys.cores[0].victim.as_ref().expect("victim configured");
+        // Three cold misses, then every access swaps through the buffer.
+        assert_eq!(v.swap_fills, 3 * rounds - 3);
+        assert_eq!(sys.stats().vc_hits, v.swap_fills);
+        // Only the two full-miss evictions are offered.
+        let stats = v.cache.stats();
+        assert_eq!(stats.offered, 2);
+        assert_eq!(stats.admitted, 2);
     }
 
     #[test]

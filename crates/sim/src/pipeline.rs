@@ -36,14 +36,15 @@
 use std::cmp::Reverse;
 
 use timekeeping::{
-    CacheGeometry, Cycle, Dbcp, EvictCause, EvictionInfo, GenerationRecord, LineAddr, LineMeta,
-    LinePlane, MissKind, PrefetchRequest, TimekeepingPrefetcher, Timeliness, VictimCache,
-    VictimFilter,
+    AdaptiveDeadTimeFilter, CacheGeometry, CollinsFilter, CorrelationStats, Cycle, Dbcp, DbcpStats,
+    DeadTimeFilter, EvictCause, EvictionInfo, GenerationRecord, GlobalTicker, LineAddr, LineMeta,
+    LinePlane, MissKind, NoFilter, PrefetchRequest, ReloadIntervalFilter, TimekeepingPrefetcher,
+    Timeliness, VictimCache, VictimFilter,
 };
 use timekeeping::{Histogram, L2IntervalMonitor, MetricsCollector, Pc};
 
 use crate::cache::ProbeResult;
-use crate::config::{L1Mode, MachineConfig};
+use crate::config::{L1Mode, MachineConfig, PrefetchMode, SystemConfig, VictimMode};
 use crate::hierarchy::{AccessOutcome, MemorySystem};
 use crate::obs::{ProfStage, TraceKind, TraceObserver};
 use crate::oracle::SimLevel;
@@ -402,6 +403,45 @@ pub(crate) struct PredictorObserver {
 }
 
 impl PredictorObserver {
+    /// The predictor `cfg.prefetch` selects, with an empty address-
+    /// prediction slot per L1 frame.
+    pub(crate) fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
+        let m = &cfg.machine;
+        let num_frames = m.l1d.num_frames() as usize;
+        let prefetcher = match cfg.prefetch {
+            PrefetchMode::None => PrefetcherImpl::None,
+            PrefetchMode::Timekeeping(tcfg) => {
+                PrefetcherImpl::Tk(TimekeepingPrefetcher::new(m.l1d, tcfg, ticker))
+            }
+            PrefetchMode::Dbcp(dcfg) => PrefetcherImpl::Dbcp(Dbcp::new(dcfg, num_frames)),
+            PrefetchMode::Markov(mcfg) => PrefetcherImpl::Markov(timekeeping::Markov::new(mcfg)),
+            PrefetchMode::Stride(scfg) => {
+                PrefetcherImpl::Stride(timekeeping::StridePrefetcher::new(scfg, m.l1d))
+            }
+        };
+        PredictorObserver {
+            prefetcher,
+            addr_pred: vec![None; num_frames],
+            geom: m.l1d,
+        }
+    }
+
+    /// Correlation-table statistics, for the timekeeping prefetcher.
+    pub(crate) fn correlation_stats(&self) -> Option<CorrelationStats> {
+        match &self.prefetcher {
+            PrefetcherImpl::Tk(p) => Some(p.table_stats()),
+            _ => None,
+        }
+    }
+
+    /// DBCP statistics, for the DBCP prefetcher.
+    pub(crate) fn dbcp_stats(&self) -> Option<DbcpStats> {
+        match &self.prefetcher {
+            PrefetcherImpl::Dbcp(d) => Some(d.stats()),
+            _ => None,
+        }
+    }
+
     fn request(&self, line: LineAddr) -> PrefetchRequest {
         PrefetchRequest {
             line,
@@ -481,9 +521,37 @@ impl MemObserver for PredictorObserver {
 pub(crate) struct VictimUnit {
     pub(crate) cache: VictimCache,
     pub(crate) filter: Box<dyn VictimFilter>,
-    /// Blocks entered by L1↔VC swaps (not counted as filtered fill
-    /// traffic; see DESIGN.md).
+    /// Blocks entered by L1↔VC swaps, each inserted whatever the filter
+    /// says. At one core the swapped-out generation is also offered to
+    /// the filter first (see the VictimProbe stage), so a swap the filter
+    /// admits counts in `admitted` as well; at `cores > 1` swaps are
+    /// never offered.
     pub(crate) swap_fills: u64,
+}
+
+impl VictimUnit {
+    /// The victim cache `cfg.victim` selects, if any, with its admission
+    /// filter.
+    pub(crate) fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Option<Self> {
+        let m = &cfg.machine;
+        let filter: Box<dyn VictimFilter> = match cfg.victim {
+            VictimMode::None => return None,
+            VictimMode::Unfiltered => Box::new(NoFilter),
+            VictimMode::Collins => Box::new(CollinsFilter::new(m.l1d.num_sets() as usize)),
+            VictimMode::DeadTime { threshold } => Box::new(DeadTimeFilter::new(threshold, ticker)),
+            VictimMode::AdaptiveDeadTime => {
+                Box::new(AdaptiveDeadTimeFilter::new(ticker, m.victim_entries))
+            }
+            VictimMode::ReloadInterval { threshold } => {
+                Box::new(ReloadIntervalFilter::new(threshold))
+            }
+        };
+        Some(VictimUnit {
+            cache: VictimCache::new(m.victim_entries),
+            filter,
+            swap_fills: 0,
+        })
+    }
 }
 
 /// Victim-cache admission, as an observer: offers every closed
@@ -1013,9 +1081,12 @@ impl MemorySystem {
             return None;
         }
         self.stats.vc_hits += 1;
-        // Swap: close the displaced generation and move the block into
-        // the victim cache unfiltered (it is an exchange, not eviction
-        // traffic).
+        // Swap: close the displaced generation, then move the block into
+        // the victim cache unconditionally. The close is an ordinary
+        // Evict event, so the victim observer also offers the generation
+        // to the admission filter: the filter trains on it, `offered`
+        // counts it, and `admitted` does too if the filter says yes.
+        // The multi-core swap path does not offer (ROADMAP item 3).
         if let Some(ev) = evicted {
             self.evict_event(victim_frame, ev, now, EvictCause::Demand, None);
             self.writeback_if_dirty(victim_frame, now);
@@ -1861,5 +1932,33 @@ mod tests {
         let stats = sys.victim_stats().expect("victim configured");
         assert_eq!(stats.offered, 1, "eviction must be offered to the VC");
         assert_eq!(stats.admitted, 1, "unfiltered VC admits everything");
+    }
+
+    /// Pins the one-core swap accounting: a victim-cache hit closes the
+    /// displaced generation through the ordinary Evict event, so the
+    /// admission filter is offered that generation (and, unfiltered,
+    /// admits it) before the swap inserts the block anyway. The
+    /// multi-core swap path does not offer
+    /// (`multicore::tests::swap_closes_are_not_offered_at_two_cores`).
+    #[test]
+    fn swap_closes_are_offered_at_one_core() {
+        let mut sys = MemorySystem::new(SystemConfig::with_victim(
+            crate::config::VictimMode::Unfiltered,
+        ));
+        // Three lines conflicting in one direct-mapped set, in rotation.
+        let rounds = 10u64;
+        for i in 0..3 * rounds {
+            let a = 0x1000 + (i % 3) * 32 * 1024;
+            sys.access(&mref(a), false, Cycle::new(i * 200));
+        }
+        // Three cold misses, then every access swaps through the buffer.
+        let swaps = sys.victim_swap_fills().expect("victim configured");
+        assert_eq!(swaps, 3 * rounds - 3);
+        assert_eq!(sys.stats().vc_hits, swaps);
+        // Every close is offered: the two full-miss evictions and every
+        // swap.
+        let stats = sys.victim_stats().expect("victim configured");
+        assert_eq!(stats.offered, 2 + swaps);
+        assert_eq!(stats.admitted, 2 + swaps);
     }
 }

@@ -45,7 +45,7 @@
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
     CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, LineMap, LineSet,
-    MetricsCollector, MissBreakdown, TimelinessStats, VictimStats,
+    MetricsCollector, MissBreakdown, TimelinessStats, VictimStats, WeightedSum,
 };
 
 use crate::config::{SampleConfig, SystemConfig};
@@ -985,39 +985,9 @@ impl Aggregate {
     }
 
     fn add(&mut self, r: &RunResult, w: u64) {
-        let c = &r.core;
-        let d = &mut self.core;
-        d.instructions += c.instructions * w;
-        d.cycles += c.cycles * w;
-        d.loads += c.loads * w;
-        d.stores += c.stores * w;
-        d.sw_prefetches += c.sw_prefetches * w;
-        d.window_full_cycles += c.window_full_cycles * w;
-
-        let h = &r.hierarchy;
-        let t = &mut self.hierarchy;
-        t.l1_accesses += h.l1_accesses * w;
-        t.l1_hits += h.l1_hits * w;
-        t.vc_hits += h.vc_hits * w;
-        t.l2_accesses += h.l2_accesses * w;
-        t.l2_hits += h.l2_hits * w;
-        t.mem_accesses += h.mem_accesses * w;
-        t.pf_enqueued += h.pf_enqueued * w;
-        t.pf_issued += h.pf_issued * w;
-        t.pf_fills += h.pf_fills * w;
-        t.pf_redundant += h.pf_redundant * w;
-        t.pf_dropped_live += h.pf_dropped_live * w;
-        t.addr_predictions += h.addr_predictions * w;
-        t.addr_correct += h.addr_correct * w;
-        t.l1_writebacks += h.l1_writebacks * w;
-        t.l2_writebacks += h.l2_writebacks * w;
-        t.decay_misses += h.decay_misses * w;
-        t.decay_off_cycles += h.decay_off_cycles * w;
-
-        self.breakdown.cold += r.breakdown.cold * w;
-        self.breakdown.conflict += r.breakdown.conflict * w;
-        self.breakdown.capacity += r.breakdown.capacity * w;
-
+        self.core.add_weighted(&r.core, w);
+        self.hierarchy.add_weighted(&r.hierarchy, w);
+        self.breakdown.add_weighted(&r.breakdown, w);
         // Distribution-shaped stats only expose merging; applying the
         // weight as repeated merges keeps every histogram's counts
         // consistent with the scaled counters. Weights are interval
@@ -1026,47 +996,12 @@ impl Aggregate {
             self.metrics.merge(&r.metrics);
             self.timeliness.merge(&r.timeliness);
         }
-
-        if let Some(v) = r.victim {
-            let d = self.victim.get_or_insert_with(VictimStats::default);
-            d.offered += v.offered * w;
-            d.admitted += v.admitted * w;
-            d.probes += v.probes * w;
-            d.hits += v.hits * w;
-        }
-        if let Some(v) = r.victim_swap_fills {
-            *self.victim_swap_fills.get_or_insert(0) += v * w;
-        }
-        if let Some(v) = r.correlation {
-            let d = self
-                .correlation
-                .get_or_insert_with(CorrelationStats::default);
-            d.lookups += v.lookups * w;
-            d.hits += v.hits * w;
-            d.updates += v.updates * w;
-            d.allocations += v.allocations * w;
-        }
-        if let Some(v) = r.dbcp {
-            let d = self
-                .dbcp
-                .get_or_insert_with(timekeeping::DbcpStats::default);
-            d.lookups += v.lookups * w;
-            d.predictions += v.predictions * w;
-            d.prefetches += v.prefetches * w;
-            d.updates += v.updates * w;
-        }
-        self.pf_queue_discards += r.pf_queue_discards * w;
-        if let Some(v) = r.dram {
-            let d = self.dram.get_or_insert_with(DramStats::default);
-            d.reads += v.reads * w;
-            d.writes += v.writes * w;
-            d.row_hits += v.row_hits * w;
-            d.row_closed += v.row_closed * w;
-            d.row_conflicts += v.row_conflicts * w;
-            d.bank_wait_cycles += v.bank_wait_cycles * w;
-            d.bus_wait_cycles += v.bus_wait_cycles * w;
-            d.read_latency_cycles += v.read_latency_cycles * w;
-        }
+        self.victim.add_weighted(&r.victim, w);
+        self.victim_swap_fills.add_weighted(&r.victim_swap_fills, w);
+        self.correlation.add_weighted(&r.correlation, w);
+        self.dbcp.add_weighted(&r.dbcp, w);
+        self.pf_queue_discards.add_weighted(&r.pf_queue_discards, w);
+        self.dram.add_weighted(&r.dram, w);
     }
 
     fn into_result(self, workload: &str, stats: SampleStats) -> RunResult {

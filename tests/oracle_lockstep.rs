@@ -143,6 +143,12 @@ fn multicore_configs() {
                 .predict_only()
                 .build()
                 .expect("multi-core banked config is valid"),
+            SystemConfig::builder()
+                .cores(cores)
+                .prefetch(PrefetchMode::Dbcp(timekeeping::DbcpConfig::PAPER_2MB))
+                .predict_only()
+                .build()
+                .expect("multi-core predict-only DBCP config is valid"),
         ];
         for cfg in cfgs {
             for b in [SpecBenchmark::Mcf, SpecBenchmark::Gzip] {

@@ -279,6 +279,12 @@ fn multicore_cfgs(cores: u32) -> Vec<SystemConfig> {
             .expect("multi-core predict-only config is valid"),
         SystemConfig::builder()
             .cores(cores)
+            .prefetch(PrefetchMode::Dbcp(timekeeping::DbcpConfig::PAPER_2MB))
+            .predict_only()
+            .build()
+            .expect("multi-core predict-only DBCP config is valid"),
+        SystemConfig::builder()
+            .cores(cores)
             .memory(MemBackendConfig::Banked(BankedDramConfig::DDR4))
             .victim(VictimMode::paper_dead_time())
             .build()
