@@ -22,17 +22,20 @@
 //!   worker pool: the worker that owns a job tries its file first and
 //!   simulates and stores only on a miss. (Sampled jobs try their files
 //!   before checkpoint planning, so a hit never builds a checkpoint;
-//!   sharded jobs are stored once their shards are assembled.) Files
+//!   sharded jobs are stored by the worker that assembles them.) Files
 //!   carry the full job key and are ignored (and rewritten) on any
 //!   mismatch. Delete the directory to invalidate.
 //! * **Checkpoint sharding** — sampled jobs that share a functional
 //!   fingerprint (same instruction stream, geometry and sampling
 //!   parameters; timing knobs free) reuse one profiled/clustered/warmed
-//!   [`SampleCheckpoint`] from `tk_sim`'s
-//!   two-tier store, and each job's timed representatives become
-//!   independent work units on the same pool. Shard results merge in
-//!   the checkpoint's fixed order, so the schedule cannot affect the
-//!   output: a sharded run is bit-identical to `Job::simulate`.
+//!   [`SampleCheckpoint`] from `tk_sim`'s two-tier store. The unit of
+//!   work is a (checkpoint, shard) pair over all of the group's jobs: it
+//!   injects the shard's warm state once and times it under each job's
+//!   configuration ([`tk_sim::run_shard_group`]). The worker that
+//!   delivers a group's last shard assembles each of its jobs in the
+//!   checkpoint's fixed shard order, stores it and frees the shard
+//!   results, so the schedule cannot affect the output: a sharded run is
+//!   bit-identical to `Job::simulate`.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -313,30 +316,62 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
 
     // Plan the batch's checkpoint plane: group sampled jobs by
     // functional fingerprint, materialize each distinct checkpoint once,
-    // and split those jobs into per-representative timing shards.
+    // and split each group into per-shard units over all its jobs.
     let workers = workers.max(1);
     let plan = plan_checkpoints(&pending, workers);
     let units = plan.units(&pending);
 
-    // Fan the work units across the pool. Each slot is written by
-    // exactly one worker; unit order is fixed by `pending` order and
-    // shard index, so the pool size cannot affect the output.
-    let unit_results: Vec<Mutex<Option<RunResult>>> =
-        units.iter().map(|_| Mutex::new(None)).collect();
+    // Fan the work units across the pool. A whole job's slot is written
+    // by the worker that resolves it. A shard unit times every job of
+    // its group, and the worker that delivers a group's last shard
+    // assembles and stores those jobs. Assembly always follows the
+    // checkpoint's fixed shard order, so the pool size cannot affect the
+    // output.
+    let finished: Vec<Mutex<Option<RunResult>>> =
+        pending.iter().map(|_| Mutex::new(None)).collect();
+    let gathers: Vec<Mutex<Gather>> = plan
+        .ckpts
+        .iter()
+        .map(|c| Mutex::new(Gather::new(c.shard_count())))
+        .collect();
     let run_unit = |u: &Unit| match *u {
-        Unit::Whole(j) => load_or_simulate(&pending[j], disk_dir),
-        Unit::Shard { job, ckpt, shard } => tk_sim::run_shard(
-            &plan.ckpts[ckpt],
-            pending[job].cfg,
-            shard,
-            pending[job].check,
-        ),
+        Unit::Whole(j) => {
+            let r = load_or_simulate(&pending[j], disk_dir);
+            *finished[j].lock().expect("slot poisoned") = Some(r);
+        }
+        Unit::Shard { ckpt, shard } => {
+            let ck = &plan.ckpts[ckpt];
+            let members = &plan.members[ckpt];
+            let cfgs: Vec<(SystemConfig, bool)> = members
+                .iter()
+                .map(|&j| (pending[j].cfg, pending[j].check))
+                .collect();
+            let rs = tk_sim::run_shard_group(ck, shard, &cfgs);
+            let Some(per_shard) = gathers[ckpt]
+                .lock()
+                .expect("gather poisoned")
+                .deliver(shard, rs)
+            else {
+                return;
+            };
+            let mut per_shard: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+            for &j in members {
+                let rs: Vec<RunResult> = per_shard
+                    .iter_mut()
+                    .map(|it| it.next().expect("one result per member"))
+                    .collect();
+                let r = tk_sim::assemble_shards(ck, &rs);
+                e.sims_run.fetch_add(1, Ordering::Relaxed);
+                if let Some(dir) = disk_dir {
+                    disk_store(dir, &pending[j].cache_key(), &r);
+                }
+                *finished[j].lock().expect("slot poisoned") = Some(r);
+            }
+        }
     };
     let pool = workers.min(units.len().max(1));
     if pool <= 1 {
-        for (u, slot) in units.iter().zip(&unit_results) {
-            *slot.lock().expect("slot poisoned") = Some(run_unit(u));
-        }
+        units.iter().for_each(run_unit);
     } else {
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -344,40 +379,18 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(u) = units.get(i) else { break };
-                    let r = run_unit(u);
-                    *unit_results[i].lock().expect("slot poisoned") = Some(r);
+                    run_unit(u);
                 });
             }
         });
     }
-
-    // Reassemble sharded jobs — always in the checkpoint's fixed shard
-    // order, regardless of which worker timed which shard when — and
-    // store them; whole jobs were stored by their worker.
-    let mut per_job: Vec<Vec<RunResult>> = (0..pending.len()).map(|_| Vec::new()).collect();
-    for (u, slot) in units.iter().zip(unit_results) {
+    resolved.extend(pending.iter().zip(finished).map(|(job, slot)| {
         let r = slot
             .into_inner()
             .expect("slot poisoned")
-            .expect("worker ran");
-        match *u {
-            Unit::Whole(j) | Unit::Shard { job: j, .. } => per_job[j].push(r),
-        }
-    }
-    for (j, (job, mut rs)) in pending.iter().zip(per_job).enumerate() {
-        let r = match plan.assignment[j] {
-            Some(c) => {
-                let r = tk_sim::assemble_shards(&plan.ckpts[c], &rs);
-                e.sims_run.fetch_add(1, Ordering::Relaxed);
-                if let Some(dir) = disk_dir {
-                    disk_store(dir, &job.cache_key(), &r);
-                }
-                r
-            }
-            None => rs.pop().expect("whole job ran"),
-        };
-        resolved.push((*job, r));
-    }
+            .expect("every job resolved");
+        (*job, r)
+    }));
 
     // Publish the new results, then answer the batch in order.
     let mut memo = e.memo.lock().expect("memo poisoned");
@@ -389,15 +402,45 @@ pub fn run_jobs(jobs: &[Job], workers: usize) -> Vec<Arc<RunResult>> {
         .collect()
 }
 
-/// One schedulable piece of a batch: a whole simulation, or a single
-/// timed representative of a checkpointed job.
+/// One schedulable piece of a batch: a whole simulation, or one timed
+/// shard of a checkpoint, run for every job of its group.
 enum Unit {
     Whole(usize),
-    Shard {
-        job: usize,
-        ckpt: usize,
-        shard: usize,
-    },
+    Shard { ckpt: usize, shard: usize },
+}
+
+/// One checkpoint group's shard results, held until its last shard
+/// arrives.
+struct Gather {
+    /// Per shard: one result per group member, in member order.
+    shards: Vec<Option<Vec<RunResult>>>,
+    arrived: usize,
+}
+
+impl Gather {
+    fn new(shards: usize) -> Self {
+        Gather {
+            shards: (0..shards).map(|_| None).collect(),
+            arrived: 0,
+        }
+    }
+
+    /// Records shard `index`'s results; once every shard has arrived,
+    /// hands them all back in shard order.
+    fn deliver(&mut self, index: usize, rs: Vec<RunResult>) -> Option<Vec<Vec<RunResult>>> {
+        debug_assert!(
+            self.shards[index].is_none(),
+            "shard {index} delivered twice"
+        );
+        self.shards[index] = Some(rs);
+        self.arrived += 1;
+        (self.arrived == self.shards.len()).then(|| {
+            std::mem::take(&mut self.shards)
+                .into_iter()
+                .map(|s| s.expect("every shard arrived"))
+                .collect()
+        })
+    }
 }
 
 /// The checkpoint plan for one batch of pending jobs.
@@ -406,20 +449,26 @@ struct SweepPlan {
     assignment: Vec<Option<usize>>,
     /// The batch's distinct checkpoints, materialized once each.
     ckpts: Vec<Arc<SampleCheckpoint>>,
+    /// Per checkpoint: the pending jobs assigned to it, in batch order.
+    members: Vec<Vec<usize>>,
 }
 
 impl SweepPlan {
-    /// Expands the plan into the batch's work units, job-major so each
-    /// job's shard results arrive in shard order.
+    /// Expands the plan into the batch's work units in batch order: a
+    /// whole job in its place, and a checkpoint's shards, in shard
+    /// order, in the place of its first job. A group's shards are thus
+    /// adjacent in the queue, so its jobs finish (and free their shard
+    /// results) soon after they start.
     fn units(&self, pending: &[Job]) -> Vec<Unit> {
         let mut units = Vec::with_capacity(pending.len());
         for j in 0..pending.len() {
             match self.assignment[j] {
-                Some(c) => units.extend((0..self.ckpts[c].shard_count()).map(|s| Unit::Shard {
-                    job: j,
-                    ckpt: c,
-                    shard: s,
-                })),
+                Some(c) if self.members[c][0] == j => {
+                    units.extend(
+                        (0..self.ckpts[c].shard_count()).map(|s| Unit::Shard { ckpt: c, shard: s }),
+                    );
+                }
+                Some(_) => {}
                 None => units.push(Unit::Whole(j)),
             }
         }
@@ -444,6 +493,7 @@ fn plan_checkpoints(pending: &[Job], workers: usize) -> SweepPlan {
         return SweepPlan {
             assignment,
             ckpts: Vec::new(),
+            members: Vec::new(),
         };
     }
     // The stream probe forks and hashes the head of the workload, so
@@ -508,10 +558,18 @@ fn plan_checkpoints(pending: &[Job], workers: usize) -> SweepPlan {
             None => remap.push(None),
         }
     }
-    for a in &mut assignment {
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); ckpts.len()];
+    for (j, a) in assignment.iter_mut().enumerate() {
         *a = a.and_then(|g| remap[g]);
+        if let Some(c) = *a {
+            members[c].push(j);
+        }
     }
-    SweepPlan { assignment, ckpts }
+    SweepPlan {
+        assignment,
+        ckpts,
+        members,
+    }
 }
 
 #[cfg(test)]

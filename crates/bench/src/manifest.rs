@@ -32,7 +32,7 @@ pub struct CkptDelta {
     pub disk_hits: u64,
     /// Checkpoints built from scratch.
     pub builds: u64,
-    /// Functional fingerprints, deduplicated, first-use order.
+    /// Functional fingerprints, deduplicated and sorted.
     pub fingerprints: Vec<String>,
 }
 

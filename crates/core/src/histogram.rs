@@ -7,6 +7,7 @@
 //! queries the paper quotes ("58% of live times are 100 cycles or less").
 
 use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::WeightedSum;
 use std::fmt;
 
 /// A fixed-width bucketed histogram with an overflow tail.
@@ -229,6 +230,22 @@ impl Histogram {
     ///
     /// Panics if the two histograms have different bucket widths or counts.
     pub fn merge(&mut self, other: &Histogram) {
+        self.add_weighted(other, 1);
+    }
+
+    /// True if no samples have been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.total == 0
+    }
+}
+
+/// `w` merges in one pass. Minimum and maximum move only when `w > 0`.
+///
+/// # Panics
+///
+/// Panics if the two histograms have different bucket widths or counts.
+impl WeightedSum for Histogram {
+    fn add_weighted(&mut self, other: &Histogram, w: u64) {
         assert_eq!(
             self.bucket_width, other.bucket_width,
             "bucket width mismatch"
@@ -239,18 +256,15 @@ impl Histogram {
             "bucket count mismatch"
         );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+            *a += b * w;
         }
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// True if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.overflow += other.overflow * w;
+        self.total += other.total * w;
+        self.sum += other.sum * u128::from(w);
+        if w > 0 {
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
     }
 }
 

@@ -106,9 +106,9 @@ pub use victim::{
     ReloadIntervalFilter, VictimCache, VictimFilter, VictimStats,
 };
 
-/// Counter blocks that combine by weighted addition: summed over the
-/// cores of a multi-core run (weight 1) and over the representatives of
-/// a sampled run (weight = intervals represented).
+/// Counter blocks and distributions that combine by weighted addition:
+/// summed over the cores of a multi-core run (weight 1) and over the
+/// representatives of a sampled run (weight = intervals represented).
 pub trait WeightedSum {
     /// Adds `w` copies of `other` to `self`.
     fn add_weighted(&mut self, other: &Self, w: u64);

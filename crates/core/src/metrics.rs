@@ -14,6 +14,7 @@ use crate::meta::LineMeta;
 use crate::predictor::accuracy::{AccuracyCoverage, SweepPoint};
 use crate::predictor::dead_block::{DecayDeadBlockSweep, LiveTimeDeadBlockPredictor};
 use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::WeightedSum;
 
 /// Live-time variability statistics (Figure 15).
 ///
@@ -336,25 +337,34 @@ impl MetricsCollector {
 
     /// Merges another collector (e.g. per-benchmark into suite-wide).
     pub fn merge(&mut self, other: &MetricsCollector) {
-        self.live.merge(&other.live);
-        self.dead.merge(&other.dead);
-        self.access_interval.merge(&other.access_interval);
-        self.reload.merge(&other.reload);
+        self.add_weighted(other, 1);
+    }
+}
+
+impl WeightedSum for MetricsCollector {
+    fn add_weighted(&mut self, other: &MetricsCollector, w: u64) {
+        self.live.add_weighted(&other.live, w);
+        self.dead.add_weighted(&other.dead, w);
+        self.access_interval.add_weighted(&other.access_interval, w);
+        self.reload.add_weighted(&other.reload, w);
         for i in 0..3 {
-            self.reload_by_kind[i].merge(&other.reload_by_kind[i]);
-            self.dead_by_kind[i].merge(&other.dead_by_kind[i]);
-            self.live_by_kind[i].merge(&other.live_by_kind[i]);
+            self.reload_by_kind[i].add_weighted(&other.reload_by_kind[i], w);
+            self.dead_by_kind[i].add_weighted(&other.dead_by_kind[i], w);
+            self.live_by_kind[i].add_weighted(&other.live_by_kind[i], w);
         }
-        self.zero_live_score.merge(&other.zero_live_score);
-        self.decay_sweep.merge(&other.decay_sweep);
-        self.live_time_predictor.merge(&other.live_time_predictor);
-        self.generations += other.generations;
-        self.zero_live_generations += other.zero_live_generations;
-        self.variability.abs_diff.merge(&other.variability.abs_diff);
+        self.zero_live_score.add_weighted(&other.zero_live_score, w);
+        self.decay_sweep.add_weighted(&other.decay_sweep, w);
+        self.live_time_predictor
+            .add_weighted(&other.live_time_predictor, w);
+        self.generations += other.generations * w;
+        self.zero_live_generations += other.zero_live_generations * w;
+        self.variability
+            .abs_diff
+            .add_weighted(&other.variability.abs_diff, w);
         for i in 0..25 {
-            self.variability.ratio_log2[i] += other.variability.ratio_log2[i];
+            self.variability.ratio_log2[i] += other.variability.ratio_log2[i] * w;
         }
-        self.variability.pairs += other.variability.pairs;
+        self.variability.pairs += other.variability.pairs * w;
     }
 }
 
@@ -586,5 +596,27 @@ mod tests {
         assert_eq!(a.live.total(), 2);
         assert_eq!(a.reload_for(MissKind::Conflict).total(), 1);
         assert_eq!(a.variability.pairs(), 1);
+    }
+
+    /// A weighted add is `w` merges in one pass, for every weight the
+    /// sampled reconstruction uses (and the empty weight 0).
+    #[test]
+    fn weighted_add_equals_repeated_merges() {
+        let mut a = MetricsCollector::new();
+        a.on_generation(&record(10, 20, None, None));
+        let mut b = MetricsCollector::new();
+        b.on_generation(&record(30, 40, Some(100), Some(25)));
+        b.on_generation(&record(0, 5_000, Some(9_000), Some(70)));
+        b.on_miss(MissKind::Conflict, Some(&history(0, 10)), Some(50));
+        b.on_miss(MissKind::Capacity, None, Some(2_000_000));
+        for w in 0..6 {
+            let mut merged = a.clone();
+            for _ in 0..w {
+                merged.merge(&b);
+            }
+            let mut weighted = a.clone();
+            weighted.add_weighted(&b, w);
+            assert_eq!(weighted, merged, "weight {w}");
+        }
     }
 }

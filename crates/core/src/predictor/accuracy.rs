@@ -13,6 +13,7 @@
 //! can be derived.
 
 use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::WeightedSum;
 use std::fmt;
 
 /// Raw prediction-outcome counters.
@@ -99,10 +100,16 @@ impl AccuracyCoverage {
 
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &AccuracyCoverage) {
-        self.true_pos += other.true_pos;
-        self.false_pos += other.false_pos;
-        self.missed_pos += other.missed_pos;
-        self.true_neg += other.true_neg;
+        self.add_weighted(other, 1);
+    }
+}
+
+impl WeightedSum for AccuracyCoverage {
+    fn add_weighted(&mut self, other: &AccuracyCoverage, w: u64) {
+        self.true_pos += other.true_pos * w;
+        self.false_pos += other.false_pos * w;
+        self.missed_pos += other.missed_pos * w;
+        self.true_neg += other.true_neg * w;
     }
 }
 

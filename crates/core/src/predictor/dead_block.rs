@@ -20,6 +20,7 @@
 use crate::generation::GenerationRecord;
 use crate::predictor::accuracy::SweepPoint;
 use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::WeightedSum;
 
 /// Post-hoc evaluation of the decay (idle-time threshold) dead-block
 /// predictor across a set of thresholds.
@@ -118,12 +119,7 @@ impl DecayDeadBlockSweep {
     ///
     /// Panics if the threshold lists differ.
     pub fn merge(&mut self, other: &DecayDeadBlockSweep) {
-        assert_eq!(self.thresholds, other.thresholds, "threshold mismatch");
-        for i in 0..self.thresholds.len() {
-            self.fired_correct[i] += other.fired_correct[i];
-            self.fired_wrong[i] += other.fired_wrong[i];
-        }
-        self.generations += other.generations;
+        self.add_weighted(other, 1);
     }
 
     /// The accuracy/coverage curve: one [`SweepPoint`] per threshold.
@@ -144,6 +140,20 @@ impl DecayDeadBlockSweep {
                 }
             })
             .collect()
+    }
+}
+
+/// # Panics
+///
+/// Panics if the threshold lists differ.
+impl WeightedSum for DecayDeadBlockSweep {
+    fn add_weighted(&mut self, other: &DecayDeadBlockSweep, w: u64) {
+        assert_eq!(self.thresholds, other.thresholds, "threshold mismatch");
+        for i in 0..self.thresholds.len() {
+            self.fired_correct[i] += other.fired_correct[i] * w;
+            self.fired_wrong[i] += other.fired_wrong[i] * w;
+        }
+        self.generations += other.generations * w;
     }
 }
 
@@ -302,11 +312,20 @@ impl LiveTimeDeadBlockPredictor {
     ///
     /// Panics if the factors differ.
     pub fn merge(&mut self, other: &LiveTimeDeadBlockPredictor) {
+        self.add_weighted(other, 1);
+    }
+}
+
+/// # Panics
+///
+/// Panics if the factors differ.
+impl WeightedSum for LiveTimeDeadBlockPredictor {
+    fn add_weighted(&mut self, other: &LiveTimeDeadBlockPredictor, w: u64) {
         assert_eq!(self.factor, other.factor, "factor mismatch");
-        self.correct += other.correct;
-        self.wrong += other.wrong;
-        self.uncovered += other.uncovered;
-        self.no_history += other.no_history;
+        self.correct += other.correct * w;
+        self.wrong += other.wrong * w;
+        self.uncovered += other.uncovered * w;
+        self.no_history += other.no_history * w;
     }
 }
 

@@ -23,6 +23,7 @@ use crate::addr::{CacheGeometry, LineAddr};
 use crate::correlation::{CorrelationConfig, CorrelationStats, CorrelationTable, Prediction};
 use crate::snapshot::{Json, Snapshot, SnapshotError};
 use crate::time::GlobalTicker;
+use crate::WeightedSum;
 
 /// A scheduled prefetch produced by the prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,9 +128,15 @@ impl TimelinessStats {
 
     /// Merges another stats block into this one.
     pub fn merge(&mut self, other: &TimelinessStats) {
+        self.add_weighted(other, 1);
+    }
+}
+
+impl WeightedSum for TimelinessStats {
+    fn add_weighted(&mut self, other: &TimelinessStats, w: u64) {
         for c in 0..2 {
             for k in 0..5 {
-                self.counts[c][k] += other.counts[c][k];
+                self.counts[c][k] += other.counts[c][k] * w;
             }
         }
     }

@@ -145,18 +145,14 @@ pub fn record_checkpoints(on: bool) {
     *r = if on { Some(Vec::new()) } else { None };
 }
 
-/// Drains the recorded fingerprints (deduplicated, first-use order).
+/// Drains the recorded fingerprints, deduplicated and sorted. Parallel
+/// checkpoint builds finish in any order, so the use order is not
+/// reproducible; the sorted set is.
 pub fn take_recorded_checkpoints() -> Vec<String> {
     let mut r = recorder().lock().expect("ckpt recorder lock");
-    let mut out = Vec::new();
-    if let Some(v) = r.as_mut() {
-        let mut seen = std::collections::HashSet::new();
-        for fp in v.drain(..) {
-            if seen.insert(fp.clone()) {
-                out.push(fp);
-            }
-        }
-    }
+    let mut out = r.as_mut().map(std::mem::take).unwrap_or_default();
+    out.sort_unstable();
+    out.dedup();
     out
 }
 
@@ -715,6 +711,29 @@ mod tests {
         let mut stale = bytes;
         stale[7] = b'0';
         assert!(decode(&stale, ckpt.fingerprint()).is_none());
+    }
+
+    /// Parallel builds record fingerprints in completion order; the
+    /// drained provenance must not depend on it.
+    #[test]
+    fn recorded_fingerprints_do_not_depend_on_recording_order() {
+        let fps = ["order-test/c", "order-test/a", "order-test/b"];
+        let drain = |order: &[usize]| {
+            record_checkpoints(true);
+            for &i in order {
+                record_use(fps[i]);
+            }
+            let out: Vec<String> = take_recorded_checkpoints()
+                .into_iter()
+                .filter(|fp| fp.starts_with("order-test/"))
+                .collect();
+            record_checkpoints(false);
+            out
+        };
+        let forward = drain(&[0, 1, 2]);
+        assert_eq!(forward, ["order-test/a", "order-test/b", "order-test/c"]);
+        assert_eq!(drain(&[2, 1, 0, 1]), forward, "reversed, with a repeat");
+        assert_eq!(drain(&[1, 0, 2, 0, 2]), forward, "interleaved repeats");
     }
 
     #[test]

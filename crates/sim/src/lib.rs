@@ -78,7 +78,9 @@ pub use obs::{
     TraceRecord,
 };
 pub use oracle::{FunctionalOracle, LockstepChecker};
-pub use sample::{assemble_shards, parse_sample_arg, run_shard, SampleCheckpoint, SampleStats};
+pub use sample::{
+    assemble_shards, parse_sample_arg, run_shard, run_shard_group, SampleCheckpoint, SampleStats,
+};
 pub use system::{run_workload, run_workload_checked, RunResult, SimSystem};
 pub use trace::{Instr, MemRef, Workload};
 

@@ -44,10 +44,11 @@
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, LineMap, LineSet,
-    MetricsCollector, MissBreakdown, TimelinessStats, VictimStats, WeightedSum,
+    CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, GenerationTracker, LineAddr, LineMap,
+    LineSet, MetricsCollector, MissBreakdown, TimelinessStats, VictimStats, WeightedSum,
 };
 
+use crate::cache::SetAssocCache;
 use crate::config::{SampleConfig, SystemConfig};
 use crate::core::{CoreStats, OooCore};
 use crate::dram::DramStats;
@@ -904,7 +905,7 @@ fn run_rep<W: Workload + ?Sized>(
 /// an already-injected machine and collects per-interval statistics,
 /// subtracting the injected shadow's baseline breakdown. Shared between
 /// the inline warm-and-time loop ([`run_rep`]) and checkpoint shards
-/// ([`run_shard`]).
+/// ([`run_shard_group`]).
 fn time_interval<W: Workload + ?Sized>(
     wl: &mut W,
     mut mem: MemorySystem,
@@ -988,14 +989,8 @@ impl Aggregate {
         self.core.add_weighted(&r.core, w);
         self.hierarchy.add_weighted(&r.hierarchy, w);
         self.breakdown.add_weighted(&r.breakdown, w);
-        // Distribution-shaped stats only expose merging; applying the
-        // weight as repeated merges keeps every histogram's counts
-        // consistent with the scaled counters. Weights are interval
-        // counts (budget / interval), so this stays small.
-        for _ in 0..w {
-            self.metrics.merge(&r.metrics);
-            self.timeliness.merge(&r.timeliness);
-        }
+        self.metrics.add_weighted(&r.metrics, w);
+        self.timeliness.add_weighted(&r.timeliness, w);
         self.victim.add_weighted(&r.victim, w);
         self.victim_swap_fills.add_weighted(&r.victim_swap_fills, w);
         self.correlation.add_weighted(&r.correlation, w);
@@ -1251,17 +1246,17 @@ pub(crate) fn build_checkpoint<W: Workload + ?Sized>(
 
 /// Seeds a fresh machine from a shard's snapshot — the checkpoint-plane
 /// equivalent of [`inject`], reproducing the same L1/L2 tags, dirty
-/// bits, generation plane, classification shadow (via the shared
-/// first-touch map cut at this shard's interval) and, when `checked`,
-/// a lockstep checker whose oracle is rebuilt from the line lists.
+/// bits, generation plane and classification shadow (via the shared
+/// first-touch map cut at this shard's interval). Returns the shadow's
+/// pre-existing breakdown. Reads only the shard and the machine's
+/// geometry, so every configuration sharing the checkpoint gets the
+/// same injected state.
 fn inject_shard(
     mem: &mut MemorySystem,
     ckpt: &SampleCheckpoint,
     shard: &RepShard,
-    cfg: &SystemConfig,
-    checked: bool,
 ) -> MissBreakdown {
-    let g1 = cfg.machine.l1d;
+    let g1 = mem.cfg.machine.l1d;
     for (&line, &dirty) in shard.l1_lines.iter().zip(&shard.l1_dirty) {
         let line = LineAddr::new(line);
         let (frame, evicted) = mem.l1d.fill(g1.addr_of_line(line));
@@ -1271,7 +1266,7 @@ fn inject_shard(
             mem.l1d.mark_dirty(frame);
         }
     }
-    let g2 = cfg.machine.l2;
+    let g2 = mem.cfg.machine.l2;
     for &line in &shard.l2_lines {
         mem.l2.fill(g2.addr_of_line(LineAddr::new(line)));
     }
@@ -1282,50 +1277,116 @@ fn inject_shard(
         shard.rep_index as u32,
         MissBreakdown::default(),
     );
-    let baseline = mem.shadow.breakdown();
-    if checked {
-        let oracle = FunctionalOracle::from_lines(cfg, &shard.l1_lines, &shard.l2_lines);
-        mem.checker = Some(Box::new(LockstepChecker::from_oracle(oracle)));
-    }
-    baseline
+    mem.shadow.breakdown()
 }
 
-/// Runs one shard of a checkpoint under the full timing model of `cfg`
-/// (which must share the checkpoint's functional fingerprint — timing
-/// knobs are free, geometry is not). Shards are independent: the engine
-/// schedules them on separate workers and merges with
+/// The state [`inject_shard`] writes, kept so that further
+/// configurations timed from the same shard start from copies of it
+/// instead of repeating the fills.
+struct ShardImage {
+    l1d: SetAssocCache,
+    l2: SetAssocCache,
+    plane: GenerationTracker,
+    shadow: FullyAssocShadow,
+    baseline: MissBreakdown,
+}
+
+impl ShardImage {
+    fn capture(mem: &MemorySystem, baseline: MissBreakdown) -> Self {
+        ShardImage {
+            l1d: mem.l1d.clone(),
+            l2: mem.l2.clone(),
+            plane: mem.obs.gens.plane.clone(),
+            shadow: mem.shadow.clone(),
+            baseline,
+        }
+    }
+
+    fn install(&self, mem: &mut MemorySystem) -> MissBreakdown {
+        mem.l1d.clone_from(&self.l1d);
+        mem.l2.clone_from(&self.l2);
+        mem.obs.gens.plane.clone_from(&self.plane);
+        mem.shadow.clone_from(&self.shadow);
+        self.baseline
+    }
+}
+
+/// Times shard `index` of `ckpt` once for every `(config, checked)`
+/// entry of `jobs`, returning the results in `jobs` order. Every config
+/// must share the checkpoint's functional fingerprint (timing knobs are
+/// free, geometry is not), so the injected warm state is the same for
+/// all of them: the shard is injected once, and each further config's
+/// machine starts from a copy of that image. Each result equals timing
+/// its config alone. A checked entry gets its own lockstep checker,
+/// seeded from the shard's line lists. The engine times each shard of a
+/// sweep this way and merges every job's shards with
 /// [`assemble_shards`].
+pub fn run_shard_group(
+    ckpt: &SampleCheckpoint,
+    index: usize,
+    jobs: &[(SystemConfig, bool)],
+) -> Vec<RunResult> {
+    let shard = &ckpt.shards[index];
+    let mut image: Option<ShardImage> = None;
+    jobs.iter()
+        .enumerate()
+        .map(|(i, &(cfg, checked))| {
+            debug_assert!(
+                cfg.sample
+                    .is_none_or(|sc| (sc.interval, sc.k) == (ckpt.interval, ckpt.k)),
+                "config and checkpoint disagree on sampling parameters"
+            );
+            debug_assert!(
+                (cfg.machine.l1d, cfg.machine.l2) == (jobs[0].0.machine.l1d, jobs[0].0.machine.l2),
+                "configs of one checkpoint share its geometry"
+            );
+            let mut mem = MemorySystem::new(cfg);
+            let baseline = match &image {
+                Some(img) => img.install(&mut mem),
+                None => {
+                    let baseline = inject_shard(&mut mem, ckpt, shard);
+                    if i + 1 < jobs.len() {
+                        image = Some(ShardImage::capture(&mem, baseline));
+                    }
+                    baseline
+                }
+            };
+            if checked {
+                let oracle = FunctionalOracle::from_lines(&cfg, &shard.l1_lines, &shard.l2_lines);
+                mem.checker = Some(Box::new(LockstepChecker::from_oracle(oracle)));
+            }
+            let mut wl = BufReplay::new(
+                &shard.stream,
+                BufPos {
+                    entry: 0,
+                    ops_done: shard.start_ops_done,
+                },
+                &ckpt.workload,
+            );
+            time_interval(
+                &mut wl,
+                mem,
+                baseline,
+                &cfg,
+                shard.length,
+                shard.rep_index,
+                shard.weight,
+            )
+        })
+        .collect()
+}
+
+/// Runs one shard of a checkpoint under the full timing model of `cfg`:
+/// the one-configuration case of [`run_shard_group`].
 pub fn run_shard(
     ckpt: &SampleCheckpoint,
     cfg: SystemConfig,
     index: usize,
     checked: bool,
 ) -> RunResult {
-    let shard = &ckpt.shards[index];
-    debug_assert!(
-        cfg.sample
-            .is_none_or(|sc| (sc.interval, sc.k) == (ckpt.interval, ckpt.k)),
-        "config and checkpoint disagree on sampling parameters"
-    );
-    let mut mem = MemorySystem::new(cfg);
-    let baseline = inject_shard(&mut mem, ckpt, shard, &cfg, checked);
-    let mut wl = BufReplay::new(
-        &shard.stream,
-        BufPos {
-            entry: 0,
-            ops_done: shard.start_ops_done,
-        },
-        &ckpt.workload,
-    );
-    time_interval(
-        &mut wl,
-        mem,
-        baseline,
-        &cfg,
-        shard.length,
-        shard.rep_index,
-        shard.weight,
-    )
+    run_shard_group(ckpt, index, &[(cfg, checked)])
+        .pop()
+        .expect("one config, one result")
 }
 
 /// Merges per-shard results — in the checkpoint's fixed shard order —
@@ -1681,6 +1742,137 @@ mod tests {
         }
     }
     use crate::trace::MemRef;
+
+    /// Two thirds of the accesses cycle a hot region half again the size
+    /// of the L1, so lines return within an interval; the rest stream
+    /// through a region larger than the L2.
+    #[derive(Clone)]
+    struct TwoRegion {
+        at: u64,
+    }
+    impl Workload for TwoRegion {
+        fn next_instr(&mut self) -> Instr {
+            self.at += 1;
+            if self.at.is_multiple_of(4) {
+                return Instr::Op;
+            }
+            let line = if self.at.is_multiple_of(3) {
+                4096 + self.at * 97 % (1 << 16)
+            } else {
+                self.at * 7 % 1536
+            };
+            let m = MemRef::new(Addr::new(line * 32), Pc::new(0x400 + (self.at % 5) * 4));
+            if self.at.is_multiple_of(5) {
+                Instr::Store(m)
+            } else {
+                Instr::Load(m)
+            }
+        }
+        fn name(&self) -> &str {
+            "two-region"
+        }
+        fn fork(&self) -> Option<Box<dyn Workload>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// One injected image serves a whole checkpoint group: every config's
+    /// result from the grouped run equals timing that config's shard
+    /// alone, checked and unchecked alike.
+    #[test]
+    fn grouped_shard_run_equals_per_config_shards() {
+        use crate::config::{PrefetchMode, VictimMode};
+        use crate::dram::{BankedDramConfig, MemBackendConfig};
+        use timekeeping::{CorrelationConfig, DbcpConfig};
+
+        let sc = SampleConfig {
+            interval: 5_000,
+            k: 3,
+        };
+        let budget = 52_500; // 10 intervals + a 2.5k tail
+        let cfg = |memory, prefetch, victim| {
+            SystemConfig::builder()
+                .memory(memory)
+                .prefetch(prefetch)
+                .victim(victim)
+                .sample(sc)
+                .build()
+                .expect("sampled config is valid")
+        };
+        let fixed = MemBackendConfig::Fixed;
+        let ddr2 = MemBackendConfig::Banked(BankedDramConfig::DDR2);
+        let ddr4 = MemBackendConfig::Banked(BankedDramConfig::DDR4);
+        let dead = VictimMode::paper_dead_time();
+        let groups: [Vec<(SystemConfig, bool)>; 2] = [
+            vec![
+                (cfg(fixed, PrefetchMode::None, VictimMode::None), false),
+                (cfg(ddr2, PrefetchMode::None, VictimMode::None), false),
+                (
+                    cfg(
+                        ddr4,
+                        PrefetchMode::Timekeeping(CorrelationConfig::PAPER_8KB),
+                        VictimMode::None,
+                    ),
+                    true,
+                ),
+                (
+                    cfg(
+                        fixed,
+                        PrefetchMode::Dbcp(DbcpConfig::PAPER_2MB),
+                        VictimMode::None,
+                    ),
+                    false,
+                ),
+            ],
+            vec![
+                (cfg(fixed, PrefetchMode::None, dead), false),
+                (cfg(ddr4, PrefetchMode::None, dead), false),
+            ],
+        ];
+        let wl = TwoRegion { at: 0 };
+        let probe = crate::ckpt::stream_probe(&wl).expect("forkable");
+        let mut reuse_misses = 0;
+        for jobs in &groups {
+            let fp = crate::ckpt::job_fingerprint(probe, wl.name(), &jobs[0].0, budget)
+                .expect("checkpointable");
+            for (c, _) in jobs {
+                assert_eq!(
+                    crate::ckpt::job_fingerprint(probe, wl.name(), c, budget).as_deref(),
+                    Some(fp.as_str()),
+                    "{} shares the group's checkpoint",
+                    c.cache_key()
+                );
+            }
+            let ckpt = build_checkpoint(&wl, &jobs[0].0, sc, budget, fp).expect("buffered");
+            assert_eq!(ckpt.shard_count(), 4, "three representatives and the tail");
+            for i in 0..ckpt.shard_count() {
+                let grouped = run_shard_group(&ckpt, i, jobs);
+                assert_eq!(grouped.len(), jobs.len());
+                for (r, &(c, checked)) in grouped.iter().zip(jobs) {
+                    assert_eq!(
+                        *r,
+                        run_shard(&ckpt, c, i, checked),
+                        "shard {i}, {}",
+                        c.cache_key()
+                    );
+                }
+                assert_ne!(
+                    grouped[0].core.cycles, grouped[1].core.cycles,
+                    "shard {i}: the group's timing variants differ"
+                );
+                reuse_misses += grouped[0].breakdown.capacity + grouped[0].breakdown.conflict;
+            }
+        }
+        assert!(
+            reuse_misses > 0,
+            "the injected shadow classifies some misses"
+        );
+        assert_ne!(
+            crate::ckpt::job_fingerprint(probe, wl.name(), &groups[0][0].0, budget),
+            crate::ckpt::job_fingerprint(probe, wl.name(), &groups[1][0].0, budget),
+            "a victim buffer changes the fingerprint"
+        );
+    }
 
     #[test]
     fn degenerate_budget_runs_fully_but_tagged() {

@@ -12,13 +12,16 @@
 //! The checkpoint flags are process-global, so every test serializes on
 //! one mutex and restores the flags it found.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use timekeeping::{CorrelationConfig, DbcpConfig};
 use tk_bench::engine::{self, Job};
-use tk_sim::{BankedDramConfig, MemBackendConfig, PrefetchMode, SampleConfig, SystemConfig};
+use tk_sim::{
+    BankedDramConfig, MemBackendConfig, PrefetchMode, SampleConfig, SystemConfig, VictimMode,
+};
 use tk_workloads::SpecBenchmark;
 
 /// Serializes tests that toggle the process-global checkpoint flags.
@@ -110,8 +113,13 @@ fn dual_core() -> SystemConfig {
 /// Every job must really run, so pass-to-pass comparisons never compare
 /// a memo entry with itself.
 fn run_pass(jobs: &[Job]) -> Vec<tk_sim::RunResult> {
+    run_pass_on(jobs, 2)
+}
+
+/// [`run_pass`] on a pool of `workers` threads.
+fn run_pass_on(jobs: &[Job], workers: usize) -> Vec<tk_sim::RunResult> {
     engine::reset_stats();
-    let results = engine::run_jobs(jobs, 2);
+    let results = engine::run_jobs(jobs, workers);
     let (_, _, sims) = engine::memo_stats();
     assert_eq!(sims, jobs.len() as u64, "a pass must simulate every job");
     results.iter().map(|r| (**r).clone()).collect()
@@ -187,6 +195,94 @@ fn warm_cold_and_disabled_runs_are_bit_identical() {
             job.cfg.cache_key()
         );
     }
+}
+
+/// A sweep batch is timed one checkpoint shard at a time, over every job
+/// of the shard's group, and the worker that delivers a job's last shard
+/// assembles and stores it. None of that may show: results, checkpoint
+/// builds and result-cache files are the same at every pool size, and
+/// the same as with checkpoints disabled.
+#[test]
+fn sweep_batches_do_not_depend_on_pool_size() {
+    let _g = lock();
+    let _restore = RestoreFlags::capture();
+    tk_sim::set_checkpoint_dir(None);
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../target")
+        .join(format!("ckpt-pool-test-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+
+    let dead_time_ddr4 = SystemConfig::builder()
+        .memory(MemBackendConfig::Banked(BankedDramConfig::DDR4))
+        .victim(VictimMode::paper_dead_time())
+        .sample(SAMPLE)
+        .build()
+        .expect("banked victim sampled config is valid");
+    let configs = [
+        (sampled_base(), false),
+        (sampled_banked(), false),
+        (
+            sampled_ddr4(PrefetchMode::Timekeeping(CorrelationConfig::PAPER_8KB)),
+            true,
+        ),
+        (dead_time_ddr4, false),
+    ];
+    let benches = [SpecBenchmark::Gzip, SpecBenchmark::Mcf, SpecBenchmark::Swim];
+    let jobs: Vec<Job> = configs
+        .iter()
+        .flat_map(|&(cfg, check)| {
+            benches.iter().map(move |&b| Job {
+                check,
+                ..Job::new(b, cfg, 1, BUDGET)
+            })
+        })
+        .collect();
+
+    tk_sim::set_checkpoints_enabled(false);
+    let disabled = run_pass_on(&jobs, 1);
+    tk_sim::set_checkpoints_enabled(true);
+
+    let mut files = Vec::new();
+    for workers in [1, 2, 4] {
+        let dir = root.join(format!("w{workers}"));
+        engine::set_disk_cache(Some(dir.clone()));
+        tk_sim::reset_checkpoint_store();
+        let cold = run_pass_on(&jobs, workers);
+        assert_eq!(
+            tk_sim::checkpoint_stats().builds,
+            2 * benches.len() as u64,
+            "{workers} workers: one checkpoint per stream with and without a victim buffer"
+        );
+        engine::set_disk_cache(None);
+        let warm = run_pass_on(&jobs, workers);
+        assert_eq!(
+            tk_sim::checkpoint_stats().builds,
+            2 * benches.len() as u64,
+            "{workers} workers: a warm pass builds nothing"
+        );
+        for (i, job) in jobs.iter().enumerate() {
+            let what = format!("{} / {}", job.bench.name(), job.cfg.cache_key());
+            assert_eq!(cold[i], disabled[i], "{workers} workers, cold: {what}");
+            assert_eq!(warm[i], disabled[i], "{workers} workers, warm: {what}");
+        }
+        files.push(cache_files(&dir));
+    }
+    assert_eq!(files[0].len(), jobs.len(), "one cache file per job");
+    assert_eq!(files[0], files[1], "cache files differ at 1 and 2 workers");
+    assert_eq!(files[0], files[2], "cache files differ at 1 and 4 workers");
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Every result-cache file under `dir` by name, in bytes.
+fn cache_files(dir: &PathBuf) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .expect("result-cache dir readable")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), fs::read(&path).expect("cache file"))
+        })
+        .collect()
 }
 
 /// Lists the checkpoint files the disk tier wrote under `dir`.
