@@ -18,8 +18,7 @@
 //!
 //! This module defines the event vocabulary ([`EvictCause`],
 //! [`GenerationRecord`]); the bookkeeping itself lives in the unified
-//! per-line metadata plane, [`crate::meta::LinePlane`], of which
-//! [`GenerationTracker`] is an alias.
+//! per-line metadata plane, [`LinePlane`](crate::meta::LinePlane).
 
 use crate::addr::LineAddr;
 use crate::time::Cycle;
@@ -85,16 +84,10 @@ impl GenerationRecord {
     }
 }
 
-/// Tracks generations for every frame of one cache plus per-line history.
-///
-/// An alias of the unified metadata plane — see
-/// [`LinePlane`](crate::meta::LinePlane) for the full API (the plane also
-/// records L2-side access intervals).
-pub type GenerationTracker = crate::meta::LinePlane;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::LinePlane;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -102,7 +95,7 @@ mod tests {
 
     #[test]
     fn zero_live_time_generation() {
-        let mut t = GenerationTracker::new(1);
+        let mut t = LinePlane::new(1);
         t.fill(0, line(1), Cycle::new(10));
         let rec = t.evict(0, Cycle::new(500), EvictCause::Demand).unwrap();
         assert!(rec.zero_live_time());
@@ -114,7 +107,7 @@ mod tests {
 
     #[test]
     fn reload_interval_spans_generations() {
-        let mut t = GenerationTracker::new(2);
+        let mut t = LinePlane::new(2);
         // Gen 1 of line 5 in frame 0 starting at cycle 100.
         assert_eq!(t.fill(0, line(5), Cycle::new(100)), None);
         t.evict(0, Cycle::new(300), EvictCause::Demand);
@@ -127,7 +120,7 @@ mod tests {
 
     #[test]
     fn prev_live_time_threading() {
-        let mut t = GenerationTracker::new(1);
+        let mut t = LinePlane::new(1);
         t.fill(0, line(9), Cycle::new(0));
         t.hit(0, Cycle::new(40));
         t.evict(0, Cycle::new(100), EvictCause::Demand); // live 40
@@ -144,7 +137,7 @@ mod tests {
 
     #[test]
     fn max_access_interval_tracks_largest_gap() {
-        let mut t = GenerationTracker::new(1);
+        let mut t = LinePlane::new(1);
         t.fill(0, line(1), Cycle::new(0));
         assert_eq!(t.hit(0, Cycle::new(10)), 10);
         assert_eq!(t.hit(0, Cycle::new(250)), 240);
@@ -156,7 +149,7 @@ mod tests {
 
     #[test]
     fn idle_time_query() {
-        let mut t = GenerationTracker::new(1);
+        let mut t = LinePlane::new(1);
         t.fill(0, line(1), Cycle::new(0));
         t.hit(0, Cycle::new(100));
         assert_eq!(t.last_use(0), Some(Cycle::new(100)));
@@ -167,20 +160,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "occupied")]
     fn fill_occupied_frame_panics() {
-        let mut t = GenerationTracker::new(1);
+        let mut t = LinePlane::new(1);
         t.fill(0, line(1), Cycle::new(0));
         t.fill(0, line(2), Cycle::new(1));
     }
 
     #[test]
     fn evict_empty_frame_is_none() {
-        let mut t = GenerationTracker::new(1);
+        let mut t = LinePlane::new(1);
         assert!(t.evict(0, Cycle::new(5), EvictCause::Demand).is_none());
     }
 
     #[test]
     fn flush_closes_everything() {
-        let mut t = GenerationTracker::new(3);
+        let mut t = LinePlane::new(3);
         t.fill(0, line(1), Cycle::new(0));
         t.fill(2, line(2), Cycle::new(10));
         let recs = t.flush(Cycle::new(100));
@@ -192,7 +185,7 @@ mod tests {
 
     #[test]
     fn prefetch_evictions_are_distinguished() {
-        let mut t = GenerationTracker::new(1);
+        let mut t = LinePlane::new(1);
         t.fill(0, line(1), Cycle::new(0));
         let rec = t.evict(0, Cycle::new(50), EvictCause::Prefetch).unwrap();
         assert_eq!(rec.cause, EvictCause::Prefetch);
@@ -203,7 +196,7 @@ mod tests {
         // A line can re-enter while... actually not simultaneously in one
         // cache, but successive fills must always measure reload interval
         // from the most recent start.
-        let mut t = GenerationTracker::new(2);
+        let mut t = LinePlane::new(2);
         t.fill(0, line(3), Cycle::new(0));
         t.evict(0, Cycle::new(10), EvictCause::Demand);
         t.fill(0, line(3), Cycle::new(100));

@@ -16,7 +16,7 @@
 //! From these, the crate builds (layer by layer, mirroring the paper's
 //! Figure 6 "metrics → predictions → mechanisms" stack):
 //!
-//! 1. **Metrics** — [`GenerationTracker`] measures the four metrics with
+//! 1. **Metrics** — [`LinePlane`] measures the four metrics with
 //!    the same per-line coarse counters the hardware would use
 //!    ([`CoarseCounter`], [`GlobalTicker`]); [`MetricsCollector`] and
 //!    [`Histogram`] aggregate their distributions; [`FullyAssocShadow`]
@@ -40,9 +40,9 @@
 //!
 //! ```
 //! use timekeeping::{Cycle, DeadTimeConflictPredictor, EvictCause,
-//!                   GenerationTracker, LineAddr};
+//!                   LineAddr, LinePlane};
 //!
-//! let mut tracker = GenerationTracker::new(16);
+//! let mut tracker = LinePlane::new(16);
 //! let mut predictor = DeadTimeConflictPredictor::paper_default();
 //!
 //! // A block lives briefly in frame 3, then is evicted almost immediately
@@ -85,7 +85,7 @@ pub use addr::{Addr, CacheGeometry, GeometryError, LineAddr, Pc};
 pub use classify::{FullyAssocShadow, MissBreakdown, MissKind};
 pub use correlation::{CorrelationConfig, CorrelationStats, CorrelationTable, Prediction};
 pub use dbcp::{Dbcp, DbcpConfig, DbcpStats};
-pub use generation::{EvictCause, GenerationRecord, GenerationTracker};
+pub use generation::{EvictCause, GenerationRecord};
 pub use histogram::Histogram;
 pub use l2monitor::L2IntervalMonitor;
 pub use markov::{Markov, MarkovConfig, MarkovStats};

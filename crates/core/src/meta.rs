@@ -16,8 +16,8 @@
 //!   simulations are reproducible and iteration order never depends on
 //!   process-random state.
 //!
-//! [`GenerationTracker`](crate::GenerationTracker) is an alias of
-//! [`LinePlane`]: the generational API of §3 is the core of the plane.
+//! The generational API of §3 ([`LinePlane::fill`], [`LinePlane::hit`],
+//! [`LinePlane::evict`]) is the core of the plane.
 //!
 //! Miss classification keeps its own state, because a fully-associative
 //! LRU stack is not per-frame metadata:
@@ -112,7 +112,7 @@ pub type LineSet = HashSet<u64, DetBuildHasher>;
 
 /// Per-line metadata that survives eviction: the history side of the plane.
 ///
-/// This unifies what used to be `GenerationTracker::lines` (previous
+/// This unifies what used to be the generation tracker's line map (previous
 /// generation's start/live/dead) and the hierarchy's `l2_last_access`
 /// shadow map (last time the line reached the L2 — §3's observation that
 /// an L1 reload interval *is* an L2 access interval).

@@ -42,9 +42,9 @@ use crate::WeightedSum;
 /// # Examples
 ///
 /// ```
-/// use timekeeping::{Cycle, EvictCause, DecayDeadBlockSweep, GenerationTracker, LineAddr};
+/// use timekeeping::{Cycle, EvictCause, DecayDeadBlockSweep, LineAddr, LinePlane};
 /// let mut sweep = DecayDeadBlockSweep::paper_default();
-/// let mut t = GenerationTracker::new(1);
+/// let mut t = LinePlane::new(1);
 /// t.fill(0, LineAddr::new(1), Cycle::new(0));
 /// t.hit(0, Cycle::new(10));
 /// let rec = t.evict(0, Cycle::new(10_000), EvictCause::Demand).unwrap();

@@ -12,7 +12,7 @@ use timekeeping::metrics::MetricsCollector;
 use timekeeping::snapshot::{Json, Snapshot};
 use timekeeping::{
     Addr, CacheGeometry, CoarseCounter, CorrelationConfig, CorrelationStats, CorrelationTable,
-    Cycle, DbcpStats, EvictCause, GenerationTracker, GlobalTicker, Histogram, LineAddr, LineMeta,
+    Cycle, DbcpStats, EvictCause, GlobalTicker, Histogram, LineAddr, LineMeta, LinePlane,
     LiveTimeVariability, MissBreakdown, MissKind, PrefetchQueue, PrefetchRequest, Timeliness,
     TimelinessStats, VictimCache, VictimStats,
 };
@@ -277,7 +277,7 @@ fn tracker_time_accounting() {
         CASES,
         |g| (g.vec(0..20, |g| g.range(1..1_000)), g.range(1..100_000)),
         |(hit_gaps, tail)| {
-            let mut t = GenerationTracker::new(1);
+            let mut t = LinePlane::new(1);
             let start = Cycle::new(17);
             t.fill(0, LineAddr::new(5), start);
             let mut now = start;
@@ -310,7 +310,7 @@ fn tracker_reload_interval_chain() {
         CASES,
         |g| g.vec(1..20, |g| g.range(1..100_000)),
         |gaps| {
-            let mut t = GenerationTracker::new(1);
+            let mut t = LinePlane::new(1);
             let mut now = Cycle::new(0);
             t.fill(0, LineAddr::new(9), now);
             for &gap in gaps {
@@ -552,7 +552,7 @@ fn snapshot_roundtrips_metrics_collector() {
         },
         |(gens, misses, intervals)| {
             let mut m = MetricsCollector::new();
-            let mut t = GenerationTracker::new(1);
+            let mut t = LinePlane::new(1);
             let mut now = Cycle::new(0);
             for &(live, tail) in gens {
                 t.fill(0, LineAddr::new(3), now);

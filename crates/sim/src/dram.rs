@@ -36,6 +36,8 @@ use std::fmt::Debug;
 
 use timekeeping::{Addr, Cycle};
 
+use crate::config::SystemConfig;
+
 /// Memory-bus transfer granularity: one L2 block.
 const BLOCK_BYTES: u64 = 64;
 
@@ -437,12 +439,14 @@ impl MemBackend for BankedDram {
     }
 }
 
-/// Builds the backend a validated `SystemConfig` asks for.
-/// `mem_latency` is the deprecated fixed-latency alias from
-/// `MachineConfig`.
-pub fn build_backend(cfg: MemBackendConfig, mem_latency: u64) -> Box<dyn MemBackend> {
-    match cfg {
-        MemBackendConfig::Fixed => Box::new(FixedLatency::new(mem_latency)),
+/// Builds the backend a validated `SystemConfig` asks for. The
+/// fixed-latency backend reads its latency from the deprecated
+/// `MachineConfig::mem_latency` alias; this is the one place the
+/// hierarchies read it.
+pub fn build_backend(cfg: &SystemConfig) -> Box<dyn MemBackend> {
+    match cfg.memory {
+        #[allow(deprecated)] // Fixed-latency alias feeds the default backend
+        MemBackendConfig::Fixed => Box::new(FixedLatency::new(cfg.machine.mem_latency)),
         MemBackendConfig::Banked(b) => Box::new(BankedDram::new(b)),
     }
 }

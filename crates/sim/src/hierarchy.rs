@@ -19,8 +19,8 @@ use std::collections::BinaryHeap;
 
 use timekeeping::snapshot::Snapshot;
 use timekeeping::{
-    Cycle, FullyAssocShadow, GenerationTracker, GlobalTicker, LineSet, MetricsCollector,
-    MissBreakdown, PrefetchQueue, TimelinessStats,
+    Cycle, FullyAssocShadow, GlobalTicker, LineSet, MetricsCollector, MissBreakdown, PrefetchQueue,
+    TimelinessStats,
 };
 
 use crate::bus::Bus;
@@ -33,10 +33,7 @@ use crate::obs::{
     self, ProfStage, ProfileReport, Profiler, TraceCategories, TraceObserver, TraceRecord,
 };
 use crate::oracle::{FunctionalOracle, LockstepChecker, SimLevel, SimObservation};
-use crate::pipeline::{
-    GenObserver, MetricsObserver, Observers, OracleTap, PendingPf, PipelineEvent,
-    PredictorObserver, TapEvent, VictimObserver, VictimUnit,
-};
+use crate::pipeline::{Observers, PendingPf, PipelineEvent, TapEvent};
 use crate::trace::MemRef;
 
 /// Result of one data-cache access.
@@ -109,6 +106,15 @@ impl HierarchyStats {
     /// Address-prediction accuracy (Figure 20).
     pub fn addr_accuracy(&self) -> Option<f64> {
         (self.addr_predictions > 0).then(|| self.addr_correct as f64 / self.addr_predictions as f64)
+    }
+
+    /// Counts the address prediction a fill scored, if it scored one
+    /// (`Reactions::addr_scored`).
+    pub(crate) fn score_addr(&mut self, scored: Option<bool>) {
+        if let Some(correct) = scored {
+            self.addr_predictions += 1;
+            self.addr_correct += u64::from(correct);
+        }
     }
 }
 
@@ -186,26 +192,9 @@ impl MemorySystem {
         let m = &cfg.machine;
         let num_frames = m.l1d.num_frames() as usize;
         let num_sets = m.l1d.num_sets() as usize;
-        let collect = cfg.collect_metrics;
         let ticker = GlobalTicker::new(m.tick_period);
-        let obs = Observers {
-            gens: GenObserver {
-                plane: GenerationTracker::new(num_frames),
-                collect,
-            },
-            metrics: MetricsObserver {
-                collector: MetricsCollector::new(),
-                l2_access_interval: timekeeping::Histogram::paper_x1000(),
-                l2_monitor: timekeeping::L2IntervalMonitor::new(m.l2, ticker, 16_384),
-                collect,
-            },
-            predictors: PredictorObserver::new(&cfg, ticker),
-            victim: VictimObserver {
-                unit: VictimUnit::new(&cfg, ticker),
-            },
-            oracle: OracleTap::default(),
-            trace: obs::trace_from_global(m.l1d),
-        };
+        let mut obs = Observers::new(&cfg, ticker);
+        obs.trace = obs::trace_from_global(m.l1d);
         MemorySystem {
             ticker,
             l1d: SetAssocCache::new(m.l1d),
@@ -216,8 +205,7 @@ impl MemorySystem {
             prefetch_mshrs: MshrFile::new(m.prefetch_mshrs),
             l1l2_bus: Bus::new(m.l1l2_bus_occupancy),
             l2mem_bus: Bus::new(m.l2mem_bus_occupancy),
-            #[allow(deprecated)] // Fixed-latency alias feeds the default backend
-            backend: crate::dram::build_backend(cfg.memory, m.mem_latency),
+            backend: crate::dram::build_backend(&cfg),
             pf_queue: PrefetchQueue::new(m.prefetch_queue),
             inflight_pf: BinaryHeap::new(),
             pending_pf: vec![None; num_sets],
@@ -464,11 +452,7 @@ impl MemorySystem {
                 self.bank_decay_off_time(frame, now);
             }
         }
-        for rec in self.obs.gens.plane.flush(now) {
-            if self.cfg.collect_metrics {
-                self.obs.metrics.collector.on_generation(&rec);
-            }
-        }
+        self.obs.flush(now);
         self.prof_rec(ProfStage::Finish, t0);
         self.finish_obs();
     }

@@ -3,10 +3,12 @@
 //!
 //! This module generalizes the single-core machine of
 //! [`crate::hierarchy`] to `--cores=N` (see [`SystemConfig::cores`]).
-//! Each core keeps the full single-core timekeeping plane — per-frame
-//! generation tracking, ground-truth miss classification, metric
-//! distributions, optional victim cache and predict-only timekeeping
-//! prefetcher scoring — while a snooping MESI protocol arbitrated by a
+//! Each core carries the pipeline's observer plane
+//! ([`crate::pipeline`]'s `Observers`, built by the same constructor as
+//! [`MemorySystem::new`](crate::MemorySystem::new)) — generation
+//! tracking, metric distributions, the predictors, the optional victim
+//! cache and its admission filter — plus its own ground-truth miss
+//! classification, while a snooping MESI protocol arbitrated by a
 //! [`SnoopBus`] keeps the private L1s coherent:
 //!
 //! * **BusRd** (read miss): data comes from the owning core's modified
@@ -24,6 +26,16 @@
 //! live/dead time along that axis, which is what the `mesi_compare`
 //! report plots.
 //!
+//! Events: an access emits the pipeline's `LookupEvent`, `HitEvent`,
+//! `MissEvent`, `EvictEvent` and `FillEvent` through its core's plane, in
+//! the single-core order, and reads the closed generation, the admission
+//! decision and the address-prediction score back from `Reactions`. A
+//! coherence kill is an `InvalidateEvent`: the generation and metrics
+//! observers close and record the generation, and the victim observer
+//! ignores it, so an invalidated generation is never offered to the
+//! admission filter. A victim-cache swap close is offered only where
+//! `VictimUnit::offers_swap_close` holds — at one core, not here.
+//!
 //! Determinism and clock hopping: one [`OooCore`] per core runs under
 //! the same driver as the single-core machine (`OooCore::run_cores`),
 //! which services cores in (cycle, core-index) order, so the global
@@ -36,15 +48,13 @@
 //! `step_equivalence` suite checks bit-identity over multiprogrammed
 //! mixes.
 //!
-//! Predictors: each core holds the single-core predictor observer built
-//! from `cfg.prefetch` and receives the same lookup, hit, miss and fill
-//! events, so every predictor family trains and is scored in
+//! Predictors: each core's plane holds the predictor observer built from
+//! `cfg.prefetch`, so every predictor family trains and is scored in
 //! predict-only mode; the prefetches it asks for are dropped.
 
 use timekeeping::{
-    Addr, CacheGeometry, Cycle, EvictCause, EvictionInfo, FullyAssocShadow, GenerationRecord,
-    GenerationTracker, GlobalTicker, LineAddr, LineMap, LineSet, MetricsCollector, MissBreakdown,
-    MissKind, PrefetchRequest, WeightedSum,
+    Addr, CacheGeometry, Cycle, EvictCause, FullyAssocShadow, GenerationRecord, GlobalTicker,
+    LineAddr, LineMap, LineSet, MetricsCollector, MissBreakdown, Pc, PrefetchRequest, WeightedSum,
 };
 
 use crate::bus::{Bus, SnoopBus};
@@ -55,8 +65,8 @@ use crate::dram::MemBackend;
 use crate::hierarchy::HierarchyStats;
 use crate::obs::{self, TraceObserver};
 use crate::pipeline::{
-    C2cEvent, CoherenceKind, FillEvent, HitEvent, InvalidateEvent, LookupEvent, MemObserver,
-    MissEvent, PredictorObserver, PrefetcherImpl, Reactions, SnoopEvent, VictimUnit,
+    C2cEvent, CoherenceKind, EvictEvent, FillEvent, HitEvent, InvalidateEvent, LookupEvent,
+    MemObserver, MissEvent, Observers, PrefetcherImpl, Reactions, SnoopEvent, VictimUnit,
 };
 use crate::system::RunResult;
 use crate::trace::{MemRef, Workload};
@@ -147,6 +157,24 @@ impl CoherenceStats {
     pub fn mean_inval_live_time(&self) -> Option<f64> {
         (self.inval_deaths > 0).then(|| self.inval_live_time as f64 / self.inval_deaths as f64)
     }
+
+    /// Records a closed generation's death in the split.
+    fn record_death(&mut self, rec: Option<&GenerationRecord>) {
+        let Some(rec) = rec else { return };
+        match rec.cause {
+            EvictCause::Demand => {
+                self.evict_deaths += 1;
+                self.evict_live_time += rec.live_time;
+                self.evict_dead_time += rec.dead_time;
+            }
+            EvictCause::Invalidate => {
+                self.inval_deaths += 1;
+                self.inval_live_time += rec.live_time;
+                self.inval_dead_time += rec.dead_time;
+            }
+            _ => {}
+        }
+    }
 }
 
 timekeeping::counter_block!(CoherenceStats {
@@ -168,19 +196,18 @@ timekeeping::counter_block!(CoherenceStats {
 
 // ---------------------------------------------------------- per-core plane
 
-/// One core's private slice of the hierarchy: L1 tags, MESI states,
-/// generation tracking, classification shadow, metrics, optional victim
-/// cache, and the predict-only predictor plane.
+/// One core's private slice of the hierarchy: L1 tags, MESI states, the
+/// classification shadow, and the pipeline's observer plane (generation
+/// tracking, metrics, predict-only predictors, the victim cache and its
+/// admission filter) — the same [`Observers`] the single-core
+/// [`MemorySystem`](crate::MemorySystem) carries.
 #[derive(Debug)]
 struct CorePlane {
     l1: SetAssocCache,
     /// MESI state per L1 frame (parallel to the tag array).
     mesi: Vec<Mesi>,
-    gens: GenerationTracker,
     shadow: FullyAssocShadow,
-    metrics: MetricsCollector,
-    victim: Option<VictimUnit>,
-    predictors: PredictorObserver,
+    obs: Observers,
     /// Cycle up to which global ticks have been applied to the
     /// timekeeping predictor.
     last_sync: Cycle,
@@ -196,16 +223,6 @@ struct CorePlane {
     stats: HierarchyStats,
 }
 
-/// What [`CorePlane::kill_copy`] found and did.
-struct KillOutcome {
-    /// The L1 frame that held the copy (`None` = victim-cache copy).
-    frame: Option<usize>,
-    /// Whether the killed L1 copy was modified (needs a flush).
-    was_modified: bool,
-    /// The generation the invalidation closed, if one was open.
-    rec: Option<GenerationRecord>,
-}
-
 impl CorePlane {
     fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
         let m = &cfg.machine;
@@ -213,11 +230,8 @@ impl CorePlane {
         CorePlane {
             l1: SetAssocCache::new(m.l1d),
             mesi: vec![Mesi::Invalid; num_frames],
-            gens: GenerationTracker::new(num_frames),
             shadow: FullyAssocShadow::new(num_frames),
-            metrics: MetricsCollector::new(),
-            victim: VictimUnit::new(cfg, ticker),
-            predictors: PredictorObserver::new(cfg, ticker),
+            obs: Observers::new(cfg, ticker),
             last_sync: Cycle::ZERO,
             tick_scratch: Vec::new(),
             pending: LineMap::default(),
@@ -231,7 +245,7 @@ impl CorePlane {
     /// Lazy, cycle-count-based synchronization keeps hop and per-cycle
     /// stepping bit-identical.
     fn sync_ticks(&mut self, now: Cycle, ticker: &GlobalTicker) {
-        if let PrefetcherImpl::Tk(pred) = &mut self.predictors.prefetcher {
+        if let PrefetcherImpl::Tk(pred) = &mut self.obs.predictors.prefetcher {
             let n = ticker.ticks_between(self.last_sync, now);
             for _ in 0..n {
                 self.tick_scratch.clear();
@@ -242,99 +256,82 @@ impl CorePlane {
         }
     }
 
-    /// Dispatches one event to the predictor plane and scores the address
-    /// prediction it settles, if any. The prefetches it asks for are
-    /// dropped: multi-core runs are predict-only.
-    fn predict(&mut self, dispatch: impl FnOnce(&mut PredictorObserver, &mut Reactions)) {
-        let mut rx = Reactions::default();
-        dispatch(&mut self.predictors, &mut rx);
-        if let Some(correct) = rx.addr_scored {
-            self.stats.addr_predictions += 1;
-            if correct {
-                self.stats.addr_correct += 1;
-            }
-        }
-    }
-
-    /// Ends the generation in `frame` at `at`, feeding the metrics plane.
-    fn close_generation(
+    /// Emits the demand Fill event of `line` entering `frame` (displacing
+    /// `evicted`) and counts the address prediction it scores. The
+    /// prefetches it asks for are dropped: multi-core runs are
+    /// predict-only.
+    fn fill_event(
         &mut self,
         frame: usize,
-        at: Cycle,
-        cause: EvictCause,
-        collect: bool,
-    ) -> Option<GenerationRecord> {
-        let rec = self.gens.evict(frame, at, cause)?;
-        if collect {
-            self.metrics.on_generation(&rec);
-        }
-        Some(rec)
-    }
-
-    /// Starts a generation in `frame` for a demand fill of `mref`'s line
-    /// (displacing `evicted`) and sends the Fill event to the predictors.
-    fn fill_bookkeeping(
-        &mut self,
-        frame: usize,
-        mref: &MemRef,
+        line: LineAddr,
+        pc: Pc,
         evicted: Option<LineAddr>,
         now: Cycle,
-        kind: MissKind,
-        collect: bool,
     ) {
         let geom = *self.l1.geometry();
-        let line = geom.line_of(mref.addr);
-        let history = self.gens.line_meta(line).copied();
-        let reload = self.gens.fill(frame, line, now);
-        if collect {
-            self.metrics.on_miss(kind, history.as_ref(), reload);
-        }
         let ev = FillEvent {
             line,
             frame,
             set: geom.index_of_line(line),
             tag: geom.tag_of_line(line),
-            pc: Some(mref.pc),
+            pc: Some(pc),
             demand: true,
             evicted,
             now,
         };
-        self.predict(|p, rx| p.on_fill(&ev, rx));
+        let mut rx = Reactions::default();
+        self.obs.fill(&ev, &mut rx);
+        self.stats.score_addr(rx.addr_scored);
     }
 
-    /// Kills this core's copy of `line` (L1 frame or victim-cache entry),
-    /// closing the open generation with [`EvictCause::Invalidate`].
-    /// Returns `None` if the core holds no copy.
+    /// Kills this core's copy of `line` (L1 frame or victim-cache entry)
+    /// and counts the kill in `coh`: as an inclusion recall when
+    /// `inclusion`, else as a coherence invalidation. The kill goes
+    /// through the plane as an [`InvalidateEvent`], which closes an L1
+    /// copy's generation with [`EvictCause::Invalidate`]. Returns the
+    /// event and whether the killed copy was modified (the caller drains
+    /// its data), or `None` if the core holds no copy.
     fn kill_copy(
         &mut self,
+        coh: &mut CoherenceStats,
+        owner: u32,
         line: LineAddr,
         addr: Addr,
         at: Cycle,
-        collect: bool,
-    ) -> Option<KillOutcome> {
-        if let Some(frame) = self.l1.peek(addr) {
-            let was_modified = self.mesi[frame] == Mesi::Modified;
-            self.l1.invalidate(frame);
-            self.mesi[frame] = Mesi::Invalid;
-            let rec = self.close_generation(frame, at, EvictCause::Invalidate, collect);
-            self.inval_lost.insert(line.get());
-            return Some(KillOutcome {
-                frame: Some(frame),
-                was_modified,
-                rec,
-            });
+        inclusion: bool,
+    ) -> Option<(InvalidateEvent, bool)> {
+        let frame = self.l1.peek(addr);
+        let was_modified = frame.is_some_and(|f| self.mesi[f] == Mesi::Modified);
+        if let Some(f) = frame {
+            self.l1.invalidate(f);
+            self.mesi[f] = Mesi::Invalid;
+        } else if !self
+            .obs
+            .victim
+            .unit
+            .as_mut()
+            .is_some_and(|v| v.cache.invalidate(line))
+        {
+            return None;
         }
-        if let Some(v) = &mut self.victim {
-            if v.cache.invalidate(line) {
-                self.inval_lost.insert(line.get());
-                return Some(KillOutcome {
-                    frame: None,
-                    was_modified: false,
-                    rec: None,
-                });
-            }
+        self.inval_lost.insert(line.get());
+        let ev = InvalidateEvent {
+            line,
+            owner,
+            frame,
+            at,
+        };
+        let mut rx = Reactions::default();
+        self.obs.invalidate(&ev, &mut rx);
+        if inclusion {
+            coh.inclusion_invalidations += 1;
+        } else {
+            coh.coherence_invalidations += 1;
         }
-        None
+        coh.vc_invalidations += u64::from(frame.is_none());
+        self.stats.l1_writebacks += u64::from(was_modified);
+        coh.record_death(rx.generation.as_ref());
+        Some((ev, was_modified))
     }
 }
 
@@ -669,10 +666,10 @@ pub struct MultiCoreSystem {
     l2mem_bus: Bus,
     backend: Box<dyn MemBackend>,
     coh: CoherenceStats,
+    /// System-wide trace of the coherence events (snoop, invalidate,
+    /// cache-to-cache); the per-core planes trace nothing.
     trace: Option<Box<TraceObserver>>,
     checker: Option<Box<CoherentChecker>>,
-    collect: bool,
-    finished: bool,
 }
 
 impl MultiCoreSystem {
@@ -701,13 +698,10 @@ impl MultiCoreSystem {
             // transactions occupy it for one block transfer each.
             snoop_bus: SnoopBus::new(m.l1l2_bus_occupancy),
             l2mem_bus: Bus::new(m.l2mem_bus_occupancy),
-            #[allow(deprecated)] // Fixed-latency alias feeds the default backend
-            backend: crate::dram::build_backend(cfg.memory, m.mem_latency),
+            backend: crate::dram::build_backend(&cfg),
             coh: CoherenceStats::default(),
             trace: obs::trace_from_global(m.l1d),
             checker: None,
-            collect: cfg.collect_metrics,
-            finished: false,
         }
     }
 
@@ -799,25 +793,12 @@ impl MultiCoreSystem {
         self.cores.iter().enumerate().any(|(i, p)| {
             i != except
                 && (p.l1.peek(addr).is_some()
-                    || p.victim.as_ref().is_some_and(|v| v.cache.contains(line)))
+                    || p.obs
+                        .victim
+                        .unit
+                        .as_ref()
+                        .is_some_and(|v| v.cache.contains(line)))
         })
-    }
-
-    /// Records a closed generation's death in the coherence split.
-    fn record_death(&mut self, rec: &GenerationRecord) {
-        match rec.cause {
-            EvictCause::Demand => {
-                self.coh.evict_deaths += 1;
-                self.coh.evict_live_time += rec.live_time;
-                self.coh.evict_dead_time += rec.dead_time;
-            }
-            EvictCause::Invalidate => {
-                self.coh.inval_deaths += 1;
-                self.coh.inval_live_time += rec.live_time;
-                self.coh.inval_dead_time += rec.dead_time;
-            }
-            _ => {}
-        }
     }
 
     /// Flushes a modified remote copy's data into the shared L2 (the L2
@@ -829,48 +810,41 @@ impl MultiCoreSystem {
         }
     }
 
+    /// Kills core `c`'s copy of `line` ([`CorePlane::kill_copy`]) and
+    /// traces the kill. Returns whether the copy was modified, or `None`
+    /// when `c` held no copy.
+    fn kill(
+        &mut self,
+        c: usize,
+        line: LineAddr,
+        addr: Addr,
+        at: Cycle,
+        inclusion: bool,
+    ) -> Option<bool> {
+        let (ev, was_modified) =
+            self.cores[c].kill_copy(&mut self.coh, c as u32, line, addr, at, inclusion)?;
+        self.emit_invalidate(ev);
+        Some(was_modified)
+    }
+
     /// Invalidates every other core's copy of `line`, returning the kill
-    /// list for the checker report. `inclusion` selects which counter the
-    /// kills land in.
+    /// list for the checker report.
     fn invalidate_others(
         &mut self,
         except: usize,
         line: LineAddr,
         addr: Addr,
         at: Cycle,
-        inclusion: bool,
     ) -> Vec<(usize, LineAddr)> {
-        let collect = self.collect;
         let mut killed = Vec::new();
-        for c in 0..self.cores.len() {
-            if c == except {
-                continue;
-            }
-            let Some(k) = self.cores[c].kill_copy(line, addr, at, collect) else {
+        for c in (0..self.cores.len()).filter(|&c| c != except) {
+            let Some(was_modified) = self.kill(c, line, addr, at, false) else {
                 continue;
             };
-            if inclusion {
-                self.coh.inclusion_invalidations += 1;
-            } else {
-                self.coh.coherence_invalidations += 1;
-            }
-            if k.frame.is_none() {
-                self.coh.vc_invalidations += 1;
-            }
-            if k.was_modified {
+            if was_modified {
                 // The dying modified copy's data drains to the L2.
-                self.cores[c].stats.l1_writebacks += 1;
                 self.flush_to_l2(addr);
             }
-            if let Some(rec) = &k.rec {
-                self.record_death(rec);
-            }
-            self.emit_invalidate(InvalidateEvent {
-                line,
-                owner: c as u32,
-                frame: k.frame,
-                at,
-            });
             killed.push((c, line));
         }
         killed
@@ -882,58 +856,41 @@ impl MultiCoreSystem {
         let l1_geom = self.cfg.machine.l1d;
         let l2_geom = self.cfg.machine.l2;
         let base = l2_geom.addr_of_line(l2_line);
-        let step = l1_geom.block_bytes() as u64;
-        let collect = self.collect;
-        let mut off = 0;
-        while off < l2_geom.block_bytes() as u64 {
+        for off in (0..l2_geom.block_bytes() as u64).step_by(l1_geom.block_bytes() as usize) {
             let half_addr = base.offset(off);
             let half = l1_geom.line_of(half_addr);
             for c in 0..self.cores.len() {
-                let Some(k) = self.cores[c].kill_copy(half, half_addr, at, collect) else {
-                    continue;
-                };
-                self.coh.inclusion_invalidations += 1;
-                if k.frame.is_none() {
-                    self.coh.vc_invalidations += 1;
-                }
-                if k.was_modified {
+                if self.kill(c, half, half_addr, at, true) == Some(true) {
                     // The L2 copy is leaving too: the recalled dirty data
                     // goes straight to memory.
-                    self.cores[c].stats.l1_writebacks += 1;
                     self.backend.write(half_addr, at);
                 }
-                if let Some(rec) = &k.rec {
-                    self.record_death(rec);
-                }
-                self.emit_invalidate(InvalidateEvent {
-                    line: half,
-                    owner: c as u32,
-                    frame: k.frame,
-                    at,
-                });
             }
-            off += step;
         }
     }
 
     /// One demand access by `core` at `now`. Returns the cycle at which
     /// the data is available to the core.
+    ///
+    /// The access emits the pipeline's events through the core's
+    /// observer plane — Lookup, then Hit, or Miss followed by the Evict
+    /// of the displaced line and the Fill — in the single-core order.
     pub fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
         let m = self.cfg.machine;
         let geom = m.l1d;
         let addr = mref.addr;
         let line = geom.line_of(addr);
-        let collect = self.collect;
         let checking = self.checker.is_some();
 
-        self.cores[core].sync_ticks(now, &self.ticker);
-        self.cores[core].stats.l1_accesses += 1;
+        let plane = &mut self.cores[core];
+        plane.sync_ticks(now, &self.ticker);
+        plane.stats.l1_accesses += 1;
         let lookup = LookupEvent {
             addr,
             pc: mref.pc,
             now,
         };
-        self.cores[core].predict(|p, rx| p.on_lookup(&lookup, rx));
+        plane.obs.lookup(&lookup, &mut Reactions::default());
 
         let mut report = checking.then(|| AccessReport {
             core,
@@ -945,15 +902,10 @@ impl MultiCoreSystem {
             invalidated: Vec::new(),
         });
 
-        let probe = self.cores[core].l1.probe(addr);
+        let probe = plane.l1.probe(addr);
         let ready = match probe {
             ProbeResult::Hit(frame) => {
-                let plane = &mut self.cores[core];
                 plane.stats.l1_hits += 1;
-                let interval = plane.gens.hit(frame, now);
-                if collect {
-                    plane.metrics.on_access_interval(interval);
-                }
                 plane.shadow.on_access(line);
                 let hit = HitEvent {
                     line,
@@ -961,7 +913,7 @@ impl MultiCoreSystem {
                     pc: mref.pc,
                     now,
                 };
-                plane.predict(|p, rx| p.on_hit(&hit, rx));
+                plane.obs.hit(&hit, &mut Reactions::default());
                 // Hit-under-miss: the tag allocated at miss time, but the
                 // data may still be in flight.
                 let data_ready = plane
@@ -986,7 +938,7 @@ impl MultiCoreSystem {
                                 kind: CoherenceKind::Upgrade,
                                 at: grant,
                             });
-                            let killed = self.invalidate_others(core, line, addr, grant, false);
+                            let killed = self.invalidate_others(core, line, addr, grant);
                             if let Some(r) = report.as_mut() {
                                 r.invalidated = killed;
                             }
@@ -1002,7 +954,6 @@ impl MultiCoreSystem {
                 victim_frame,
                 evicted,
             } => {
-                let plane = &mut self.cores[core];
                 let kind = plane.shadow.classify_miss(line);
                 let miss = MissEvent {
                     line,
@@ -1010,7 +961,7 @@ impl MultiCoreSystem {
                     kind,
                     now,
                 };
-                plane.predict(|p, rx| p.on_miss(&miss, rx));
+                plane.obs.miss(&miss, &mut Reactions::default());
                 if plane.inval_lost.remove(&line.get()) {
                     self.coh.inval_refetches += 1;
                 }
@@ -1019,7 +970,9 @@ impl MultiCoreSystem {
                 // the L1 and the displaced resident enters the buffer
                 // unconditionally.
                 let vc_hit = self.cores[core]
+                    .obs
                     .victim
+                    .unit
                     .as_mut()
                     .is_some_and(|v| v.cache.take(line));
                 if vc_hit {
@@ -1027,22 +980,26 @@ impl MultiCoreSystem {
                     if let Some(displaced) = evicted {
                         let disp_addr = geom.addr_of_line(displaced);
                         let dirty = self.cores[core].l1.frame_dirty(victim_frame);
-                        let rec = self.cores[core].close_generation(
+                        let offer = VictimUnit::offers_swap_close(&self.cfg);
+                        let ev = EvictEvent::new(
+                            &geom,
                             victim_frame,
+                            displaced,
                             now,
                             EvictCause::Demand,
-                            collect,
+                            None,
+                            offer,
                         );
-                        if let Some(rec) = &rec {
-                            self.record_death(rec);
-                        }
+                        let mut rx = Reactions::default();
+                        self.cores[core].obs.evict(&ev, &mut rx);
+                        self.coh.record_death(rx.generation.as_ref());
                         if dirty {
                             // The buffer holds clean data only: drain the
                             // dirty copy to the L2 before it enters.
                             self.cores[core].stats.l1_writebacks += 1;
                             self.flush_to_l2(disp_addr);
                         }
-                        let v = self.cores[core].victim.as_mut().expect("vc hit");
+                        let v = self.cores[core].obs.victim.unit.as_mut().expect("vc hit");
                         v.cache.insert(displaced);
                         v.swap_fills += 1;
                         if let Some(r) = report.as_mut() {
@@ -1061,7 +1018,7 @@ impl MultiCoreSystem {
                                 kind: CoherenceKind::Upgrade,
                                 at: grant,
                             });
-                            let killed = self.invalidate_others(core, line, addr, grant, false);
+                            let killed = self.invalidate_others(core, line, addr, grant);
                             if let Some(r) = report.as_mut() {
                                 r.invalidated = killed;
                             }
@@ -1076,14 +1033,7 @@ impl MultiCoreSystem {
                     if is_store {
                         self.cores[core].l1.mark_dirty(victim_frame);
                     }
-                    self.cores[core].fill_bookkeeping(
-                        victim_frame,
-                        mref,
-                        evicted,
-                        now,
-                        kind,
-                        collect,
-                    );
+                    self.cores[core].fill_event(victim_frame, line, mref.pc, evicted, now);
                     if let Some(r) = report.as_mut() {
                         r.level = ServiceLevel::VictimCache;
                     }
@@ -1094,43 +1044,30 @@ impl MultiCoreSystem {
 
                     // Close and clear the victim frame first, so inclusion
                     // recalls during the transaction cannot race with it.
-                    let mut victim_info = None;
                     if let Some(victim_line) = evicted {
                         let victim_addr = geom.addr_of_line(victim_line);
                         let dirty = self.cores[core].l1.frame_dirty(victim_frame);
                         self.cores[core].l1.invalidate(victim_frame);
                         self.cores[core].mesi[victim_frame] = Mesi::Invalid;
-                        let rec = self.cores[core].close_generation(
+                        let ev = EvictEvent::new(
+                            &geom,
                             victim_frame,
+                            victim_line,
                             now,
                             EvictCause::Demand,
-                            collect,
+                            Some(geom.tag_of(addr)),
+                            true,
                         );
-                        if let Some(rec) = &rec {
-                            self.record_death(rec);
-                        }
+                        let mut rx = Reactions::default();
+                        self.cores[core].obs.evict(&ev, &mut rx);
+                        self.coh.record_death(rx.generation.as_ref());
                         if dirty {
                             self.cores[core].stats.l1_writebacks += 1;
                             self.flush_to_l2(victim_addr);
                         }
-                        let mut admitted = false;
-                        if let (Some(rec), Some(v)) = (rec, self.cores[core].victim.as_mut()) {
-                            let info = EvictionInfo {
-                                line: rec.line,
-                                set_index: geom.index_of_line(rec.line),
-                                tag: geom.tag_of_line(rec.line),
-                                dead_time: rec.dead_time,
-                                live_time: rec.live_time,
-                                cause: rec.cause,
-                                reload_interval: rec.reload_interval,
-                                incoming_tag: geom.tag_of(addr),
-                            };
-                            admitted = v.cache.offer(v.filter.as_mut(), &info);
+                        if let Some(r) = report.as_mut() {
+                            r.l1_victim = Some((victim_line, rx.vc_admitted.unwrap_or(false)));
                         }
-                        victim_info = Some((victim_line, admitted));
-                    }
-                    if let Some(r) = report.as_mut() {
-                        r.l1_victim = victim_info;
                     }
 
                     let (grant, tx_kind) = if is_store {
@@ -1217,7 +1154,7 @@ impl MultiCoreSystem {
                     // Remote-state adjustment for the remaining copies.
                     if is_store {
                         if others {
-                            let killed = self.invalidate_others(core, line, addr, grant, false);
+                            let killed = self.invalidate_others(core, line, addr, grant);
                             if let Some(r) = report.as_mut() {
                                 r.invalidated = killed;
                             }
@@ -1249,14 +1186,7 @@ impl MultiCoreSystem {
                         Mesi::Exclusive
                     };
                     self.cores[core].mesi[victim_frame] = state;
-                    self.cores[core].fill_bookkeeping(
-                        victim_frame,
-                        mref,
-                        evicted,
-                        now,
-                        kind,
-                        collect,
-                    );
+                    self.cores[core].fill_event(victim_frame, line, mref.pc, evicted, now);
                     if data_ready > now {
                         self.cores[core]
                             .pending
@@ -1275,18 +1205,8 @@ impl MultiCoreSystem {
 
     /// Closes every open generation and finalizes observers. Idempotent.
     pub fn finish(&mut self, now: Cycle) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let collect = self.collect;
         for p in &mut self.cores {
-            let recs = p.gens.flush(now);
-            if collect {
-                for rec in &recs {
-                    p.metrics.on_generation(rec);
-                }
-            }
+            p.obs.flush(now);
         }
         if let Some(t) = self.trace.as_deref_mut() {
             t.finish();
@@ -1306,11 +1226,12 @@ impl MultiCoreSystem {
         let mut dbcp = None;
         for p in &self.cores {
             breakdown.add_weighted(&p.shadow.breakdown(), 1);
-            metrics.merge(&p.metrics);
-            victim.add_weighted(&p.victim.as_ref().map(|v| v.cache.stats()), 1);
-            victim_swap_fills.add_weighted(&p.victim.as_ref().map(|v| v.swap_fills), 1);
-            correlation.add_weighted(&p.predictors.correlation_stats(), 1);
-            dbcp.add_weighted(&p.predictors.dbcp_stats(), 1);
+            metrics.merge(&p.obs.metrics.collector);
+            let unit = p.obs.victim.unit.as_ref();
+            victim.add_weighted(&unit.map(|v| v.cache.stats()), 1);
+            victim_swap_fills.add_weighted(&unit.map(|v| v.swap_fills), 1);
+            correlation.add_weighted(&p.obs.predictors.correlation_stats(), 1);
+            dbcp.add_weighted(&p.obs.predictors.dbcp_stats(), 1);
         }
         RunResult {
             workload: workload.to_owned(),
@@ -1642,6 +1563,72 @@ mod tests {
         let coh = *sys.coherence();
         assert!(stats.vc_hits > 0, "{stats:?}");
         assert!(coh.vc_invalidations > 0, "{coh:?}");
+        // Over the whole run, only replacement closes on the full-miss
+        // path reach the admission filter: each evict death is either
+        // offered or a swap close, and invalidation closes (of which
+        // there are some) are never offered.
+        let (mut offered, mut swap_fills) = (0, 0);
+        for p in &sys.cores {
+            let v = p.obs.victim.unit.as_ref().expect("victim configured");
+            offered += v.cache.stats().offered;
+            swap_fills += v.swap_fills;
+        }
+        assert!(coh.inval_deaths > 0, "{coh:?}");
+        assert_eq!(offered + swap_fills, coh.evict_deaths, "{coh:?}");
+    }
+
+    /// The coherence trace at two cores has one snoop record per bus
+    /// transaction, one c2c record per cache-to-cache transfer and one
+    /// invalidate record per killed copy, and tracing changes no count.
+    #[test]
+    fn coherence_trace_matches_the_coherence_counters() {
+        use crate::obs::{TraceCategories, TraceKind};
+        type Streams = fn() -> Vec<Box<dyn Workload>>;
+        let cases: [(VictimMode, Streams); 2] = [
+            (VictimMode::None, || {
+                streams_of(2, |i| Box::new(SharedMix { next: 0, salt: i }))
+            }),
+            (VictimMode::Unfiltered, || {
+                streams_of(2, |i| Box::new(ConflictShare { next: 0, salt: i }))
+            }),
+        ];
+        for (victim, streams) in cases {
+            let cfg = SystemConfig::builder()
+                .cores(2)
+                .victim(victim)
+                .build()
+                .unwrap();
+            let run = |traced: bool| {
+                let mut sys = MultiCoreSystem::new(cfg);
+                if traced {
+                    let t = TraceObserver::memory(TraceCategories::all(), 1, cfg.machine.l1d);
+                    sys.trace = Some(Box::new(t));
+                }
+                run_streams(&mut sys, &mut streams(), 20_000);
+                let counts = sys.trace.as_deref_mut().map(|t| {
+                    let recs = t.records();
+                    let count = |k| recs.iter().filter(|r| r.kind == k).count() as u64;
+                    [TraceKind::Snoop, TraceKind::C2c, TraceKind::Invalidate].map(count)
+                });
+                (sys.stats(), *sys.coherence(), counts)
+            };
+            let (stats, coh, _) = run(false);
+            let (traced_stats, traced_coh, counts) = run(true);
+            assert_eq!(stats, traced_stats, "{victim:?}");
+            assert_eq!(coh, traced_coh, "{victim:?}");
+            let [snoops, c2c, invalidates] = counts.expect("trace installed");
+            assert!(
+                snoops > 0 && c2c > 0 && invalidates > 0,
+                "{victim:?}: {coh:?}"
+            );
+            assert_eq!(snoops, coh.transactions(), "{victim:?}");
+            assert_eq!(c2c, coh.c2c_transfers, "{victim:?}");
+            assert_eq!(
+                invalidates,
+                coh.coherence_invalidations + coh.inclusion_invalidations,
+                "{victim:?}"
+            );
+        }
     }
 
     #[test]
@@ -1735,7 +1722,12 @@ mod tests {
             let a = MemRef::new(Addr::new(0x1000 + (i % 3) * 32 * 1024), Pc::new(4));
             sys.access(0, &a, false, Cycle::new(i * 200));
         }
-        let v = sys.cores[0].victim.as_ref().expect("victim configured");
+        let v = sys.cores[0]
+            .obs
+            .victim
+            .unit
+            .as_ref()
+            .expect("victim configured");
         // Three cold misses, then every access swaps through the buffer.
         assert_eq!(v.swap_fills, 3 * rounds - 3);
         assert_eq!(sys.stats().vc_hits, v.swap_fills);

@@ -135,6 +135,35 @@ pub struct EvictEvent {
     /// When the generation ended (for decay this is the switch-off
     /// point, which precedes the access that discovers it).
     pub at: Cycle,
+    /// Whether the closed generation is offered to the victim-cache
+    /// admission filter. Every close is, except a victim-cache swap's at
+    /// `cores > 1` (one condition, `VictimUnit::offers_swap_close`).
+    pub offer: bool,
+}
+
+impl EvictEvent {
+    /// The event closing the generation of `line` in `frame` of an L1
+    /// shaped `geom`.
+    pub(crate) fn new(
+        geom: &CacheGeometry,
+        frame: usize,
+        line: LineAddr,
+        at: Cycle,
+        cause: EvictCause,
+        incoming_tag: Option<u64>,
+        offer: bool,
+    ) -> Self {
+        EvictEvent {
+            line,
+            frame,
+            cause,
+            incoming_tag,
+            set_index: geom.index_of_line(line),
+            tag: geom.tag_of_line(line),
+            at,
+            offer,
+        }
+    }
 }
 
 /// The bus transaction class a snoop carries (multi-core runs).
@@ -335,6 +364,12 @@ impl MemObserver for GenObserver {
     fn on_evict(&mut self, ev: &EvictEvent, rx: &mut Reactions) {
         rx.generation = self.plane.evict(ev.frame, ev.at, ev.cause);
     }
+
+    fn on_invalidate(&mut self, ev: &InvalidateEvent, rx: &mut Reactions) {
+        if let Some(frame) = ev.frame {
+            rx.generation = self.plane.evict(frame, ev.at, EvictCause::Invalidate);
+        }
+    }
 }
 
 /// Metric distributions, the L2 access-interval histogram and the
@@ -372,10 +407,20 @@ impl MemObserver for MetricsObserver {
     }
 
     fn on_evict(&mut self, _ev: &EvictEvent, rx: &mut Reactions) {
-        if self.collect {
-            if let Some(rec) = &rx.generation {
-                self.collector.on_generation(rec);
-            }
+        self.on_close(rx.generation.as_ref());
+    }
+
+    fn on_invalidate(&mut self, _ev: &InvalidateEvent, rx: &mut Reactions) {
+        self.on_close(rx.generation.as_ref());
+    }
+}
+
+impl MetricsObserver {
+    /// Records a generation the plane closed (by eviction, invalidation
+    /// or the end-of-run flush).
+    fn on_close(&mut self, rec: Option<&GenerationRecord>) {
+        if let (true, Some(rec)) = (self.collect, rec) {
+            self.collector.on_generation(rec);
         }
     }
 }
@@ -522,10 +567,9 @@ pub(crate) struct VictimUnit {
     pub(crate) cache: VictimCache,
     pub(crate) filter: Box<dyn VictimFilter>,
     /// Blocks entered by L1↔VC swaps, each inserted whatever the filter
-    /// says. At one core the swapped-out generation is also offered to
-    /// the filter first (see the VictimProbe stage), so a swap the filter
-    /// admits counts in `admitted` as well; at `cores > 1` swaps are
-    /// never offered.
+    /// says. Whether the swapped-out generation is also offered to the
+    /// filter first is [`offers_swap_close`](Self::offers_swap_close);
+    /// when it is, a swap the filter admits counts in `admitted` as well.
     pub(crate) swap_fills: u64,
 }
 
@@ -552,10 +596,24 @@ impl VictimUnit {
             swap_fills: 0,
         })
     }
+
+    /// Whether a victim-cache swap offers the generation it closes to the
+    /// admission filter: at one core it does, at `cores > 1` it does not.
+    /// Both swap sites (the VictimProbe stage and the multi-core swap
+    /// path) read this one condition. ROADMAP item 3 is to choose one
+    /// rule for every core count; until then
+    /// `pipeline::tests::swap_closes_are_offered_at_one_core` and
+    /// `multicore::tests::swap_closes_are_not_offered_at_two_cores` pin
+    /// both sides.
+    pub(crate) fn offers_swap_close(cfg: &SystemConfig) -> bool {
+        cfg.cores == 1
+    }
 }
 
-/// Victim-cache admission, as an observer: offers every closed
-/// generation to the filter and publishes the decision.
+/// Victim-cache admission, as an observer: offers each generation an
+/// Evict event closes (see [`EvictEvent::offer`]) to the filter and
+/// publishes the decision. Generations killed by coherence
+/// ([`InvalidateEvent`]) are never offered.
 #[derive(Debug)]
 pub(crate) struct VictimObserver {
     pub(crate) unit: Option<VictimUnit>,
@@ -563,7 +621,9 @@ pub(crate) struct VictimObserver {
 
 impl MemObserver for VictimObserver {
     fn on_evict(&mut self, ev: &EvictEvent, rx: &mut Reactions) {
-        let Some(rec) = &rx.generation else { return };
+        let (Some(rec), true) = (&rx.generation, ev.offer) else {
+            return;
+        };
         if let Some(v) = self.unit.as_mut() {
             let info = EvictionInfo {
                 line: ev.line,
@@ -654,7 +714,9 @@ macro_rules! dispatch_all {
     }};
 }
 
-/// The fixed set of observers, dispatched in declaration order.
+/// The fixed set of observers, dispatched in declaration order: one per
+/// L1, so the single-core [`MemorySystem`] holds one and each core of a
+/// [`MultiCoreSystem`](crate::MultiCoreSystem) holds its own.
 #[derive(Debug)]
 pub(crate) struct Observers {
     pub(crate) gens: GenObserver,
@@ -668,20 +730,48 @@ pub(crate) struct Observers {
 }
 
 impl Observers {
-    fn lookup(&mut self, ev: &LookupEvent, rx: &mut Reactions) {
+    /// The observer plane `cfg` selects, for one L1. Tracing is off; the
+    /// owner installs a trace observer when it wants one.
+    pub(crate) fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
+        let m = &cfg.machine;
+        let collect = cfg.collect_metrics;
+        Observers {
+            gens: GenObserver {
+                plane: LinePlane::new(m.l1d.num_frames() as usize),
+                collect,
+            },
+            metrics: MetricsObserver {
+                collector: MetricsCollector::new(),
+                l2_access_interval: Histogram::paper_x1000(),
+                l2_monitor: L2IntervalMonitor::new(m.l2, ticker, 16_384),
+                collect,
+            },
+            predictors: PredictorObserver::new(cfg, ticker),
+            victim: VictimObserver {
+                unit: VictimUnit::new(cfg, ticker),
+            },
+            oracle: OracleTap::default(),
+            trace: None,
+        }
+    }
+
+    pub(crate) fn lookup(&mut self, ev: &LookupEvent, rx: &mut Reactions) {
         dispatch_all!(self, on_lookup, ev, rx)
     }
-    fn hit(&mut self, ev: &HitEvent, rx: &mut Reactions) {
+    pub(crate) fn hit(&mut self, ev: &HitEvent, rx: &mut Reactions) {
         dispatch_all!(self, on_hit, ev, rx)
     }
-    fn miss(&mut self, ev: &MissEvent, rx: &mut Reactions) {
+    pub(crate) fn miss(&mut self, ev: &MissEvent, rx: &mut Reactions) {
         dispatch_all!(self, on_miss, ev, rx)
     }
-    fn fill(&mut self, ev: &FillEvent, rx: &mut Reactions) {
+    pub(crate) fn fill(&mut self, ev: &FillEvent, rx: &mut Reactions) {
         dispatch_all!(self, on_fill, ev, rx)
     }
-    fn evict(&mut self, ev: &EvictEvent, rx: &mut Reactions) {
+    pub(crate) fn evict(&mut self, ev: &EvictEvent, rx: &mut Reactions) {
         dispatch_all!(self, on_evict, ev, rx)
+    }
+    pub(crate) fn invalidate(&mut self, ev: &InvalidateEvent, rx: &mut Reactions) {
+        dispatch_all!(self, on_invalidate, ev, rx)
     }
     fn service(&mut self, level: SimLevel) {
         self.gens.on_service(level);
@@ -691,6 +781,14 @@ impl Observers {
         self.oracle.on_service(level);
         if let Some(t) = self.trace.as_deref_mut() {
             t.on_service(level);
+        }
+    }
+
+    /// Closes every open generation at `now` (end of run) into the
+    /// metrics.
+    pub(crate) fn flush(&mut self, now: Cycle) {
+        for rec in self.gens.plane.flush(now) {
+            self.metrics.on_close(Some(&rec));
         }
     }
 }
@@ -891,37 +989,8 @@ impl MemorySystem {
             now,
         };
         let rx = self.emit_fill(&ev);
-        if let Some(correct) = rx.addr_scored {
-            self.stats.addr_predictions += 1;
-            if correct {
-                self.stats.addr_correct += 1;
-            }
-        }
+        self.stats.score_addr(rx.addr_scored);
         self.drain_prefetches(rx, now);
-    }
-
-    /// Emits the Evict event closing the generation in `frame` (which
-    /// holds `ev_line`). Observers record metrics, offer the victim to
-    /// the victim cache, and inform the oracle tap.
-    fn evict_event(
-        &mut self,
-        frame: usize,
-        ev_line: LineAddr,
-        at: Cycle,
-        cause: EvictCause,
-        incoming_tag: Option<u64>,
-    ) {
-        let geom = *self.l1d.geometry();
-        let ev = EvictEvent {
-            line: ev_line,
-            frame,
-            cause,
-            incoming_tag,
-            set_index: geom.index_of_line(ev_line),
-            tag: geom.tag_of_line(ev_line),
-            at,
-        };
-        let _ = self.emit_evict(&ev);
     }
 
     // -- stages -------------------------------------------------------------
@@ -1083,12 +1152,16 @@ impl MemorySystem {
         self.stats.vc_hits += 1;
         // Swap: close the displaced generation, then move the block into
         // the victim cache unconditionally. The close is an ordinary
-        // Evict event, so the victim observer also offers the generation
-        // to the admission filter: the filter trains on it, `offered`
-        // counts it, and `admitted` does too if the filter says yes.
-        // The multi-core swap path does not offer (ROADMAP item 3).
+        // Evict event; where `VictimUnit::offers_swap_close` holds (one
+        // core), the victim observer also offers the generation to the
+        // admission filter: the filter trains on it, `offered` counts it,
+        // and `admitted` does too if the filter says yes.
         if let Some(ev) = evicted {
-            self.evict_event(victim_frame, ev, now, EvictCause::Demand, None);
+            let offer = VictimUnit::offers_swap_close(&self.cfg);
+            let geom = self.l1d.geometry();
+            let close =
+                EvictEvent::new(geom, victim_frame, ev, now, EvictCause::Demand, None, offer);
+            self.emit_evict(&close);
             self.writeback_if_dirty(victim_frame, now);
             let v = self.obs.victim.unit.as_mut().expect("checked above");
             v.cache.insert(ev);
@@ -1161,13 +1234,9 @@ impl MemorySystem {
         }
         let (frame, evicted) = self.l1d.fill(mref.addr);
         if let Some(ev) = evicted {
-            self.evict_event(
-                frame,
-                ev,
-                now,
-                EvictCause::Demand,
-                Some(geom.tag_of_line(line)),
-            );
+            let incoming = Some(geom.tag_of_line(line));
+            let close = EvictEvent::new(&geom, frame, ev, now, EvictCause::Demand, incoming, true);
+            self.emit_evict(&close);
         }
         self.fill_event(frame, line, Some(mref.pc), true, evicted, now);
     }
@@ -1189,7 +1258,9 @@ impl MemorySystem {
         let off_at = last_use + interval;
         self.stats.decay_off_cycles += now.since(off_at);
         // The decayed generation ended when the line switched off.
-        self.evict_event(frame, line, off_at, EvictCause::Flush, None);
+        let geom = self.l1d.geometry();
+        let close = EvictEvent::new(geom, frame, line, off_at, EvictCause::Flush, None, true);
+        self.emit_evict(&close);
         // Refetch: the shadow still sees a reference (decay is invisible
         // to the fully-associative model — these are not program misses).
         self.shadow.on_access(line);
@@ -1713,7 +1784,8 @@ impl MemorySystem {
             }
             let (frame, evicted) = self.l1d.fill(addr);
             if let Some(ev) = evicted {
-                self.evict_event(frame, ev, at, EvictCause::Prefetch, None);
+                let close = EvictEvent::new(&geom, frame, ev, at, EvictCause::Prefetch, None, true);
+                self.emit_evict(&close);
             }
             if self.checker.is_some() {
                 let (closed, admitted) =

@@ -44,7 +44,7 @@
 
 use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
 use timekeeping::{
-    CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, GenerationTracker, LineAddr, LineMap,
+    CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, LineMap, LinePlane,
     LineSet, MetricsCollector, MissBreakdown, TimelinessStats, VictimStats, WeightedSum,
 };
 
@@ -1286,7 +1286,7 @@ fn inject_shard(
 struct ShardImage {
     l1d: SetAssocCache,
     l2: SetAssocCache,
-    plane: GenerationTracker,
+    plane: LinePlane,
     shadow: FullyAssocShadow,
     baseline: MissBreakdown,
 }
