@@ -32,7 +32,7 @@ use crate::mshr::MshrFile;
 use crate::obs::{
     self, ProfStage, ProfileReport, Profiler, TraceCategories, TraceObserver, TraceRecord,
 };
-use crate::oracle::{FunctionalOracle, LockstepChecker, SimLevel, SimObservation};
+use crate::oracle::{FunctionalOracle, LockstepChecker};
 use crate::pipeline::{Observers, PendingPf, PipelineEvent, TapEvent};
 use crate::trace::MemRef;
 
@@ -193,8 +193,7 @@ impl MemorySystem {
         let num_frames = m.l1d.num_frames() as usize;
         let num_sets = m.l1d.num_sets() as usize;
         let ticker = GlobalTicker::new(m.tick_period);
-        let mut obs = Observers::new(&cfg, ticker);
-        obs.trace = obs::trace_from_global(m.l1d);
+        let obs = Observers::new(&cfg, ticker);
         MemorySystem {
             ticker,
             l1d: SetAssocCache::new(m.l1d),
@@ -418,22 +417,11 @@ impl MemorySystem {
         }
         self.obs.oracle.evt = TapEvent::default();
         let out = self.stage_lookup(mref, is_store, now);
-        let evt = self.obs.oracle.evt;
-        let level = if out.l1_hit {
-            SimLevel::L1
-        } else if out.vc_hit {
-            SimLevel::Victim
-        } else {
-            evt.level.expect("miss path records the serving level")
-        };
-        let obs = SimObservation {
-            addr: mref.addr,
-            level,
-            evicted: evt.evicted,
-            closed_generation: evt.closed,
-            decay_refetch: evt.decay,
-            vc_admitted: evt.vc_admitted,
-        };
+        let obs = self
+            .obs
+            .oracle
+            .evt
+            .observation(0, mref.addr, is_store, out.l1_hit, out.vc_hit);
         let vc_lines = self.obs.victim.unit.as_ref().map(|v| v.cache.lines());
         let mut chk = self.checker.take().expect("checked above");
         chk.check_demand(&self.l1d, vc_lines.as_deref(), &obs);

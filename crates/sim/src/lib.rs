@@ -71,7 +71,7 @@ pub use dram::{
     MemBackend, MemBackendConfig, MemReply, RowOutcome,
 };
 pub use hierarchy::{AccessOutcome, HierarchyStats, MemorySystem};
-pub use multicore::{run_multicore, CoherenceStats, CoherentChecker, Mesi, MultiCoreSystem};
+pub use multicore::{run_multicore, CoherenceStats, Mesi, MultiCoreSystem};
 pub use obs::{
     obs_config, set_obs_config, set_out_dir, set_profile, set_trace, set_trace_sample,
     trace_enabled, ObsConfig, ProfileReport, TraceCategories, TraceCategory, TraceKind,

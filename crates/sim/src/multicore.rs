@@ -36,6 +36,19 @@
 //! admission filter. A victim-cache swap close is offered only where
 //! `VictimUnit::offers_swap_close` holds — at one core, not here.
 //!
+//! Tracing and checking both go through the plane. Each core's plane
+//! carries its own trace (`--trace`), so every run writes one trace per
+//! core: the reference, hit, miss, fill and generation records of that
+//! core's accesses, the `SnoopEvent`s and `C2cEvent`s it requested, and
+//! the `InvalidateEvent`s that killed its copies. With
+//! [`MultiCoreSystem::enable_lockstep_check`], each core's oracle tap
+//! records its accesses exactly as the single-core
+//! [`MemorySystem`](crate::MemorySystem)'s does — level serviced, L1 and
+//! L2 victims, generation boundary, admission bit — plus the cores its
+//! store invalidated, and the one [`LockstepChecker`] of
+//! [`crate::oracle`] verifies them against a timing-free mirror of all
+//! N cores.
+//!
 //! Determinism and clock hopping: one [`OooCore`] per core runs under
 //! the same driver as the single-core machine (`OooCore::run_cores`),
 //! which services cores in (cycle, core-index) order, so the global
@@ -53,20 +66,20 @@
 //! predict-only mode; the prefetches it asks for are dropped.
 
 use timekeeping::{
-    Addr, CacheGeometry, Cycle, EvictCause, FullyAssocShadow, GenerationRecord, GlobalTicker,
-    LineAddr, LineMap, LineSet, MetricsCollector, MissBreakdown, Pc, PrefetchRequest, WeightedSum,
+    Addr, Cycle, EvictCause, FullyAssocShadow, GenerationRecord, GlobalTicker, LineAddr, LineMap,
+    LineSet, MetricsCollector, MissBreakdown, Pc, PrefetchRequest, WeightedSum,
 };
 
 use crate::bus::{Bus, SnoopBus};
 use crate::cache::{ProbeResult, SetAssocCache};
-use crate::config::{SystemConfig, VictimMode};
+use crate::config::SystemConfig;
 use crate::core::{CoreMemory, CoreStats, OooCore};
 use crate::dram::MemBackend;
 use crate::hierarchy::HierarchyStats;
-use crate::obs::{self, TraceObserver};
+use crate::oracle::{LockstepChecker, SimLevel};
 use crate::pipeline::{
     C2cEvent, CoherenceKind, EvictEvent, FillEvent, HitEvent, InvalidateEvent, LookupEvent,
-    MemObserver, MissEvent, Observers, PrefetcherImpl, Reactions, SnoopEvent, VictimUnit,
+    MissEvent, Observers, PrefetcherImpl, Reactions, SnoopEvent, TapEvent, VictimUnit,
 };
 use crate::system::RunResult;
 use crate::trace::{MemRef, Workload};
@@ -288,18 +301,18 @@ impl CorePlane {
     /// and counts the kill in `coh`: as an inclusion recall when
     /// `inclusion`, else as a coherence invalidation. The kill goes
     /// through the plane as an [`InvalidateEvent`], which closes an L1
-    /// copy's generation with [`EvictCause::Invalidate`]. Returns the
-    /// event and whether the killed copy was modified (the caller drains
-    /// its data), or `None` if the core holds no copy.
+    /// copy's generation with [`EvictCause::Invalidate`] and traces the
+    /// kill. Returns whether the killed copy was modified (the caller
+    /// drains its data), or `None` if the core holds no copy.
     fn kill_copy(
         &mut self,
         coh: &mut CoherenceStats,
-        owner: u32,
+        owner: usize,
         line: LineAddr,
         addr: Addr,
         at: Cycle,
         inclusion: bool,
-    ) -> Option<(InvalidateEvent, bool)> {
+    ) -> Option<bool> {
         let frame = self.l1.peek(addr);
         let was_modified = frame.is_some_and(|f| self.mesi[f] == Mesi::Modified);
         if let Some(f) = frame {
@@ -317,7 +330,7 @@ impl CorePlane {
         self.inval_lost.insert(line.get());
         let ev = InvalidateEvent {
             line,
-            owner,
+            owner: owner as u32,
             frame,
             at,
         };
@@ -331,320 +344,7 @@ impl CorePlane {
         coh.vc_invalidations += u64::from(frame.is_none());
         self.stats.l1_writebacks += u64::from(was_modified);
         coh.record_death(rx.generation.as_ref());
-        Some((ev, was_modified))
-    }
-}
-
-// --------------------------------------------------------------- checker
-
-/// Hierarchy level that serviced a demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServiceLevel {
-    L1,
-    VictimCache,
-    CacheToCache,
-    L2,
-    Memory,
-}
-
-/// What the timing model reports to the functional mirror per access.
-#[derive(Debug)]
-struct AccessReport {
-    core: usize,
-    line: LineAddr,
-    is_store: bool,
-    level: ServiceLevel,
-    /// L1 line displaced by the fill, with the victim-filter admission
-    /// decision (policy input the mirror cannot recompute).
-    l1_victim: Option<(LineAddr, bool)>,
-    /// L2 line evicted by a memory fill.
-    l2_victim: Option<LineAddr>,
-    /// Copies killed by this access's coherence transaction.
-    invalidated: Vec<(usize, LineAddr)>,
-}
-
-/// A timing-free functional mirror of the coherent hierarchy.
-///
-/// Maintains its own per-core L1 LRU lists with MESI states, victim
-/// buffers, and shared-L2 LRU lists — structures deliberately distinct
-/// from the simulator's stamp-based tag arrays — and replays every
-/// access in the simulator's global order, asserting that service level,
-/// replacement victims at both cache levels, and coherence-invalidation
-/// sets all agree. Any divergence panics with a diagnostic report. The
-/// only simulator fact it consumes without rederiving is the
-/// victim-filter admission bit (a policy decision, not cache state).
-#[derive(Debug)]
-pub struct CoherentChecker {
-    l1_geom: CacheGeometry,
-    l2_geom: CacheGeometry,
-    vc_entries: usize,
-    has_vc: bool,
-    /// `[core][set]`, front = MRU: (L1 line, state).
-    l1: Vec<Vec<Vec<(u64, Mesi)>>>,
-    /// `[core]`, front = MRU.
-    vc: Vec<Vec<u64>>,
-    /// `[set]`, front = MRU: L2 lines.
-    l2: Vec<Vec<u64>>,
-    accesses: u64,
-}
-
-impl CoherentChecker {
-    fn new(cfg: &SystemConfig) -> Self {
-        let m = &cfg.machine;
-        let cores = cfg.cores as usize;
-        CoherentChecker {
-            l1_geom: m.l1d,
-            l2_geom: m.l2,
-            vc_entries: m.victim_entries,
-            has_vc: cfg.victim != VictimMode::None,
-            l1: vec![vec![Vec::new(); m.l1d.num_sets() as usize]; cores],
-            vc: vec![Vec::new(); cores],
-            l2: vec![Vec::new(); m.l2.num_sets() as usize],
-            accesses: 0,
-        }
-    }
-
-    /// Accesses verified so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    fn fail(&self, r: &AccessReport, what: &str, detail: String) -> ! {
-        panic!(
-            "coherent-oracle divergence at access #{}: {what}\n  core {} {} line {:#x}\n  {detail}",
-            self.accesses,
-            r.core,
-            if r.is_store { "store" } else { "load" },
-            r.line.get(),
-            detail = detail
-        );
-    }
-
-    /// Positions of `line` in a core's set list, if present.
-    fn l1_pos(&self, core: usize, set: usize, line: u64) -> Option<usize> {
-        self.l1[core][set].iter().position(|&(l, _)| l == line)
-    }
-
-    fn remove_copy_everywhere(&mut self, except: usize, set: usize, line: u64) -> Vec<usize> {
-        let mut killed = Vec::new();
-        for c in 0..self.l1.len() {
-            if c == except {
-                continue;
-            }
-            let mut hit = false;
-            if let Some(p) = self.l1_pos(c, set, line) {
-                self.l1[c][set].remove(p);
-                hit = true;
-            }
-            if let Some(p) = self.vc[c].iter().position(|&l| l == line) {
-                self.vc[c].remove(p);
-                hit = true;
-            }
-            if hit {
-                killed.push(c);
-            }
-        }
-        killed
-    }
-
-    /// Inserts into a core's victim buffer with LRU drop at capacity.
-    fn vc_insert(&mut self, core: usize, line: u64) {
-        if let Some(p) = self.vc[core].iter().position(|&l| l == line) {
-            self.vc[core].remove(p);
-        } else if self.vc[core].len() == self.vc_entries {
-            self.vc[core].pop();
-        }
-        self.vc[core].insert(0, line);
-    }
-
-    /// Replays one access against the mirror and asserts agreement.
-    fn verify(&mut self, r: &AccessReport) {
-        let line = r.line.get();
-        let set = self.l1_geom.index_of_line(r.line) as usize;
-        let addr = self.l1_geom.addr_of_line(r.line);
-        let l2_line = self.l2_geom.line_of(addr).get();
-        let l2_set = self.l2_geom.index_of_line(self.l2_geom.line_of(addr)) as usize;
-
-        // 1. Independently determine the service level.
-        let level = if self.l1_pos(r.core, set, line).is_some() {
-            ServiceLevel::L1
-        } else if self.has_vc && self.vc[r.core].contains(&line) {
-            ServiceLevel::VictimCache
-        } else if (0..self.l1.len()).any(|c| {
-            c != r.core
-                && self
-                    .l1_pos(c, set, line)
-                    .is_some_and(|p| self.l1[c][set][p].1 == Mesi::Modified)
-        }) {
-            ServiceLevel::CacheToCache
-        } else if self.l2[l2_set].contains(&l2_line) {
-            ServiceLevel::L2
-        } else {
-            ServiceLevel::Memory
-        };
-        if level != r.level {
-            self.fail(
-                r,
-                "service level mismatch",
-                format!(
-                    "oracle expected {level:?}, timing model reported {:?}",
-                    r.level
-                ),
-            );
-        }
-
-        // 2. Independently determine the coherence-invalidation set.
-        let mut expected: Vec<(usize, u64)> = if r.is_store {
-            (0..self.l1.len())
-                .filter(|&c| {
-                    c != r.core
-                        && (self.l1_pos(c, set, line).is_some() || self.vc[c].contains(&line))
-                })
-                .map(|c| (c, line))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        expected.sort_unstable();
-        let mut got: Vec<(usize, u64)> = r.invalidated.iter().map(|&(c, l)| (c, l.get())).collect();
-        got.sort_unstable();
-        if expected != got {
-            self.fail(
-                r,
-                "invalidation set mismatch",
-                format!("oracle expected {expected:?}, timing model reported {got:?}"),
-            );
-        }
-
-        // 3. Apply the transition.
-        let new_state = |mirror: &Self| {
-            if r.is_store {
-                Mesi::Modified
-            } else if (0..mirror.l1.len()).any(|c| {
-                c != r.core
-                    && (mirror.l1_pos(c, set, line).is_some() || mirror.vc[c].contains(&line))
-            }) {
-                Mesi::Shared
-            } else {
-                Mesi::Exclusive
-            }
-        };
-        match level {
-            ServiceLevel::L1 => {
-                let p = self.l1_pos(r.core, set, line).expect("level checked");
-                let (l, mut st) = self.l1[r.core][set].remove(p);
-                if r.is_store {
-                    self.remove_copy_everywhere(r.core, set, line);
-                    st = Mesi::Modified;
-                }
-                self.l1[r.core][set].insert(0, (l, st));
-            }
-            ServiceLevel::VictimCache => {
-                let p = self.vc[r.core].iter().position(|&l| l == line).unwrap();
-                self.vc[r.core].remove(p);
-                self.check_l1_victim(r, set, true);
-                if r.is_store {
-                    self.remove_copy_everywhere(r.core, set, line);
-                }
-                let st = new_state(self);
-                self.l1[r.core][set].insert(0, (line, st));
-            }
-            ServiceLevel::CacheToCache | ServiceLevel::L2 | ServiceLevel::Memory => {
-                self.check_l1_victim(r, set, false);
-                if r.is_store {
-                    self.remove_copy_everywhere(r.core, set, line);
-                } else {
-                    // BusRd: remaining M/E copies degrade to Shared.
-                    for c in 0..self.l1.len() {
-                        if c == r.core {
-                            continue;
-                        }
-                        if let Some(p) = self.l1_pos(c, set, line) {
-                            self.l1[c][set][p].1 = Mesi::Shared;
-                        }
-                    }
-                }
-                if level == ServiceLevel::Memory {
-                    let evicted = (self.l2[l2_set].len() == self.l2_geom.assoc() as usize)
-                        .then(|| *self.l2[l2_set].last().expect("full set is nonempty"));
-                    if evicted != r.l2_victim.map(|l| l.get()) {
-                        self.fail(
-                            r,
-                            "L2 replacement victim mismatch",
-                            format!(
-                                "oracle expected {evicted:?}, timing model reported {:?}",
-                                r.l2_victim.map(|l| l.get())
-                            ),
-                        );
-                    }
-                    if let Some(e2) = evicted {
-                        self.l2[l2_set].pop();
-                        self.back_invalidate(e2);
-                    }
-                    self.l2[l2_set].insert(0, l2_line);
-                } else {
-                    // The transaction touched the shared L2 (LRU bump).
-                    if let Some(p) = self.l2[l2_set].iter().position(|&l| l == l2_line) {
-                        let l = self.l2[l2_set].remove(p);
-                        self.l2[l2_set].insert(0, l);
-                    } else {
-                        self.fail(
-                            r,
-                            "inclusion violation",
-                            format!("L2 line {l2_line:#x} absent while L1 copies exist"),
-                        );
-                    }
-                }
-                let st = new_state(self);
-                self.l1[r.core][set].insert(0, (line, st));
-            }
-        }
-        self.accesses += 1;
-    }
-
-    /// Checks the reported L1 replacement victim against the mirror's own
-    /// LRU choice and applies the eviction (with VC insertion when
-    /// admitted). `swap` marks the victim-cache swap path, where the
-    /// displaced block always enters the buffer.
-    fn check_l1_victim(&mut self, r: &AccessReport, set: usize, swap: bool) {
-        let full = self.l1[r.core][set].len() == self.l1_geom.assoc() as usize;
-        let expected = full.then(|| self.l1[r.core][set].last().expect("full set").0);
-        let reported = r.l1_victim.map(|(l, _)| l.get());
-        if expected != reported {
-            self.fail(
-                r,
-                "L1 replacement victim mismatch",
-                format!("oracle expected {expected:?}, timing model reported {reported:?}"),
-            );
-        }
-        if let Some(victim) = expected {
-            self.l1[r.core][set].pop();
-            let admitted = swap || r.l1_victim.map(|(_, a)| a).unwrap_or(false);
-            if self.has_vc && admitted {
-                self.vc_insert(r.core, victim);
-            }
-        }
-    }
-
-    /// Recalls both L1-sized halves of an evicted L2 line from every
-    /// mirror cache (inclusion).
-    fn back_invalidate(&mut self, l2_line: u64) {
-        let base = self.l2_geom.addr_of_line(LineAddr::new(l2_line));
-        let step = self.l1_geom.block_bytes() as u64;
-        let mut off = 0;
-        while off < self.l2_geom.block_bytes() as u64 {
-            let half = self.l1_geom.line_of(base.offset(off));
-            let set = self.l1_geom.index_of_line(half) as usize;
-            for c in 0..self.l1.len() {
-                if let Some(p) = self.l1_pos(c, set, half.get()) {
-                    self.l1[c][set].remove(p);
-                }
-                if let Some(p) = self.vc[c].iter().position(|&l| l == half.get()) {
-                    self.vc[c].remove(p);
-                }
-            }
-            off += step;
-        }
+        Some(was_modified)
     }
 }
 
@@ -666,10 +366,7 @@ pub struct MultiCoreSystem {
     l2mem_bus: Bus,
     backend: Box<dyn MemBackend>,
     coh: CoherenceStats,
-    /// System-wide trace of the coherence events (snoop, invalidate,
-    /// cache-to-cache); the per-core planes trace nothing.
-    trace: Option<Box<TraceObserver>>,
-    checker: Option<Box<CoherentChecker>>,
+    checker: Option<Box<LockstepChecker>>,
 }
 
 impl MultiCoreSystem {
@@ -700,28 +397,32 @@ impl MultiCoreSystem {
             l2mem_bus: Bus::new(m.l2mem_bus_occupancy),
             backend: crate::dram::build_backend(&cfg),
             coh: CoherenceStats::default(),
-            trace: obs::trace_from_global(m.l1d),
             checker: None,
         }
     }
 
-    /// Installs the coherent functional mirror ([`CoherentChecker`]):
-    /// every access is replayed into a timing-free reference model and
-    /// any divergence panics with a diagnostic report.
+    /// Installs the functional-oracle lockstep checker (see
+    /// [`crate::oracle`]), the same one
+    /// [`MemorySystem::enable_lockstep_check`](crate::MemorySystem::enable_lockstep_check)
+    /// installs: every access is replayed into the timing-free reference
+    /// model of all cores, and any divergence panics with a diagnostic
+    /// report. Every multi-core configuration is checkable: the one mode
+    /// the oracle declines, the cold-miss-only L1, has no multi-core
+    /// form.
     ///
     /// # Panics
     ///
     /// Panics if the system has already performed accesses.
-    pub fn install_checker(&mut self) {
+    pub fn enable_lockstep_check(&mut self) {
         assert!(
             self.cores.iter().all(|c| c.stats.l1_accesses == 0),
-            "checker must be installed before any access"
+            "lockstep checker must be installed before any access"
         );
-        self.checker = Some(Box::new(CoherentChecker::new(&self.cfg)));
+        self.checker = Some(Box::new(LockstepChecker::new(&self.cfg)));
     }
 
-    /// Whether the coherent functional mirror is installed.
-    pub fn checker_active(&self) -> bool {
+    /// Whether the lockstep checker is installed.
+    pub fn lockstep_check_active(&self) -> bool {
         self.checker.is_some()
     }
 
@@ -749,25 +450,39 @@ impl MultiCoreSystem {
         sum
     }
 
-    fn emit_snoop(&mut self, ev: SnoopEvent) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            let mut rx = Reactions::default();
-            t.on_snoop(&ev, &mut rx);
-        }
+    /// Grants `core` a bus transaction of `kind` for `line` at or after
+    /// `now`, counts it, and emits its [`SnoopEvent`] through the
+    /// requester's plane. Returns the grant cycle.
+    fn transact(&mut self, core: usize, line: LineAddr, kind: CoherenceKind, now: Cycle) -> Cycle {
+        let at = match kind {
+            CoherenceKind::BusRd => {
+                self.coh.bus_reads += 1;
+                self.snoop_bus.grant_read(now)
+            }
+            CoherenceKind::BusRdX => {
+                self.coh.bus_read_exclusives += 1;
+                self.snoop_bus.grant_read_exclusive(now)
+            }
+            CoherenceKind::Upgrade => {
+                self.coh.bus_upgrades += 1;
+                self.snoop_bus.grant_upgrade(now)
+            }
+        };
+        let ev = SnoopEvent {
+            line,
+            requester: core as u32,
+            kind,
+            at,
+        };
+        self.cores[core].obs.snoop(&ev, &mut Reactions::default());
+        at
     }
 
-    fn emit_invalidate(&mut self, ev: InvalidateEvent) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            let mut rx = Reactions::default();
-            t.on_invalidate(&ev, &mut rx);
-        }
-    }
-
-    fn emit_c2c(&mut self, ev: C2cEvent) {
-        if let Some(t) = self.trace.as_deref_mut() {
-            let mut rx = Reactions::default();
-            t.on_c2c(&ev, &mut rx);
-        }
+    /// A store by `core` to a line other cores hold: the upgrade
+    /// transaction kills every other copy.
+    fn upgrade(&mut self, core: usize, line: LineAddr, addr: Addr, now: Cycle) {
+        let grant = self.transact(core, line, CoherenceKind::Upgrade, now);
+        self.invalidate_others(core, line, addr, grant);
     }
 
     /// The core (and its L1 frame) holding a modified copy of `addr`,
@@ -810,48 +525,26 @@ impl MultiCoreSystem {
         }
     }
 
-    /// Kills core `c`'s copy of `line` ([`CorePlane::kill_copy`]) and
-    /// traces the kill. Returns whether the copy was modified, or `None`
-    /// when `c` held no copy.
-    fn kill(
-        &mut self,
-        c: usize,
-        line: LineAddr,
-        addr: Addr,
-        at: Cycle,
-        inclusion: bool,
-    ) -> Option<bool> {
-        let (ev, was_modified) =
-            self.cores[c].kill_copy(&mut self.coh, c as u32, line, addr, at, inclusion)?;
-        self.emit_invalidate(ev);
-        Some(was_modified)
-    }
-
-    /// Invalidates every other core's copy of `line`, returning the kill
-    /// list for the checker report.
-    fn invalidate_others(
-        &mut self,
-        except: usize,
-        line: LineAddr,
-        addr: Addr,
-        at: Cycle,
-    ) -> Vec<(usize, LineAddr)> {
-        let mut killed = Vec::new();
+    /// Invalidates every other core's copy of `line`, recording the
+    /// killed cores in the requester's oracle tap.
+    fn invalidate_others(&mut self, except: usize, line: LineAddr, addr: Addr, at: Cycle) {
         for c in (0..self.cores.len()).filter(|&c| c != except) {
-            let Some(was_modified) = self.kill(c, line, addr, at, false) else {
+            let Some(was_modified) =
+                self.cores[c].kill_copy(&mut self.coh, c, line, addr, at, false)
+            else {
                 continue;
             };
             if was_modified {
                 // The dying modified copy's data drains to the L2.
                 self.flush_to_l2(addr);
             }
-            killed.push((c, line));
+            self.cores[except].obs.oracle.evt.invalidated |= 1 << c;
         }
-        killed
     }
 
     /// Recalls both L1-sized halves of an evicted L2 line from every
-    /// core (strict inclusion over L1 ∪ victim cache).
+    /// core: the shared L2 is inclusive over L1 ∪ victim cache (the rule
+    /// the lockstep oracle reads from `oracle::l2_is_inclusive`).
     fn back_invalidate(&mut self, l2_line: LineAddr, at: Cycle) {
         let l1_geom = self.cfg.machine.l1d;
         let l2_geom = self.cfg.machine.l2;
@@ -860,7 +553,8 @@ impl MultiCoreSystem {
             let half_addr = base.offset(off);
             let half = l1_geom.line_of(half_addr);
             for c in 0..self.cores.len() {
-                if self.kill(c, half, half_addr, at, true) == Some(true) {
+                let killed = self.cores[c].kill_copy(&mut self.coh, c, half, half_addr, at, true);
+                if killed == Some(true) {
                     // The L2 copy is leaving too: the recalled dirty data
                     // goes straight to memory.
                     self.backend.write(half_addr, at);
@@ -874,17 +568,26 @@ impl MultiCoreSystem {
     ///
     /// The access emits the pipeline's events through the core's
     /// observer plane — Lookup, then Hit, or Miss followed by the Evict
-    /// of the displaced line and the Fill — in the single-core order.
+    /// of the displaced line and the Fill — in the single-core order,
+    /// plus the coherence events: Snoop and C2c through the requester's
+    /// plane, Invalidate through the plane of the core that loses its
+    /// copy. With checking on, the core's oracle tap records the access
+    /// and the lockstep checker verifies it.
     pub fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
         let m = self.cfg.machine;
         let geom = m.l1d;
         let addr = mref.addr;
         let line = geom.line_of(addr);
-        let checking = self.checker.is_some();
 
         let plane = &mut self.cores[core];
+        if self.checker.is_some() {
+            plane.obs.oracle.evt = TapEvent::default();
+        }
         plane.sync_ticks(now, &self.ticker);
         plane.stats.l1_accesses += 1;
+        if let Some(t) = plane.obs.trace.as_deref_mut() {
+            t.ref_event(now, line, mref.pc.get(), is_store);
+        }
         let lookup = LookupEvent {
             addr,
             pc: mref.pc,
@@ -892,18 +595,8 @@ impl MultiCoreSystem {
         };
         plane.obs.lookup(&lookup, &mut Reactions::default());
 
-        let mut report = checking.then(|| AccessReport {
-            core,
-            line,
-            is_store,
-            level: ServiceLevel::L1,
-            l1_victim: None,
-            l2_victim: None,
-            invalidated: Vec::new(),
-        });
-
         let probe = plane.l1.probe(addr);
-        let ready = match probe {
+        let (ready, vc_hit) = match probe {
             ProbeResult::Hit(frame) => {
                 plane.stats.l1_hits += 1;
                 plane.shadow.on_access(line);
@@ -930,25 +623,14 @@ impl MultiCoreSystem {
                         Mesi::Exclusive => self.cores[core].mesi[frame] = Mesi::Modified,
                         Mesi::Shared | Mesi::Invalid => {
                             // Write hit on a shared copy: upgrade.
-                            let grant = self.snoop_bus.grant_upgrade(now);
-                            self.coh.bus_upgrades += 1;
-                            self.emit_snoop(SnoopEvent {
-                                line,
-                                requester: core as u32,
-                                kind: CoherenceKind::Upgrade,
-                                at: grant,
-                            });
-                            let killed = self.invalidate_others(core, line, addr, grant);
-                            if let Some(r) = report.as_mut() {
-                                r.invalidated = killed;
-                            }
+                            self.upgrade(core, line, addr, now);
                             self.cores[core].mesi[frame] = Mesi::Modified;
                         }
                     }
                     self.cores[core].l1.mark_dirty(frame);
                 }
                 let base = now + m.l1_hit_latency;
-                data_ready.map_or(base, |r| Cycle::new(r).max(base))
+                (data_ready.map_or(base, |r| Cycle::new(r).max(base)), false)
             }
             ProbeResult::Miss {
                 victim_frame,
@@ -1002,26 +684,12 @@ impl MultiCoreSystem {
                         let v = self.cores[core].obs.victim.unit.as_mut().expect("vc hit");
                         v.cache.insert(displaced);
                         v.swap_fills += 1;
-                        if let Some(r) = report.as_mut() {
-                            r.l1_victim = Some((displaced, true));
-                        }
                     }
                     self.cores[core].l1.fill_frame(victim_frame, addr);
                     let others = self.other_copy_exists(core, addr, line);
                     let state = if is_store {
                         if others {
-                            let grant = self.snoop_bus.grant_upgrade(now);
-                            self.coh.bus_upgrades += 1;
-                            self.emit_snoop(SnoopEvent {
-                                line,
-                                requester: core as u32,
-                                kind: CoherenceKind::Upgrade,
-                                at: grant,
-                            });
-                            let killed = self.invalidate_others(core, line, addr, grant);
-                            if let Some(r) = report.as_mut() {
-                                r.invalidated = killed;
-                            }
+                            self.upgrade(core, line, addr, now);
                         }
                         Mesi::Modified
                     } else if others {
@@ -1034,10 +702,7 @@ impl MultiCoreSystem {
                         self.cores[core].l1.mark_dirty(victim_frame);
                     }
                     self.cores[core].fill_event(victim_frame, line, mref.pc, evicted, now);
-                    if let Some(r) = report.as_mut() {
-                        r.level = ServiceLevel::VictimCache;
-                    }
-                    now + m.l1_hit_latency + 1
+                    (now + m.l1_hit_latency + 1, true)
                 } else {
                     // Full miss: a bus transaction services it.
                     self.cores[core].stats.l2_accesses += 1;
@@ -1065,27 +730,14 @@ impl MultiCoreSystem {
                             self.cores[core].stats.l1_writebacks += 1;
                             self.flush_to_l2(victim_addr);
                         }
-                        if let Some(r) = report.as_mut() {
-                            r.l1_victim = Some((victim_line, rx.vc_admitted.unwrap_or(false)));
-                        }
                     }
 
-                    let (grant, tx_kind) = if is_store {
-                        self.coh.bus_read_exclusives += 1;
-                        (
-                            self.snoop_bus.grant_read_exclusive(now),
-                            CoherenceKind::BusRdX,
-                        )
+                    let tx_kind = if is_store {
+                        CoherenceKind::BusRdX
                     } else {
-                        self.coh.bus_reads += 1;
-                        (self.snoop_bus.grant_read(now), CoherenceKind::BusRd)
+                        CoherenceKind::BusRd
                     };
-                    self.emit_snoop(SnoopEvent {
-                        line,
-                        requester: core as u32,
-                        kind: tx_kind,
-                        at: grant,
-                    });
+                    let grant = self.transact(core, line, tx_kind, now);
 
                     let m_owner = self.m_owner(core, addr);
                     let others = self.other_copy_exists(core, addr, line);
@@ -1096,12 +748,15 @@ impl MultiCoreSystem {
                         // the flush also refreshes the L2's data.
                         self.snoop_bus.note_c2c();
                         self.coh.c2c_transfers += 1;
-                        self.emit_c2c(C2cEvent {
+                        let c2c = C2cEvent {
                             line,
                             from: owner as u32,
                             to: core as u32,
                             at: grant,
-                        });
+                        };
+                        let requester = &mut self.cores[core].obs;
+                        requester.c2c(&c2c, &mut Reactions::default());
+                        requester.service(SimLevel::CacheToCache);
                         if let ProbeResult::Hit(f2) = l2_probe {
                             self.l2.mark_dirty(f2);
                         }
@@ -1115,21 +770,17 @@ impl MultiCoreSystem {
                             self.cores[owner].mesi[owner_frame] = Mesi::Shared;
                             self.cores[owner].l1.clean_frame(owner_frame);
                         }
-                        if let Some(r) = report.as_mut() {
-                            r.level = ServiceLevel::CacheToCache;
-                        }
                         grant + m.l1_hit_latency + 2 * m.l1l2_bus_occupancy
                     } else if let ProbeResult::Hit(_) = l2_probe {
                         self.cores[core].stats.l2_hits += 1;
-                        if let Some(r) = report.as_mut() {
-                            r.level = ServiceLevel::L2;
-                        }
+                        self.cores[core].obs.service(SimLevel::L2);
                         grant + m.l2_latency + m.l1l2_bus_occupancy
                     } else {
                         // True L2 miss (no cached copy anywhere, by
                         // inclusion): fetch from memory and fill the L2.
                         debug_assert!(!others, "inclusion: sharers imply an L2 copy");
                         self.cores[core].stats.mem_accesses += 1;
+                        self.cores[core].obs.service(SimLevel::Mem);
                         let reply = self.backend.issue(addr, grant + m.l2_latency);
                         let xfer = self.l2mem_bus.schedule(reply.done);
                         let l2_at = xfer + m.l2mem_bus_occupancy;
@@ -1144,20 +795,14 @@ impl MultiCoreSystem {
                             self.back_invalidate(l2_line, grant);
                         }
                         self.l2.fill(addr);
-                        if let Some(r) = report.as_mut() {
-                            r.level = ServiceLevel::Memory;
-                            r.l2_victim = l2_evicted;
-                        }
+                        self.cores[core].obs.oracle.evt.l2_evicted = l2_evicted;
                         l2_at + m.l1l2_bus_occupancy
                     };
 
                     // Remote-state adjustment for the remaining copies.
                     if is_store {
                         if others {
-                            let killed = self.invalidate_others(core, line, addr, grant);
-                            if let Some(r) = report.as_mut() {
-                                r.invalidated = killed;
-                            }
+                            self.invalidate_others(core, line, addr, grant);
                         }
                     } else {
                         // BusRd: surviving Exclusive copies degrade to
@@ -1192,24 +837,33 @@ impl MultiCoreSystem {
                             .pending
                             .insert(line.get(), data_ready.get());
                     }
-                    data_ready
+                    (data_ready, false)
                 }
             }
         };
 
-        if let (Some(checker), Some(r)) = (self.checker.as_mut(), report.as_ref()) {
-            checker.verify(r);
+        if let Some(checker) = self.checker.as_deref_mut() {
+            let plane = &self.cores[core];
+            let l1_hit = matches!(probe, ProbeResult::Hit(_));
+            let obs = plane
+                .obs
+                .oracle
+                .evt
+                .observation(core, addr, is_store, l1_hit, vc_hit);
+            let vc_lines = plane.obs.victim.unit.as_ref().map(|v| v.cache.lines());
+            checker.check_demand(&plane.l1, vc_lines.as_deref(), &obs);
         }
         ready
     }
 
-    /// Closes every open generation and finalizes observers. Idempotent.
+    /// Closes every open generation and finalizes observers (each core's
+    /// trace sink is flushed). Idempotent.
     pub fn finish(&mut self, now: Cycle) {
         for p in &mut self.cores {
             p.obs.flush(now);
-        }
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.finish();
+            if let Some(t) = p.obs.trace.as_deref_mut() {
+                t.finish();
+            }
         }
     }
 
@@ -1301,8 +955,8 @@ fn run_streams(
 
 /// Runs `instructions` instructions per core of `workload`'s per-core
 /// streams under a multi-core configuration. [`crate::run_workload`]
-/// routes here when `cfg.cores > 1`; `checked` installs the
-/// [`CoherentChecker`] functional mirror.
+/// routes here when `cfg.cores > 1`; `checked` installs the lockstep
+/// checker ([`MultiCoreSystem::enable_lockstep_check`]).
 ///
 /// Statistical sampling is ignored at `cores > 1` (the result carries no
 /// `sampled` tag, the same fallback signal single-core unsupported
@@ -1332,7 +986,7 @@ pub fn run_multicore<W: Workload + ?Sized>(
     );
     let mut sys = MultiCoreSystem::new(cfg);
     if checked {
-        sys.install_checker();
+        sys.enable_lockstep_check();
     }
     let core = run_streams(&mut sys, &mut streams, instructions);
     sys.into_result(workload.name(), core)
@@ -1341,10 +995,10 @@ pub fn run_multicore<W: Workload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PrefetchMode, SystemConfig};
+    use crate::config::{PrefetchMode, SystemConfig, VictimMode};
     use crate::trace::Instr;
     use timekeeping::snapshot::Snapshot;
-    use timekeeping::{Addr, Pc};
+    use timekeeping::{Addr, CacheGeometry, Pc};
 
     /// Per-core strided load stream over a private region.
     #[derive(Clone)]
@@ -1404,7 +1058,7 @@ mod tests {
     #[test]
     fn private_streams_have_no_coherence_traffic() {
         let mut sys = MultiCoreSystem::new(dual());
-        sys.install_checker();
+        sys.enable_lockstep_check();
         let mut s = streams_of(2, |i| {
             Box::new(Private {
                 next: 0,
@@ -1423,7 +1077,7 @@ mod tests {
     #[test]
     fn store_sharing_invalidates_and_transfers() {
         let mut sys = MultiCoreSystem::new(dual());
-        sys.install_checker();
+        sys.enable_lockstep_check();
         let mut s = streams_of(2, |i| Box::new(SharedMix { next: 0, salt: i }));
         let agg = run_streams(&mut sys, &mut s, 20_000);
         assert_eq!(agg.instructions, 40_000);
@@ -1440,7 +1094,7 @@ mod tests {
     fn upgrades_fire_on_shared_write_hits() {
         // Both cores load the line (S everywhere), then one stores it.
         let mut sys = MultiCoreSystem::new(dual());
-        sys.install_checker();
+        sys.enable_lockstep_check();
         let a = MemRef::new(Addr::new(0x40), Pc::new(4));
         sys.access(0, &a, false, Cycle::new(0));
         sys.access(1, &a, false, Cycle::new(200));
@@ -1456,7 +1110,7 @@ mod tests {
     #[test]
     fn modified_remote_copy_supplies_cache_to_cache() {
         let mut sys = MultiCoreSystem::new(dual());
-        sys.install_checker();
+        sys.enable_lockstep_check();
         let a = MemRef::new(Addr::new(0x80), Pc::new(4));
         // Core 0 writes (M), core 1 then reads: c2c, and both end Shared.
         sys.access(0, &a, true, Cycle::new(0));
@@ -1476,9 +1130,10 @@ mod tests {
 
     #[test]
     fn c2c_owner_lru_matches_checker_with_assoc_l1() {
-        // A 2-way L1 regression: a cache-to-cache transfer must touch
-        // the *owner's* LRU stack too, or the owner later evicts the
-        // wrong way and diverges from the coherent checker's mirror.
+        // A 2-way L1 regression: a cache-to-cache transfer must leave
+        // the *owner's* LRU stack as it is (a snoop is not a use), or the
+        // owner later evicts the wrong way and diverges from the lockstep
+        // oracle's mirror.
         let mut machine = crate::config::MachineConfig::paper_default();
         machine.l1d = timekeeping::CacheGeometry::new(32 * 1024, 2, 32).unwrap();
         let cfg = SystemConfig::builder()
@@ -1487,7 +1142,7 @@ mod tests {
             .build()
             .unwrap();
         let mut sys = MultiCoreSystem::new(cfg);
-        sys.install_checker();
+        sys.enable_lockstep_check();
 
         let a = MemRef::new(Addr::new(0), Pc::new(4)); // set 0
         let x = MemRef::new(Addr::new(16 * 1024), Pc::new(4)); // same set, other way
@@ -1556,7 +1211,7 @@ mod tests {
             .build()
             .unwrap();
         let mut sys = MultiCoreSystem::new(cfg);
-        sys.install_checker();
+        sys.enable_lockstep_check();
         let mut s = streams_of(2, |i| Box::new(ConflictShare { next: 0, salt: i }));
         run_streams(&mut sys, &mut s, 20_000);
         let stats = sys.stats();
@@ -1577,12 +1232,15 @@ mod tests {
         assert_eq!(offered + swap_fills, coh.evict_deaths, "{coh:?}");
     }
 
-    /// The coherence trace at two cores has one snoop record per bus
-    /// transaction, one c2c record per cache-to-cache transfer and one
-    /// invalidate record per killed copy, and tracing changes no count.
+    /// Each core at two cores writes its own trace. Summed over the
+    /// cores, there is one snoop record per bus transaction, one c2c
+    /// record per cache-to-cache transfer and one invalidate record per
+    /// killed copy; each core's trace holds one reference record per
+    /// access and one miss record per miss of that core; and tracing
+    /// changes no count.
     #[test]
     fn coherence_trace_matches_the_coherence_counters() {
-        use crate::obs::{TraceCategories, TraceKind};
+        use crate::obs::{TraceCategories, TraceCategory, TraceKind, TraceObserver};
         type Streams = fn() -> Vec<Box<dyn Workload>>;
         let cases: [(VictimMode, Streams); 2] = [
             (VictimMode::None, || {
@@ -1601,22 +1259,41 @@ mod tests {
             let run = |traced: bool| {
                 let mut sys = MultiCoreSystem::new(cfg);
                 if traced {
-                    let t = TraceObserver::memory(TraceCategories::all(), 1, cfg.machine.l1d);
-                    sys.trace = Some(Box::new(t));
+                    for p in &mut sys.cores {
+                        let cats = TraceCategories::all().with(TraceCategory::Ref);
+                        let t = TraceObserver::memory(cats, 1, cfg.machine.l1d);
+                        p.obs.trace = Some(Box::new(t));
+                    }
                 }
                 run_streams(&mut sys, &mut streams(), 20_000);
-                let counts = sys.trace.as_deref_mut().map(|t| {
-                    let recs = t.records();
-                    let count = |k| recs.iter().filter(|r| r.kind == k).count() as u64;
-                    [TraceKind::Snoop, TraceKind::C2c, TraceKind::Invalidate].map(count)
-                });
-                (sys.stats(), *sys.coherence(), counts)
+                let counts: Vec<_> = sys
+                    .cores
+                    .iter_mut()
+                    .filter_map(|p| {
+                        let recs = p.obs.trace.as_deref_mut()?.records();
+                        let count = |k| recs.iter().filter(|r| r.kind == k).count() as u64;
+                        Some(
+                            [
+                                TraceKind::Snoop,
+                                TraceKind::C2c,
+                                TraceKind::Invalidate,
+                                TraceKind::Access,
+                                TraceKind::Miss,
+                            ]
+                            .map(count),
+                        )
+                    })
+                    .collect();
+                (sys.stats(), *sys.coherence(), counts, sys)
             };
-            let (stats, coh, _) = run(false);
-            let (traced_stats, traced_coh, counts) = run(true);
+            let (stats, coh, untraced, _) = run(false);
+            let (traced_stats, traced_coh, counts, sys) = run(true);
+            assert!(untraced.is_empty());
             assert_eq!(stats, traced_stats, "{victim:?}");
             assert_eq!(coh, traced_coh, "{victim:?}");
-            let [snoops, c2c, invalidates] = counts.expect("trace installed");
+            assert_eq!(counts.len(), 2, "one trace per core");
+            let total = |k: usize| counts.iter().map(|c| c[k]).sum::<u64>();
+            let [snoops, c2c, invalidates] = [0, 1, 2].map(total);
             assert!(
                 snoops > 0 && c2c > 0 && invalidates > 0,
                 "{victim:?}: {coh:?}"
@@ -1628,6 +1305,12 @@ mod tests {
                 coh.coherence_invalidations + coh.inclusion_invalidations,
                 "{victim:?}"
             );
+            for (c, [_, _, _, refs, misses]) in counts.into_iter().enumerate() {
+                let core = sys.core_stats(c);
+                assert_eq!(refs, core.l1_accesses, "{victim:?} core {c}");
+                assert_eq!(misses, core.l1_misses(), "{victim:?} core {c}");
+                assert!(misses > 0, "{victim:?} core {c}");
+            }
         }
     }
 
@@ -1643,7 +1326,7 @@ mod tests {
             .build()
             .unwrap();
         let mut sys = MultiCoreSystem::new(cfg);
-        sys.install_checker();
+        sys.enable_lockstep_check();
         let mut s = streams_of(2, |i| {
             Box::new(Private {
                 next: 0,
@@ -1715,7 +1398,7 @@ mod tests {
             .build()
             .unwrap();
         let mut sys = MultiCoreSystem::new(cfg);
-        sys.install_checker();
+        sys.enable_lockstep_check();
         // Three lines conflicting in one direct-mapped set, in rotation.
         let rounds = 10u64;
         for i in 0..3 * rounds {

@@ -1,4 +1,5 @@
-//! Differential functional oracle for the memory hierarchy.
+//! Differential functional oracle for the memory hierarchy, at every
+//! core count.
 //!
 //! [`FunctionalOracle`] is a deliberately naive, timing-free reference
 //! model of the L1 / victim-cache / L2 hierarchy: per-set recency lists
@@ -7,21 +8,42 @@
 //! MSHRs, buses, or latencies — exactly the behavioral core whose
 //! decisions every figure of the paper depends on.
 //!
+//! One model serves every core count, with N = 1 as the degenerate
+//! case. Each core has its own L1 tags, optional victim buffer and set
+//! of *modified* L1 lines; one set of L2 tags is shared. Whether a
+//! remote copy is modified is the only MESI fact any check reads: it is
+//! what makes a miss [`SimLevel::CacheToCache`], and a load that takes
+//! the line that way leaves the owner's copy clean. A store kills every
+//! other core's copy (L1 and victim buffer). The inclusion rule is the
+//! simulator's, given by `l2_is_inclusive`: the single-core
+//! [`MemorySystem`](crate::hierarchy::MemorySystem) keeps a
+//! non-inclusive L2, while the shared L2 of the
+//! [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) recalls both
+//! L1-sized halves of every line it evicts from every L1 and victim
+//! buffer.
+//!
 //! In lockstep check mode (see
-//! [`MemorySystem::enable_lockstep_check`](crate::hierarchy::MemorySystem::enable_lockstep_check)
+//! [`MemorySystem::enable_lockstep_check`](crate::hierarchy::MemorySystem::enable_lockstep_check),
+//! [`MultiCoreSystem::enable_lockstep_check`](crate::multicore::MultiCoreSystem::enable_lockstep_check)
 //! and [`SimSystem`](crate::system::SimSystem)), the cycle simulator
 //! replays every demand access, prefetch fill, and prefetch L2 touch
 //! into the oracle and asserts per-access agreement on:
 //!
 //! * **hit/miss classification** at the L1 and the victim cache,
-//! * **level serviced** (L1, victim cache, L2, or memory),
-//! * **evicted-line identity** (the true-LRU victim choice), and
+//! * **level serviced** (L1, victim cache, another core's modified
+//!   copy, L2, or memory),
+//! * **evicted-line identity** at the L1 and, on a fill from memory, at
+//!   the L2 (the true-LRU victim choice),
 //! * **generation-boundary events** (a generation closes iff a valid
-//!   line leaves the cache or decays).
+//!   line leaves the cache or decays),
+//! * **the invalidation set** (which other cores lost their copy to a
+//!   store), and
+//! * **inclusion** (a cache-to-cache supply finds the line in the L2).
 //!
-//! On divergence the checker panics with a report naming the first
-//! mismatching access: its index, address, line and set, both models'
-//! verdicts, and both models' full set contents in LRU order.
+//! On divergence the checker panics with one report, whatever the core
+//! count, naming the first mismatching access: its index, core, kind,
+//! address, line and set, the checks that failed, both models'
+//! verdicts, and both models' set contents in LRU order.
 //!
 //! # What the oracle does *not* re-predict
 //!
@@ -41,7 +63,7 @@
 
 use std::fmt::Write as _;
 
-use timekeeping::{Addr, CacheGeometry, LineAddr};
+use timekeeping::{Addr, CacheGeometry, LineAddr, LineSet};
 
 use crate::cache::SetAssocCache;
 use crate::config::{L1Mode, SystemConfig, VictimMode};
@@ -54,6 +76,9 @@ pub enum SimLevel {
     L1,
     /// L1 miss served by the victim cache (swap).
     Victim,
+    /// L1 miss supplied by another core's modified copy (multi-core
+    /// runs only).
+    CacheToCache,
     /// L1 miss that hit in the L2.
     L2,
     /// L1 miss that missed the L2 and went to memory.
@@ -68,6 +93,7 @@ impl std::fmt::Display for SimLevel {
         f.write_str(match self {
             SimLevel::L1 => "L1",
             SimLevel::Victim => "victim cache",
+            SimLevel::CacheToCache => "cache-to-cache",
             SimLevel::L2 => "L2",
             SimLevel::Mem => "memory",
             SimLevel::InFlight => "in-flight (MSHR merge)",
@@ -79,12 +105,21 @@ impl std::fmt::Display for SimLevel {
 /// to the oracle for comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct SimObservation {
+    /// The core that made the access (0 on a single-core machine).
+    pub core: usize,
     /// The accessed address.
     pub addr: Addr,
+    /// Whether the access was a store.
+    pub is_store: bool,
     /// Level that serviced the access.
     pub level: SimLevel,
     /// Line evicted from the L1 by this access, if any.
     pub evicted: Option<LineAddr>,
+    /// L2 line evicted by this access's fill from memory, if any.
+    pub l2_evicted: Option<LineAddr>,
+    /// The other cores whose copy this access's coherence transaction
+    /// killed, one bit per core.
+    pub invalidated: u32,
     /// Whether a generation-boundary event (tracker evict) fired.
     pub closed_generation: bool,
     /// Whether this was a decay refetch (tag resident, data switched
@@ -169,6 +204,24 @@ impl ShadowTags {
             }
         }
         false
+    }
+
+    /// Whether `line` is resident, without touching its recency.
+    fn contains(&self, line: LineAddr) -> bool {
+        self.row(self.set_of(line)).contains(&self.tag1_of(line))
+    }
+
+    /// Drops `line` if resident (a coherence or inclusion kill), keeping
+    /// the rest of its set packed in LRU→MRU order.
+    fn remove(&mut self, line: LineAddr) {
+        let tag1 = self.tag1_of(line);
+        let set_idx = self.set_of(line);
+        let assoc = self.assoc;
+        let row = &mut self.slots[set_idx * assoc..(set_idx + 1) * assoc];
+        if let Some(i) = row.iter().position(|&t| t == tag1) {
+            row.copy_within(i + 1.., i);
+            row[assoc - 1] = 0;
+        }
     }
 
     /// The line a fill into `line`'s set would evict (true LRU, invalid
@@ -268,26 +321,84 @@ impl ShadowVictim {
     }
 }
 
+/// Whether the L2 includes every L1 and victim-buffer copy — the rule
+/// the simulator follows, as one function of the core count. The
+/// single-core [`MemorySystem`](crate::hierarchy::MemorySystem) is
+/// non-inclusive: an L2 eviction leaves L1 copies alone, and their
+/// write-backs continue to memory. The shared L2 of the
+/// [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) is inclusive:
+/// an L2 eviction recalls both L1-sized halves of the departing line
+/// from every core's L1 and victim buffer.
+pub(crate) fn l2_is_inclusive(cfg: &SystemConfig) -> bool {
+    cfg.cores > 1
+}
+
+/// One core's private slice of the mirror.
+#[derive(Debug, Clone)]
+struct ShadowCore {
+    l1: ShadowTags,
+    vc: Option<ShadowVictim>,
+    /// L1 lines this core holds in the Modified state.
+    modified: LineSet,
+}
+
+impl ShadowCore {
+    /// Drops this core's copy of `line`, from the L1 or the victim
+    /// buffer.
+    fn kill(&mut self, line: LineAddr) {
+        self.l1.remove(line);
+        if let Some(vc) = self.vc.as_mut() {
+            vc.take(line);
+        }
+        self.modified.remove(&line.get());
+    }
+
+    /// Whether this core holds a copy of `line` (L1 or victim buffer).
+    fn holds(&self, line: LineAddr) -> bool {
+        self.l1.contains(line)
+            || self
+                .vc
+                .as_ref()
+                .is_some_and(|vc| vc.entries.contains(&line))
+    }
+}
+
+/// The oracle's own account of one demand access.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    level: SimLevel,
+    evicted: Option<LineAddr>,
+    l2_evicted: Option<LineAddr>,
+    invalidated: u32,
+    /// A cache-to-cache supply found no L2 copy of the line.
+    inclusion_violated: bool,
+}
+
 /// The timing-free reference model of the L1 / victim-cache / L2
-/// hierarchy. See the [module docs](self) for the checked contract.
+/// hierarchy of one or more cores. See the [module docs](self) for the
+/// checked contract.
 #[derive(Debug, Clone)]
 pub struct FunctionalOracle {
-    l1: ShadowTags,
+    /// One private slice per core; core 0 alone on a single-core machine.
+    cores: Vec<ShadowCore>,
     l2: ShadowTags,
-    vc: Option<ShadowVictim>,
+    /// See [`l2_is_inclusive`].
+    inclusive: bool,
 }
 
 impl FunctionalOracle {
     /// Builds the oracle mirroring the hierarchy that `cfg` describes.
     pub fn new(cfg: &SystemConfig) -> Self {
-        let vc = match cfg.victim {
-            VictimMode::None => None,
-            _ => Some(ShadowVictim::new(cfg.machine.victim_entries)),
+        let core = ShadowCore {
+            l1: ShadowTags::new(cfg.machine.l1d),
+            vc: (cfg.victim != VictimMode::None)
+                .then(|| ShadowVictim::new(cfg.machine.victim_entries)),
+            modified: LineSet::default(),
         };
         FunctionalOracle {
-            l1: ShadowTags::new(cfg.machine.l1d),
+            cores: vec![core; cfg.cores as usize],
             l2: ShadowTags::new(cfg.machine.l2),
-            vc,
+            inclusive: l2_is_inclusive(cfg),
         }
     }
 
@@ -298,94 +409,118 @@ impl FunctionalOracle {
         cfg.l1_mode != L1Mode::ColdOnly
     }
 
-    /// Replays one demand access and returns the oracle's verdict:
-    /// level serviced and evicted line. Mutates the mirrors exactly as
-    /// the simulator's decision procedure would, consuming only the
-    /// timing-dependent facts (`InFlight`, decay, VC admission) from
-    /// the observation.
-    fn step_demand(&mut self, obs: &SimObservation) -> (SimLevel, Option<LineAddr>) {
-        let line = self.l1.geom.line_of(obs.addr);
+    /// Replays one demand access and returns the oracle's verdict.
+    /// Mutates the mirrors exactly as the simulator's decision procedure
+    /// would, consuming only the timing-dependent facts (`InFlight`,
+    /// decay, VC admission) from the observation.
+    fn step_demand(&mut self, obs: &SimObservation) -> Verdict {
+        let c = obs.core;
+        let line = self.l1_geometry().line_of(obs.addr);
+        let mut v = Verdict {
+            level: SimLevel::L1,
+            evicted: None,
+            l2_evicted: None,
+            invalidated: 0,
+            inclusion_violated: false,
+        };
         if obs.decay_refetch {
             // The tag stayed resident; only the data was switched off.
-            // The simulator refetched from below without evicting.
-            if self.l1.touch(line) {
-                return (self.l2_fetch(line), None);
+            // The simulator refetched from below without evicting. A
+            // decay refetch of a non-resident line is itself a
+            // divergence: the verdict keeps `L1`, the one level a
+            // refetch can never report, so the comparison fails loudly.
+            if self.cores[c].l1.touch(line) {
+                (v.level, v.l2_evicted) = self.l2_fetch(obs.addr);
             }
-            // A decay refetch of a non-resident line is itself a
-            // divergence: return the one level a refetch can never
-            // report so the comparison fails loudly.
-            return (SimLevel::L1, None);
+            return v;
         }
-        if self.l1.touch(line) {
-            return (SimLevel::L1, None);
+        if obs.is_store {
+            // A store's bus transaction (upgrade or BusRdX) kills every
+            // other core's copy.
+            v.invalidated = (0..self.cores.len())
+                .filter(|&o| o != c && self.cores[o].holds(line))
+                .fold(0, |mask, o| mask | 1 << o);
         }
-        // L1 miss: probe the victim cache (swap semantics).
-        if let Some(vc) = self.vc.as_mut() {
-            if vc.take(line) {
-                let evicted = self.l1.fill(line);
-                if let Some(ev) = evicted {
-                    // The displaced block enters the buffer unfiltered
-                    // (it is an exchange, not eviction traffic).
-                    self.vc.as_mut().expect("checked").insert(ev);
+        let core = &mut self.cores[c];
+        if core.l1.touch(line) {
+            // L1 hit.
+        } else if core.vc.as_mut().is_some_and(|vc| vc.take(line)) {
+            // Victim-cache hit: swap. The displaced block enters the
+            // buffer unfiltered (it is an exchange, not eviction
+            // traffic), and clean: its dirty data drained to the L2.
+            v.level = SimLevel::Victim;
+            v.evicted = core.l1.fill(line);
+            if let Some(ev) = v.evicted {
+                core.modified.remove(&ev.get());
+                core.vc.as_mut().expect("swap").insert(ev);
+            }
+        } else {
+            v.evicted = self.fill_l1(c, line, obs.vc_admitted);
+            let owner = (0..self.cores.len())
+                .find(|&o| o != c && self.cores[o].modified.contains(&line.get()));
+            if obs.level == SimLevel::InFlight {
+                // For in-flight merges the simulator consulted no cache
+                // level; mirror the refill without touching the L2.
+                v.level = SimLevel::InFlight;
+            } else if let Some(owner) = owner {
+                // The owner supplies the line, and the shared L2, which
+                // holds it by inclusion, takes the flushed data.
+                v.level = SimLevel::CacheToCache;
+                v.inclusion_violated = !self.l2.touch(self.l2.geom.line_of(obs.addr));
+                if !obs.is_store {
+                    // BusRd: the owner keeps a clean, shared copy.
+                    self.cores[owner].modified.remove(&line.get());
                 }
-                return (SimLevel::Victim, evicted);
+            } else {
+                (v.level, v.l2_evicted) = self.l2_fetch(obs.addr);
             }
         }
-        // Below the L1. For in-flight merges the simulator consulted no
-        // cache level; mirror the refill without touching the L2.
-        let level = if obs.level == SimLevel::InFlight {
-            SimLevel::InFlight
-        } else {
-            self.l2_fetch(line)
-        };
-        let evicted = self.l1.fill(line);
-        self.apply_admission(evicted, obs.vc_admitted);
-        (level, evicted)
-    }
-
-    /// Probes the L2 mirror; fills on a miss. Returns the level that
-    /// serviced the fetch.
-    fn l2_fetch(&mut self, l1_line: LineAddr) -> SimLevel {
-        let addr = self.l1.geom.addr_of_line(l1_line);
-        let l2_line = self.l2.geom.line_of(addr);
-        if self.l2.touch(l2_line) {
-            SimLevel::L2
-        } else {
-            self.l2.fill(l2_line);
-            SimLevel::Mem
+        if obs.is_store {
+            for o in (0..self.cores.len()).filter(|&o| v.invalidated & 1 << o != 0) {
+                self.cores[o].kill(line);
+            }
+            self.cores[c].modified.insert(line.get());
         }
+        v
     }
 
-    /// Mirrors the victim-filter admission decision for an eviction.
-    fn apply_admission(&mut self, evicted: Option<LineAddr>, admitted: Option<bool>) {
-        if let (Some(ev), Some(true), Some(vc)) = (evicted, admitted, self.vc.as_mut()) {
-            vc.insert(ev);
+    /// Fills `line` into core `c`'s L1 on a miss and mirrors the victim
+    /// filter's admission decision for the displaced line (a dirty
+    /// victim drains to the L2 first, so it leaves the Modified state
+    /// either way). Returns the displaced line.
+    fn fill_l1(&mut self, c: usize, line: LineAddr, admitted: Option<bool>) -> Option<LineAddr> {
+        let core = &mut self.cores[c];
+        let evicted = core.l1.fill(line);
+        if let Some(ev) = evicted {
+            core.modified.remove(&ev.get());
+            if let (Some(true), Some(vc)) = (admitted, core.vc.as_mut()) {
+                vc.insert(ev);
+            }
         }
-    }
-
-    /// Replays a prefetch fill into the L1 (announced by the simulator;
-    /// *when* a prefetch lands is timing). Returns the oracle's evicted
-    /// line for comparison.
-    fn step_prefetch_fill(
-        &mut self,
-        line: LineAddr,
-        vc_admitted: Option<bool>,
-    ) -> Option<LineAddr> {
-        let evicted = self.l1.fill(line);
-        self.apply_admission(evicted, vc_admitted);
         evicted
     }
 
-    /// Replays a prefetch's L2 touch (announced by the simulator) and
-    /// returns whether the oracle's L2 hit.
-    fn step_prefetch_l2(&mut self, addr: Addr) -> bool {
+    /// Probes the L2 mirror for `addr`; fills on a miss, recalling the
+    /// evicted line's L1-sized halves everywhere when the L2 is
+    /// inclusive. Returns the level that serviced the fetch and the L2
+    /// line the fill evicted.
+    fn l2_fetch(&mut self, addr: Addr) -> (SimLevel, Option<LineAddr>) {
         let l2_line = self.l2.geom.line_of(addr);
         if self.l2.touch(l2_line) {
-            true
-        } else {
-            self.l2.fill(l2_line);
-            false
+            return (SimLevel::L2, None);
         }
+        let evicted = self.l2.fill(l2_line);
+        if let (true, Some(gone)) = (self.inclusive, evicted) {
+            let base = self.l2.geom.addr_of_line(gone);
+            let l1_geom = *self.l1_geometry();
+            for off in (0..self.l2.geom.block_bytes()).step_by(l1_geom.block_bytes() as usize) {
+                let half = l1_geom.line_of(base.offset(u64::from(off)));
+                for core in &mut self.cores {
+                    core.kill(half);
+                }
+            }
+        }
+        (SimLevel::Mem, evicted)
     }
 
     // -- sampling warmup (see `crate::sample`) -------------------------
@@ -402,30 +537,34 @@ impl FunctionalOracle {
     /// admits every eviction (the timing-based filters cannot be
     /// evaluated without a clock — the sampled run clears the victim
     /// buffer at the representative boundary anyway, see
-    /// `crate::sample`).
+    /// `crate::sample`). Sampling runs one core, so neither stores nor
+    /// other cores' copies are modelled.
     pub(crate) fn warm_access(&mut self, addr: Addr) -> Option<LineAddr> {
-        let line = self.l1.geom.line_of(addr);
-        if self.l1.touch(line) {
+        let core = &mut self.cores[0];
+        let line = core.l1.geom.line_of(addr);
+        if core.l1.touch(line) {
             return None;
         }
-        if let Some(vc) = self.vc.as_mut() {
+        if let Some(vc) = core.vc.as_mut() {
             if vc.take(line) {
-                let evicted = self.l1.fill(line);
+                let evicted = core.l1.fill(line);
                 if let Some(ev) = evicted {
-                    self.vc.as_mut().expect("checked").insert(ev);
+                    vc.insert(ev);
                 }
                 return evicted;
             }
         }
-        self.l2_fetch(line);
-        let evicted = self.l1.fill(line);
-        self.apply_admission(evicted, Some(true));
+        let evicted = core.l1.fill(line);
+        if let (Some(ev), Some(vc)) = (evicted, core.vc.as_mut()) {
+            vc.insert(ev);
+        }
+        self.l2_fetch(addr);
         evicted
     }
 
     /// The L1 geometry this oracle mirrors.
     pub(crate) fn l1_geometry(&self) -> &CacheGeometry {
-        &self.l1.geom
+        &self.cores[0].l1.geom
     }
 
     /// The L2 geometry this oracle mirrors.
@@ -433,10 +572,10 @@ impl FunctionalOracle {
         &self.l2.geom
     }
 
-    /// Every resident L1 line (set-major, LRU→MRU within each set), for
-    /// checkpoint injection.
+    /// Every resident L1 line of core 0 (set-major, LRU→MRU within each
+    /// set), for checkpoint injection.
     pub(crate) fn l1_lines(&self) -> Vec<LineAddr> {
-        self.l1.all_lines()
+        self.cores[0].l1.all_lines()
     }
 
     /// Every resident L2 line (set-major, LRU→MRU within each set), for
@@ -445,8 +584,8 @@ impl FunctionalOracle {
         self.l2.all_lines()
     }
 
-    /// Rebuilds a warm oracle from exported line lists (set-major,
-    /// LRU→MRU within each set, as produced by
+    /// Rebuilds a warm single-core oracle from exported line lists
+    /// (set-major, LRU→MRU within each set, as produced by
     /// [`l1_lines`](Self::l1_lines)/[`l2_lines`](Self::l2_lines)):
     /// refilling an empty mirror in that order reproduces the exact tag
     /// state, and the victim buffer starts empty — precisely the state a
@@ -456,7 +595,7 @@ impl FunctionalOracle {
     pub(crate) fn from_lines(cfg: &SystemConfig, l1: &[u64], l2: &[u64]) -> Self {
         let mut o = Self::new(cfg);
         for &l in l1 {
-            let evicted = o.l1.fill(LineAddr::new(l));
+            let evicted = o.cores[0].l1.fill(LineAddr::new(l));
             debug_assert!(evicted.is_none(), "refill into an empty mirror");
         }
         for &l in l2 {
@@ -472,10 +611,27 @@ impl FunctionalOracle {
     /// clearing the mirror keeps a lockstep checker cloned from the warm
     /// oracle in agreement with the freshly-built simulator.
     pub(crate) fn clear_vc(&mut self) {
-        if let Some(vc) = self.vc.as_mut() {
+        if let Some(vc) = self.cores[0].vc.as_mut() {
             vc.entries.clear();
         }
     }
+}
+
+/// Lines as a comma-separated list, for divergence reports.
+fn join(lines: &[LineAddr]) -> String {
+    let strs: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+    strs.join(", ")
+}
+
+/// The simulator's L1 set `set` as `line@lru-stamp` entries, for
+/// divergence reports.
+fn sim_set(l1d: &SetAssocCache, set: u64) -> String {
+    let strs: Vec<String> = l1d
+        .set_lines(set)
+        .into_iter()
+        .map(|(l, stamp)| format!("{l}@{stamp}"))
+        .collect();
+    strs.join(", ")
 }
 
 /// Lockstep state: the oracle plus the access counter for reports.
@@ -488,10 +644,7 @@ pub struct LockstepChecker {
 impl LockstepChecker {
     /// Creates a checker for a fresh (empty-cache) memory system.
     pub fn new(cfg: &SystemConfig) -> Self {
-        LockstepChecker {
-            oracle: FunctionalOracle::new(cfg),
-            accesses: 0,
-        }
+        Self::from_oracle(FunctionalOracle::new(cfg))
     }
 
     /// Creates a checker around a pre-warmed oracle — used by the sampled
@@ -504,7 +657,9 @@ impl LockstepChecker {
         }
     }
 
-    /// Checks one demand access against the oracle.
+    /// Checks one demand access against the oracle. `l1d` and
+    /// `vc_lines` are the accessing core's L1 and victim-cache contents,
+    /// shown in the divergence report.
     ///
     /// # Panics
     ///
@@ -517,69 +672,73 @@ impl LockstepChecker {
     ) {
         let index = self.accesses;
         self.accesses += 1;
-        let (level, evicted) = self.oracle.step_demand(obs);
-        let closed_expected = evicted.is_some() || obs.decay_refetch;
-        if level == obs.level && evicted == obs.evicted && obs.closed_generation == closed_expected
-        {
+        let v = self.oracle.step_demand(obs);
+        let closed_expected = v.evicted.is_some() || obs.decay_refetch;
+        let failed: Vec<&str> = [
+            ("level serviced", v.level != obs.level),
+            ("evicted line", v.evicted != obs.evicted),
+            ("L2 victim", v.l2_evicted != obs.l2_evicted),
+            (
+                "generation closed",
+                obs.closed_generation != closed_expected,
+            ),
+            ("invalidated cores", v.invalidated != obs.invalidated),
+            ("inclusion violation", v.inclusion_violated),
+        ]
+        .into_iter()
+        .filter_map(|(what, bad)| bad.then_some(what))
+        .collect();
+        if failed.is_empty() {
             return;
         }
-        let mut msg = String::new();
-        let _ = writeln!(msg, "oracle divergence at access #{index}");
-        let geom = self.oracle.l1.geom;
+        let geom = *self.oracle.l1_geometry();
         let line = geom.line_of(obs.addr);
         let set = geom.index_of_line(line);
-        let _ = writeln!(
-            msg,
-            "  address {:#x} = {line} (L1 set {set})",
-            obs.addr.get()
+        let core = &self.oracle.cores[obs.core];
+        let l2 = &self.oracle.l2;
+        let set2 = l2.geom.index_of_line(l2.geom.line_of(obs.addr));
+        let mut msg = format!(
+            "oracle divergence at access #{index} [{}]\n  \
+             core {} {} of address {:#x} = {line} (L1 set {set})\n  \
+             level serviced: sim={}, oracle={}\n  \
+             evicted line:   sim={:?}, oracle={:?}\n  \
+             L2 victim:      sim={:?}, oracle={:?}\n  \
+             generation closed: sim={}, oracle-expected={closed_expected}\n  \
+             invalidated cores: sim={:#b}, oracle={:#b}\n  \
+             sim L1 set {set} (line@lru-stamp): [{}]\n  \
+             oracle L1 set {set} (LRU→MRU):      [{}]\n  \
+             oracle L2 set {set2} (LRU→MRU):      [{}]",
+            failed.join(", "),
+            obs.core,
+            if obs.is_store { "store" } else { "load" },
+            obs.addr.get(),
+            obs.level,
+            v.level,
+            obs.evicted,
+            v.evicted,
+            obs.l2_evicted,
+            v.l2_evicted,
+            obs.closed_generation,
+            obs.invalidated,
+            v.invalidated,
+            sim_set(l1d, set),
+            join(&core.l1.set_lines(set)),
+            join(&l2.set_lines(set2)),
         );
-        let _ = writeln!(msg, "  level serviced: sim={}, oracle={}", obs.level, level);
-        let _ = writeln!(
-            msg,
-            "  evicted line:   sim={:?}, oracle={:?}",
-            obs.evicted, evicted
-        );
-        let _ = writeln!(
-            msg,
-            "  generation closed: sim={}, oracle-expected={}",
-            obs.closed_generation, closed_expected
-        );
-        let sim_set: Vec<String> = l1d
-            .set_lines(set)
-            .into_iter()
-            .map(|(l, stamp)| format!("{l}@{stamp}"))
-            .collect();
-        let _ = writeln!(
-            msg,
-            "  sim L1 set {set} (line@lru-stamp): [{}]",
-            sim_set.join(", ")
-        );
-        let oracle_set: Vec<String> = self
-            .oracle
-            .l1
-            .set_lines(set)
-            .into_iter()
-            .map(|l| l.to_string())
-            .collect();
-        let _ = writeln!(
-            msg,
-            "  oracle L1 set {set} (LRU→MRU):      [{}]",
-            oracle_set.join(", ")
-        );
-        if let (Some(sim_vc), Some(vc)) = (vc_lines, self.oracle.vc.as_ref()) {
-            let fmt = |ls: &[LineAddr]| {
-                ls.iter()
-                    .map(|l| l.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            let _ = writeln!(msg, "  sim victim cache:    [{}]", fmt(sim_vc));
-            let _ = writeln!(msg, "  oracle victim cache: [{}]", fmt(&vc.entries));
+        if let (Some(sim_vc), Some(vc)) = (vc_lines, core.vc.as_ref()) {
+            let _ = write!(
+                msg,
+                "\n  sim victim cache:    [{}]\n  oracle victim cache: [{}]",
+                join(sim_vc),
+                join(&vc.entries)
+            );
         }
         panic!("{msg}");
     }
 
-    /// Checks a prefetch fill (the simulator decided to land `line`).
+    /// Checks a prefetch fill (the simulator decided to land `line`;
+    /// *when* a prefetch lands is timing). Prefetches issue on one core
+    /// only.
     ///
     /// # Panics
     ///
@@ -593,24 +752,12 @@ impl LockstepChecker {
         closed_generation: bool,
         vc_admitted: Option<bool>,
     ) {
-        let evicted = self.oracle.step_prefetch_fill(line, vc_admitted);
+        let evicted = self.oracle.fill_l1(0, line, vc_admitted);
         if evicted == sim_evicted && closed_generation == evicted.is_some() {
             return;
         }
-        let geom = self.oracle.l1.geom;
+        let geom = *self.oracle.l1_geometry();
         let set = geom.index_of_line(line);
-        let sim_set: Vec<String> = l1d
-            .set_lines(set)
-            .into_iter()
-            .map(|(l, stamp)| format!("{l}@{stamp}"))
-            .collect();
-        let oracle_set: Vec<String> = self
-            .oracle
-            .l1
-            .set_lines(set)
-            .into_iter()
-            .map(|l| l.to_string())
-            .collect();
         panic!(
             "oracle divergence at prefetch fill after access #{}\n  \
              prefetched {line} (L1 set {set})\n  \
@@ -620,8 +767,8 @@ impl LockstepChecker {
              oracle L1 set (LRU→MRU):     [{}]",
             self.accesses,
             evicted.is_some(),
-            sim_set.join(", "),
-            oracle_set.join(", "),
+            sim_set(l1d, set),
+            join(&self.oracle.cores[0].l1.set_lines(set)),
         );
     }
 
@@ -631,7 +778,7 @@ impl LockstepChecker {
     ///
     /// Panics if the oracle's L2 disagrees on hit/miss.
     pub fn check_prefetch_l2(&mut self, addr: Addr, sim_hit: bool) {
-        let hit = self.oracle.step_prefetch_l2(addr);
+        let hit = self.oracle.l2_fetch(addr).0 == SimLevel::L2;
         if hit != sim_hit {
             let line = self.oracle.l2.geom.line_of(addr);
             let set = self.oracle.l2.geom.index_of_line(line);
@@ -718,5 +865,196 @@ mod tests {
             r.hierarchy.pf_issued > 0,
             "trace must exercise the prefetch path"
         );
+    }
+
+    // -- planted divergences ---------------------------------------------
+    //
+    // Each test below feeds the checker hand-built observations: a
+    // correct simulator's account of every access but the last, whose
+    // one planted fault must fire exactly one check.
+
+    /// Address of line `i` of a conflict chain: every chain line maps to
+    /// L1 set 2 and L2 set 1 of the paper geometry (32 KB direct-mapped
+    /// L1, 1 MB 4-way L2 with 64 B lines, so 256 KB apart).
+    fn chain(i: u64) -> u64 {
+        0x40 + i * 256 * 1024
+    }
+
+    fn machine(cores: u32, victim: VictimMode) -> (LockstepChecker, SetAssocCache) {
+        let cfg = SystemConfig::builder()
+            .cores(cores)
+            .victim(victim)
+            .build()
+            .expect("valid config");
+        (
+            LockstepChecker::new(&cfg),
+            SetAssocCache::new(cfg.machine.l1d),
+        )
+    }
+
+    /// What a correct simulator reports for `core`'s access to `addr`:
+    /// the oracle's own verdict, computed on a copy.
+    fn truth(chk: &LockstepChecker, core: usize, addr: u64, is_store: bool) -> SimObservation {
+        let mut obs = SimObservation {
+            core,
+            addr: Addr::new(addr),
+            is_store,
+            level: SimLevel::L1,
+            evicted: None,
+            l2_evicted: None,
+            invalidated: 0,
+            closed_generation: false,
+            decay_refetch: false,
+            vc_admitted: Some(true),
+        };
+        let v = chk.oracle.clone().step_demand(&obs);
+        obs.level = v.level;
+        obs.evicted = v.evicted;
+        obs.l2_evicted = v.l2_evicted;
+        obs.invalidated = v.invalidated;
+        obs.closed_generation = v.evicted.is_some();
+        obs
+    }
+
+    /// Feeds the correct observation of each `(core, addr, is_store)`
+    /// access in turn.
+    fn agree(chk: &mut LockstepChecker, l1d: &SetAssocCache, accesses: &[(usize, u64, bool)]) {
+        for &(core, addr, is_store) in accesses {
+            let obs = truth(chk, core, addr, is_store);
+            chk.check_demand(l1d, None, &obs);
+        }
+    }
+
+    /// Feeds `addr`'s correct observation, as its level, with the level
+    /// replaced by `sim`.
+    fn plant_level(
+        (mut chk, l1d): (LockstepChecker, SetAssocCache),
+        setup: &[(usize, u64, bool)],
+        (core, addr): (usize, u64),
+        level: SimLevel,
+        sim: SimLevel,
+    ) {
+        agree(&mut chk, &l1d, setup);
+        let mut obs = truth(&chk, core, addr, false);
+        assert_eq!(obs.level, level, "setup reaches the intended level");
+        obs.level = sim;
+        chk.check_demand(&l1d, None, &obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "[level serviced]")]
+    fn planted_level_fires_on_an_l1_hit() {
+        let m = machine(1, VictimMode::None);
+        plant_level(
+            m,
+            &[(0, chain(0), false)],
+            (0, chain(0)),
+            SimLevel::L1,
+            SimLevel::L2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "[level serviced]")]
+    fn planted_level_fires_on_a_victim_cache_hit() {
+        let m = machine(1, VictimMode::Unfiltered);
+        let setup = [(0, chain(0), false), (0, chain(1), false)];
+        plant_level(m, &setup, (0, chain(0)), SimLevel::Victim, SimLevel::L2);
+    }
+
+    #[test]
+    #[should_panic(expected = "[level serviced]")]
+    fn planted_level_fires_on_an_l2_hit() {
+        let m = machine(1, VictimMode::None);
+        let setup = [(0, chain(0), false), (0, chain(1), false)];
+        plant_level(m, &setup, (0, chain(0)), SimLevel::L2, SimLevel::Mem);
+    }
+
+    #[test]
+    #[should_panic(expected = "[level serviced]")]
+    fn planted_level_fires_on_a_memory_fetch() {
+        let m = machine(1, VictimMode::None);
+        plant_level(m, &[], (0, chain(0)), SimLevel::Mem, SimLevel::L2);
+    }
+
+    #[test]
+    #[should_panic(expected = "[level serviced]")]
+    fn planted_level_fires_on_a_cache_to_cache_supply() {
+        let m = machine(2, VictimMode::None);
+        let setup = [(0, chain(0), true)];
+        plant_level(
+            m,
+            &setup,
+            (1, chain(0)),
+            SimLevel::CacheToCache,
+            SimLevel::L2,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "[evicted line]")]
+    fn planted_l1_victim_fires() {
+        let (mut chk, l1d) = machine(2, VictimMode::None);
+        agree(&mut chk, &l1d, &[(0, chain(0), false)]);
+        let mut obs = truth(&chk, 0, chain(1), false);
+        assert_eq!(
+            obs.evicted,
+            Some(l1d.geometry().line_of(Addr::new(chain(0))))
+        );
+        obs.evicted = Some(l1d.geometry().line_of(Addr::new(chain(2))));
+        chk.check_demand(&l1d, None, &obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "[L2 victim]")]
+    fn planted_l2_victim_fires() {
+        let (mut chk, l1d) = machine(2, VictimMode::None);
+        let fill_l2_set: Vec<_> = (0..4).map(|i| (0, chain(i), false)).collect();
+        agree(&mut chk, &l1d, &fill_l2_set);
+        let mut obs = truth(&chk, 0, chain(4), false);
+        let l2_geom = SystemConfig::base().machine.l2;
+        assert_eq!(obs.l2_evicted, Some(l2_geom.line_of(Addr::new(chain(0)))));
+        obs.l2_evicted = Some(l2_geom.line_of(Addr::new(chain(1))));
+        chk.check_demand(&l1d, None, &obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "[generation closed]")]
+    fn planted_missing_generation_close_fires() {
+        let (mut chk, l1d) = machine(1, VictimMode::None);
+        agree(&mut chk, &l1d, &[(0, chain(0), false)]);
+        let mut obs = truth(&chk, 0, chain(1), false);
+        assert!(obs.closed_generation);
+        obs.closed_generation = false;
+        chk.check_demand(&l1d, None, &obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "[invalidated cores]")]
+    fn planted_invalidation_set_fires() {
+        let (mut chk, l1d) = machine(2, VictimMode::None);
+        agree(
+            &mut chk,
+            &l1d,
+            &[(0, chain(0), false), (1, chain(0), false)],
+        );
+        let mut obs = truth(&chk, 0, chain(0), true);
+        assert_eq!(obs.invalidated, 0b10, "the store kills core 1's copy");
+        obs.invalidated = 0;
+        chk.check_demand(&l1d, None, &obs);
+    }
+
+    #[test]
+    #[should_panic(expected = "[inclusion violation]")]
+    fn planted_inclusion_violation_fires() {
+        let (mut chk, l1d) = machine(2, VictimMode::None);
+        agree(&mut chk, &l1d, &[(0, chain(0), true)]);
+        // Core 0 holds the line Modified; drop the L2's copy behind the
+        // mirror's back.
+        let l2_line = chk.oracle.l2.geom.line_of(Addr::new(chain(0)));
+        chk.oracle.l2.remove(l2_line);
+        let obs = truth(&chk, 1, chain(0), false);
+        assert_eq!(obs.level, SimLevel::CacheToCache);
+        chk.check_demand(&l1d, None, &obs);
     }
 }

@@ -46,8 +46,8 @@ use timekeeping::{Histogram, L2IntervalMonitor, MetricsCollector, Pc};
 use crate::cache::ProbeResult;
 use crate::config::{L1Mode, MachineConfig, PrefetchMode, SystemConfig, VictimMode};
 use crate::hierarchy::{AccessOutcome, MemorySystem};
-use crate::obs::{ProfStage, TraceKind, TraceObserver};
-use crate::oracle::SimLevel;
+use crate::obs::{self, ProfStage, TraceKind, TraceObserver};
+use crate::oracle::{SimLevel, SimObservation};
 use crate::trace::MemRef;
 
 // ---------------------------------------------------------------------------
@@ -657,6 +657,45 @@ pub(crate) struct TapEvent {
     pub(crate) decay: bool,
     /// Victim-filter admission decision, if an eviction was offered.
     pub(crate) vc_admitted: Option<bool>,
+    /// L2 line evicted by the demand fill from memory, if any.
+    pub(crate) l2_evicted: Option<LineAddr>,
+    /// Other cores whose copy a coherence transaction killed, one bit
+    /// per core.
+    pub(crate) invalidated: u32,
+}
+
+impl TapEvent {
+    /// The observation of `core`'s demand access that this scratch
+    /// recorded, for the lockstep checker. The caller knows whether the
+    /// access hit; a miss's level was recorded by the service event.
+    pub(crate) fn observation(
+        &self,
+        core: usize,
+        addr: timekeeping::Addr,
+        is_store: bool,
+        l1_hit: bool,
+        vc_hit: bool,
+    ) -> SimObservation {
+        let level = if l1_hit {
+            SimLevel::L1
+        } else if vc_hit {
+            SimLevel::Victim
+        } else {
+            self.level.expect("miss path records the serving level")
+        };
+        SimObservation {
+            core,
+            addr,
+            is_store,
+            level,
+            evicted: self.evicted,
+            l2_evicted: self.l2_evicted,
+            invalidated: self.invalidated,
+            closed_generation: self.closed,
+            decay_refetch: self.decay,
+            vc_admitted: self.vc_admitted,
+        }
+    }
 }
 
 /// The lockstep-oracle tap, as an observer: mirrors event outcomes into
@@ -730,8 +769,9 @@ pub(crate) struct Observers {
 }
 
 impl Observers {
-    /// The observer plane `cfg` selects, for one L1. Tracing is off; the
-    /// owner installs a trace observer when it wants one.
+    /// The observer plane `cfg` selects, for one L1, traced as the
+    /// process-global observability configuration asks (`--trace`): one
+    /// trace per L1.
     pub(crate) fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
         let m = &cfg.machine;
         let collect = cfg.collect_metrics;
@@ -751,7 +791,7 @@ impl Observers {
                 unit: VictimUnit::new(cfg, ticker),
             },
             oracle: OracleTap::default(),
-            trace: None,
+            trace: obs::trace_from_global(m.l1d),
         }
     }
 
@@ -773,7 +813,13 @@ impl Observers {
     pub(crate) fn invalidate(&mut self, ev: &InvalidateEvent, rx: &mut Reactions) {
         dispatch_all!(self, on_invalidate, ev, rx)
     }
-    fn service(&mut self, level: SimLevel) {
+    pub(crate) fn snoop(&mut self, ev: &SnoopEvent, rx: &mut Reactions) {
+        dispatch_all!(self, on_snoop, ev, rx)
+    }
+    pub(crate) fn c2c(&mut self, ev: &C2cEvent, rx: &mut Reactions) {
+        dispatch_all!(self, on_c2c, ev, rx)
+    }
+    pub(crate) fn service(&mut self, level: SimLevel) {
         self.gens.on_service(level);
         self.metrics.on_service(level);
         self.predictors.on_service(level);
@@ -926,10 +972,6 @@ impl MemorySystem {
         rx
     }
 
-    fn emit_service(&mut self, level: SimLevel) {
-        self.obs.service(level);
-    }
-
     /// Records one prefetch-lifecycle trace record (fire / arrival /
     /// discard) when tracing is installed; free otherwise.
     #[inline]
@@ -942,7 +984,8 @@ impl MemorySystem {
     /// Records one DRAM access record when tracing is installed AND the
     /// backend models row buffers (`row` is `Some`); the fixed-latency
     /// default therefore emits nothing and existing trace goldens are
-    /// unchanged. The aux payload is the [`RowOutcome`] code.
+    /// unchanged. The aux payload is the
+    /// [`RowOutcome`](crate::dram::RowOutcome) code.
     #[inline]
     fn trace_dram(
         &mut self,
@@ -1181,7 +1224,7 @@ impl MemorySystem {
     fn stage_miss_issue(&mut self, mref: &MemRef, line: LineAddr, now: Cycle) -> AccessOutcome {
         // Merge with an outstanding demand miss for the same line.
         if let Some(ready) = self.demand_mshrs.lookup(line) {
-            self.emit_service(SimLevel::InFlight);
+            self.obs.service(SimLevel::InFlight);
             // The tag was filled by the first miss unless it was evicted
             // in between; refill if needed.
             if self.l1d.peek(mref.addr).is_none() {
@@ -1196,7 +1239,7 @@ impl MemorySystem {
         // A prefetch already in flight for this line: the demand takes
         // ownership of it.
         if let Some(pf_ready) = self.prefetch_mshrs.remove(line) {
-            self.emit_service(SimLevel::InFlight);
+            self.obs.service(SimLevel::InFlight);
             self.pf_queue.cancel_line(line);
             self.stage_fill(mref, line, now);
             let ready = pf_ready.max(now + 1);
@@ -1348,7 +1391,7 @@ impl MemorySystem {
             ProbeResult::Hit(_) => {
                 if demand {
                     self.stats.l2_hits += 1;
-                    self.emit_service(SimLevel::L2);
+                    self.obs.service(SimLevel::L2);
                 } else {
                     self.notify_prefetch_l2(addr, true);
                 }
@@ -1358,7 +1401,7 @@ impl MemorySystem {
             ProbeResult::Miss { .. } => {
                 if demand {
                     self.stats.mem_accesses += 1;
-                    self.emit_service(SimLevel::Mem);
+                    self.obs.service(SimLevel::Mem);
                 } else {
                     self.notify_prefetch_l2(addr, false);
                 }
@@ -1386,7 +1429,10 @@ impl MemorySystem {
                     let wb_row = self.backend.write(wb_addr, wb_at_mem);
                     self.trace_dram(TraceKind::DramWrite, wb_addr, wb_at_mem, wb_row);
                 }
-                self.l2.fill(addr);
+                let (_, l2_evicted) = self.l2.fill(addr);
+                if demand {
+                    self.obs.oracle.evt.l2_evicted = l2_evicted;
+                }
                 reply.done
             }
         }

@@ -111,12 +111,13 @@ fn cold_only_mode_runs_unchecked() {
     assert_eq!(r.core.instructions, 50_000);
 }
 
-/// Multi-core configs route through [`tk_sim::multicore`]'s
-/// `CoherentChecker`: a timing-free MESI mirror that independently
-/// derives the service level (L1, victim cache, cache-to-cache, L2,
-/// memory) and the invalidation set of every access. Rate mode (N forks
-/// of one benchmark) maximizes sharing; the banked backend changes
-/// completion times but never the coherent state the mirror tracks.
+/// Multi-core configs run under the same lockstep oracle as one core,
+/// mirroring every core: it independently derives the service level
+/// (L1, victim cache, cache-to-cache, L2, memory), the L1 and L2
+/// victims, the generation boundary and the invalidation set of every
+/// access. Rate mode (N forks of one benchmark) maximizes sharing; the
+/// banked backend changes completion times but never the coherent state
+/// the mirror tracks.
 #[test]
 fn multicore_configs() {
     let budget = FigureOpts::QUICK_INSTRUCTIONS / 4;
