@@ -59,7 +59,7 @@ fn main() {
             "generating {name} ({} instructions/run, {} workers)...",
             opts.instructions, opts.jobs
         );
-        let before = engine::memo_stats();
+        let before = manifest::Provenance::now();
         let ckpt_before = manifest::ckpt_snapshot();
         let started = Instant::now();
         let text = job(opts);
@@ -67,8 +67,7 @@ fn main() {
         let path = dir.join(format!("{name}.txt"));
         fs::write(&path, &text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         let ran = engine::take_recorded_jobs();
-        let (m, d, s) = engine::memo_stats();
-        let delta = (m - before.0, d - before.1, s - before.2);
+        let delta = manifest::Provenance::since(before);
         let ckpt = manifest::CkptDelta::since(ckpt_before);
         manifest::write_manifest(&dir, name, &opts, wall, &ran, delta, &ckpt)
             .unwrap_or_else(|e| panic!("write manifest for {name}: {e}"));

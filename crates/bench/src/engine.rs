@@ -18,13 +18,18 @@
 //! * **Disk cache** (optional, [`set_disk_cache`]) — completed
 //!   [`RunResult`]s are persisted as JSON snapshots (default under
 //!   `reports/.cache/`), so re-running a report binary with the same
-//!   budgets skips straight to rendering. Loads and stores run on the
-//!   worker pool: the worker that owns a job tries its file first and
-//!   simulates and stores only on a miss. (Sampled jobs try their files
-//!   before checkpoint planning, so a hit never builds a checkpoint;
-//!   sharded jobs are stored by the worker that assembles them.) Files
-//!   carry the full job key and are ignored (and rewritten) on any
-//!   mismatch. Delete the directory to invalidate.
+//!   budgets skips straight to rendering. Each file is one
+//!   `{"key":…,"result":…}` envelope, written and read through the
+//!   streaming snapshot pair (`timekeeping::snapshot`): a store formats
+//!   the stats structs straight into the file's bytes and a load reads
+//!   the bytes straight into a `RunResult`, with no JSON tree between.
+//!   Loads and stores run on the worker pool: the worker that owns a job
+//!   tries its file first and simulates and stores only on a miss.
+//!   (Sampled jobs try their files before checkpoint planning, so a hit
+//!   never builds a checkpoint; sharded jobs are stored by the worker
+//!   that assembles them.) Files carry the full job key and are ignored
+//!   (and rewritten) on any mismatch or damage. Delete the directory to
+//!   invalidate.
 //! * **Checkpoint sharding** — sampled jobs that share a functional
 //!   fingerprint (same instruction stream, geometry and sampling
 //!   parameters; timing knobs free) reuse one profiled/clustered/warmed
@@ -43,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use timekeeping::snapshot::{Json, Snapshot};
+use timekeeping::snapshot::{JsonReader, JsonWriter, SnapshotError};
 use tk_sim::{run_workload, run_workload_checked, RunResult, SampleCheckpoint, SystemConfig};
 
 use crate::workload::WorkloadId;
@@ -131,6 +136,7 @@ struct Engine {
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
     sims_run: AtomicU64,
+    direct_runs: AtomicU64,
 }
 
 fn engine() -> &'static Engine {
@@ -141,6 +147,7 @@ fn engine() -> &'static Engine {
         memo_hits: AtomicU64::new(0),
         disk_hits: AtomicU64::new(0),
         sims_run: AtomicU64::new(0),
+        direct_runs: AtomicU64::new(0),
     })
 }
 
@@ -196,6 +203,19 @@ pub fn memo_stats() -> (u64, u64, u64) {
     )
 }
 
+/// Simulations run outside the engine since process start (or the last
+/// [`reset_stats`]): the workloads a [`Job`] cannot name, like
+/// concurrent mixes, run by [`FigureOpts::simulate`](crate::FigureOpts::simulate).
+/// [`memo_stats`] does not count them.
+pub fn direct_runs() -> u64 {
+    engine().direct_runs.load(Ordering::Relaxed)
+}
+
+/// Counts one simulation run outside the engine.
+pub(crate) fn count_direct_run() {
+    engine().direct_runs.fetch_add(1, Ordering::Relaxed);
+}
+
 /// Clears the in-process memo and zeroes the counters (test hook; the
 /// disk cache is left untouched).
 pub fn reset_stats() {
@@ -204,6 +224,7 @@ pub fn reset_stats() {
     e.memo_hits.store(0, Ordering::Relaxed);
     e.disk_hits.store(0, Ordering::Relaxed);
     e.sims_run.store(0, Ordering::Relaxed);
+    e.direct_runs.store(0, Ordering::Relaxed);
 }
 
 /// The default worker-pool size: one worker per available core.
@@ -220,22 +241,32 @@ fn disk_path(dir: &Path, key: &str) -> PathBuf {
 /// Loads a result from the disk cache, verifying the embedded key.
 fn disk_load(dir: &Path, key: &str) -> Option<RunResult> {
     let text = std::fs::read_to_string(disk_path(dir, key)).ok()?;
-    let v = Json::parse(&text).ok()?;
-    if v.get("key").ok()?.as_str().ok()? != key {
-        return None; // FNV collision or stale format: re-simulate.
-    }
-    RunResult::from_json(v.get("result").ok()?).ok()
+    read_entry(&text, key).ok().flatten()
+}
+
+/// Reads a cache file's `{"key":…,"result":…}` envelope straight into
+/// a [`RunResult`]; `None` when the file holds another key (an FNV
+/// collision or a stale format: re-simulate).
+fn read_entry(text: &str, want: &str) -> Result<Option<RunResult>, SnapshotError> {
+    let mut r = JsonReader::new(text);
+    timekeeping::read_fields!(r, {
+        key: String,
+        result: RunResult,
+    });
+    r.finish()?;
+    Ok((key == want).then_some(result))
 }
 
 /// Persists a result to the disk cache (best-effort: I/O errors only
 /// cost future cache hits).
 fn disk_store(dir: &Path, key: &str, result: &RunResult) {
-    let doc = Json::obj([
-        ("key", Json::Str(key.to_owned())),
-        ("result", result.to_json()),
-    ]);
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("key").str(key);
+        w.field("result", result);
+    });
     if std::fs::create_dir_all(dir).is_ok() {
-        let _ = std::fs::write(disk_path(dir, key), doc.render());
+        let _ = std::fs::write(disk_path(dir, key), w.finish());
     }
 }
 
@@ -580,6 +611,7 @@ mod cases;
 mod tests {
     use super::*;
     use crate::runner::FigureOpts;
+    use timekeeping::snapshot::{Json, Snapshot};
     use tk_workloads::SpecBenchmark;
 
     fn quick_job(cfg: SystemConfig) -> Job {
@@ -692,6 +724,49 @@ mod tests {
             }
         }
         assert!(refused > 0, "no byte flip was refused");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The cache files' bytes are pinned: one full-detail job (victim
+    /// cache and timekeeping prefetcher, so the optional blocks are
+    /// present) and one sampled job on banked DRAM (so the `dram` and
+    /// `sampled` keys are). The constants are the FNV-1a of each file as
+    /// written by the tree codec the streaming writer replaced.
+    #[test]
+    fn cache_files_keep_their_bytes() {
+        let dir = std::env::temp_dir().join(format!("tk-engine-pin-{}", std::process::id()));
+        let full = quick_job(
+            SystemConfig::builder()
+                .victim(tk_sim::VictimMode::paper_dead_time())
+                .prefetch(tk_sim::PrefetchMode::Timekeeping(
+                    timekeeping::CorrelationConfig::PAPER_8KB,
+                ))
+                .build()
+                .expect("victim + prefetch config is valid"),
+        );
+        let sampled = quick_job(
+            SystemConfig::builder()
+                .memory(tk_sim::MemBackendConfig::Banked(
+                    tk_sim::BankedDramConfig::DDR2,
+                ))
+                .sample(tk_sim::SampleConfig {
+                    interval: 10_000,
+                    k: 4,
+                })
+                .build()
+                .expect("sampled banked config is valid"),
+        );
+        for (job, want) in [
+            (full, 0x31af_c0ac_1177_57fc),
+            (sampled, 0x4e87_e26a_cc92_5008),
+        ] {
+            let key = job.cache_key();
+            let r = job.simulate();
+            assert_eq!(r.sampled.is_some(), job.cfg.sample.is_some(), "{key}");
+            disk_store(&dir, &key, &r);
+            let text = std::fs::read_to_string(disk_path(&dir, &key)).expect("stored file");
+            assert_eq!(fnv1a64(&text), want, "cache file bytes changed for {key}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -90,7 +90,7 @@ pub fn digest(name: &str, generate: FigureFn, opts: FigureOpts) -> Json {
                 ("key", Json::Str(job.cache_key())),
                 (
                     "result_fnv",
-                    Json::Str(format!("{:016x}", engine::fnv1a64(&r.to_json().render()))),
+                    Json::Str(format!("{:016x}", engine::fnv1a64(&r.to_json_string()))),
                 ),
                 ("core", r.core.to_json()),
                 ("hierarchy", r.hierarchy.to_json()),

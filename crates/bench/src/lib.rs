@@ -82,7 +82,7 @@ macro_rules! figure_main {
             // When --obs-out is configured, describe the run in a
             // manifest beside the trace/profile files.
             let manifest = $crate::manifest::arm_for_figure();
-            let before = $crate::engine::memo_stats();
+            let before = $crate::manifest::Provenance::now();
             let ckpt_before = $crate::manifest::ckpt_snapshot();
             let started = std::time::Instant::now();
             println!("{}", $crate::figures::$fig(opts));

@@ -5,7 +5,8 @@
 //! [`Job::cache_key`]), the seed and instruction budget, the crate
 //! versions that produced it, the wall time, and the cache-hit
 //! provenance from the [`engine`](crate::engine) (how many results were
-//! memo hits, disk hits, or freshly simulated).
+//! memo hits, disk hits, or freshly simulated — including the direct
+//! runs of workloads a [`Job`] cannot name, which bypass the engine).
 //!
 //! The figure binaries write `<obs-out>/<name>.manifest.json` when
 //! `--obs-out DIR` is given; the `report` binary writes
@@ -53,6 +54,46 @@ impl CkptDelta {
     }
 }
 
+/// The engine counters behind one report: the
+/// [`memo_stats`](crate::engine::memo_stats) buckets plus the
+/// [`direct_runs`](crate::engine::direct_runs) made outside the engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Provenance {
+    /// Jobs answered by the in-process memo.
+    pub memo_hits: u64,
+    /// Jobs loaded from the disk cache.
+    pub disk_hits: u64,
+    /// Jobs the engine simulated.
+    pub sims_run: u64,
+    /// Simulations run outside the engine.
+    pub direct_runs: u64,
+}
+
+impl Provenance {
+    /// The counters now, to be passed to [`since`](Self::since) after the
+    /// report is generated.
+    pub fn now() -> Self {
+        let (memo_hits, disk_hits, sims_run) = crate::engine::memo_stats();
+        Provenance {
+            memo_hits,
+            disk_hits,
+            sims_run,
+            direct_runs: crate::engine::direct_runs(),
+        }
+    }
+
+    /// The counter delta since `before`.
+    pub fn since(before: Self) -> Self {
+        let now = Self::now();
+        Provenance {
+            memo_hits: now.memo_hits - before.memo_hits,
+            disk_hits: now.disk_hits - before.disk_hits,
+            sims_run: now.sims_run - before.sims_run,
+            direct_runs: now.direct_runs - before.direct_runs,
+        }
+    }
+}
+
 /// Snapshot of the checkpoint-store counters, taken before a figure
 /// runs so [`CkptDelta::since`] can attribute activity to it.
 pub fn ckpt_snapshot() -> tk_sim::CkptStats {
@@ -63,20 +104,21 @@ pub fn ckpt_snapshot() -> tk_sim::CkptStats {
 ///
 /// `jobs` is the engine's job log for the run (see
 /// [`engine::take_recorded_jobs`](crate::engine::take_recorded_jobs));
-/// `provenance` is the engine's `(memo_hits, disk_hits, sims_run)`
-/// delta for the run; `ckpt` is the checkpoint-plane delta.
+/// `provenance` is the counter delta for the run; `ckpt` is the
+/// checkpoint-plane delta. Direct runs count into both `simulations` and
+/// `provenance.simulations_run`.
 pub fn manifest_json(
     name: &str,
     opts: &FigureOpts,
     wall: Duration,
     jobs: &[Job],
-    provenance: (u64, u64, u64),
+    provenance: Provenance,
     ckpt: &CkptDelta,
 ) -> Json {
     let mut fingerprints: Vec<String> = jobs.iter().map(Job::cache_key).collect();
     fingerprints.sort();
     fingerprints.dedup();
-    let (memo_hits, disk_hits, sims_run) = provenance;
+    let direct = provenance.direct_runs;
     Json::obj([
         ("name", Json::Str(name.to_owned())),
         ("instructions", Json::U64(opts.instructions)),
@@ -127,9 +169,9 @@ pub fn manifest_json(
         (
             "provenance",
             Json::obj([
-                ("memo_hits", Json::U64(memo_hits)),
-                ("disk_hits", Json::U64(disk_hits)),
-                ("simulations_run", Json::U64(sims_run)),
+                ("memo_hits", Json::U64(provenance.memo_hits)),
+                ("disk_hits", Json::U64(provenance.disk_hits)),
+                ("simulations_run", Json::U64(provenance.sims_run + direct)),
             ]),
         ),
         (
@@ -145,7 +187,7 @@ pub fn manifest_json(
                 ),
             ]),
         ),
-        ("simulations", Json::U64(jobs.len() as u64)),
+        ("simulations", Json::U64(jobs.len() as u64 + direct)),
         (
             "config_fingerprints",
             Json::Arr(fingerprints.into_iter().map(Json::Str).collect()),
@@ -164,7 +206,7 @@ pub fn write_manifest(
     opts: &FigureOpts,
     wall: Duration,
     jobs: &[Job],
-    provenance: (u64, u64, u64),
+    provenance: Provenance,
     ckpt: &CkptDelta,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
@@ -189,14 +231,13 @@ pub fn arm_for_figure() -> bool {
 
 /// Completes the [`arm_for_figure`] cycle: drains the job and
 /// checkpoint logs and writes the manifest into the configured
-/// `--obs-out` directory. `before` is the
-/// [`memo_stats`](crate::engine::memo_stats) snapshot taken before the
-/// run; `ckpt_before` the [`ckpt_snapshot`] one.
+/// `--obs-out` directory. `before` is the [`Provenance::now`] snapshot
+/// taken before the run; `ckpt_before` the [`ckpt_snapshot`] one.
 pub fn finish_for_figure(
     name: &str,
     opts: &FigureOpts,
     wall: Duration,
-    before: (u64, u64, u64),
+    before: Provenance,
     ckpt_before: tk_sim::CkptStats,
 ) {
     let jobs = crate::engine::take_recorded_jobs();
@@ -206,8 +247,7 @@ pub fn finish_for_figure(
     let Some(dir) = tk_sim::obs::out_dir() else {
         return;
     };
-    let (m, d, s) = crate::engine::memo_stats();
-    let delta = (m - before.0, d - before.1, s - before.2);
+    let delta = Provenance::since(before);
     match write_manifest(&dir, name, opts, wall, &jobs, delta, &ckpt) {
         Ok(path) => eprintln!("manifest written to {}", path.display()),
         Err(e) => eprintln!("warning: cannot write manifest for {name}: {e}"),
@@ -248,7 +288,12 @@ mod tests {
             &opts,
             Duration::from_millis(250),
             &jobs,
-            (2, 0, 1),
+            Provenance {
+                memo_hits: 2,
+                disk_hits: 0,
+                sims_run: 1,
+                direct_runs: 0,
+            },
             &ckpt,
         );
         assert_eq!(j.get("name").unwrap().as_str().unwrap(), "fig99");
@@ -269,7 +314,7 @@ mod tests {
             &opts,
             Duration::ZERO,
             &[],
-            (0, 0, 0),
+            Provenance::default(),
             &CkptDelta::default(),
         );
         assert_eq!(off.get("sample").unwrap().as_str().unwrap(), "off");
@@ -295,6 +340,31 @@ mod tests {
     }
 
     #[test]
+    fn direct_runs_count_as_simulations() {
+        let j = manifest_json(
+            "fig22_mp",
+            &FigureOpts::quick(),
+            Duration::ZERO,
+            &[Job::new(
+                SpecBenchmark::Gzip,
+                SystemConfig::base(),
+                1,
+                10_000,
+            )],
+            Provenance {
+                memo_hits: 0,
+                disk_hits: 0,
+                sims_run: 1,
+                direct_runs: 4,
+            },
+            &CkptDelta::default(),
+        );
+        assert_eq!(j.u64_field("simulations").unwrap(), 5);
+        let prov = j.get("provenance").unwrap();
+        assert_eq!(prov.u64_field("simulations_run").unwrap(), 5);
+    }
+
+    #[test]
     fn write_manifest_round_trips() {
         let dir = std::env::temp_dir().join(format!("tk_manifest_{}", std::process::id()));
         let opts = FigureOpts::quick();
@@ -304,7 +374,7 @@ mod tests {
             &opts,
             Duration::ZERO,
             &[],
-            (0, 0, 0),
+            Provenance::default(),
             &CkptDelta::default(),
         )
         .unwrap();

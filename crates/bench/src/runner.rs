@@ -139,8 +139,10 @@ impl FigureOpts {
     /// Runs `workload` directly, outside the engine (for workloads a
     /// [`Job`] cannot name, like concurrent mixes), under
     /// [`config`](Self::config)`(cfg)` for this run's budget, in lockstep
-    /// with the functional oracle under `--check`.
+    /// with the functional oracle under `--check`. The run is counted in
+    /// [`engine::direct_runs`], which manifests add to their simulations.
     pub fn simulate<W: Workload + ?Sized>(&self, workload: &mut W, cfg: SystemConfig) -> RunResult {
+        engine::count_direct_run();
         let cfg = self.config(cfg);
         if self.check {
             tk_sim::run_workload_checked(workload, cfg, self.instructions)

@@ -99,9 +99,9 @@ impl MissBreakdown {
 }
 
 crate::counter_block!(MissBreakdown {
+    capacity,
     cold,
-    conflict,
-    capacity
+    conflict
 });
 
 impl fmt::Display for MissBreakdown {

@@ -132,10 +132,10 @@ impl CorrelationStats {
 }
 
 crate::counter_block!(CorrelationStats {
-    lookups,
+    allocations,
     hits,
-    updates,
-    allocations
+    lookups,
+    updates
 });
 
 /// The set-associative correlation table.

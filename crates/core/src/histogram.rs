@@ -6,7 +6,7 @@
 //! bucket. [`Histogram`] reproduces exactly that shape and adds the summary
 //! queries the paper quotes ("58% of live times are 100 cycles or less").
 
-use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::snapshot::{JsonReader, JsonWriter, Snapshot, SnapshotError};
 use crate::WeightedSum;
 use std::fmt;
 
@@ -269,35 +269,42 @@ impl WeightedSum for Histogram {
 }
 
 impl Snapshot for Histogram {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("bucket_width", Json::U64(self.bucket_width)),
-            ("buckets", Json::u64_array(self.buckets.iter().copied())),
-            ("overflow", Json::U64(self.overflow)),
-            ("total", Json::U64(self.total)),
-            ("sum", Json::u128_string(self.sum)),
-            ("min", Json::U64(self.min)),
-            ("max", Json::U64(self.max)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("bucket_width", &self.bucket_width);
+            w.field("buckets", &self.buckets);
+            w.field("max", &self.max);
+            w.field("min", &self.min);
+            w.field("overflow", &self.overflow);
+            w.field("sum", &self.sum);
+            w.field("total", &self.total);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        let buckets = v.u64_vec_field("buckets")?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        crate::read_fields!(r, {
+            bucket_width: u64,
+            buckets: Vec<u64>,
+            max: u64,
+            min: u64,
+            overflow: u64,
+            sum: u128,
+            total: u64,
+        });
         if buckets.is_empty() {
             return Err(SnapshotError::new("histogram needs at least one bucket"));
         }
-        let bucket_width = v.u64_field("bucket_width")?;
         if bucket_width == 0 {
             return Err(SnapshotError::new("histogram bucket width must be nonzero"));
         }
         Ok(Histogram {
             bucket_width,
             buckets,
-            overflow: v.u64_field("overflow")?,
-            total: v.u64_field("total")?,
-            sum: v.get("sum")?.as_u128()?,
-            min: v.u64_field("min")?,
-            max: v.u64_field("max")?,
+            overflow,
+            total,
+            sum,
+            min,
+            max,
         })
     }
 }

@@ -98,7 +98,7 @@ pub use predictor::{
 pub use prefetch::{
     PrefetchQueue, PrefetchRequest, TimekeepingPrefetcher, Timeliness, TimelinessStats,
 };
-pub use snapshot::{Json, Snapshot, SnapshotError};
+pub use snapshot::{Json, JsonReader, JsonWriter, Snapshot, SnapshotError};
 pub use stride::{StrideConfig, StridePrefetcher, StrideStats};
 pub use time::{CoarseCounter, Cycle, GlobalTicker};
 pub use victim::{
@@ -131,7 +131,8 @@ impl<T: WeightedSum + Default> WeightedSum for Option<T> {
 
 /// Declares a struct of `u64` counters a counter block: a [`Snapshot`]
 /// that stores every field under its own name, and a [`WeightedSum`]
-/// that adds field by field. Every field must be listed.
+/// that adds field by field. Every field must be listed, in ascending
+/// name order: the snapshot writes its keys in the order listed.
 #[macro_export]
 macro_rules! counter_block {
     ($t:ident { $($f:ident),+ $(,)? }) => {
@@ -142,18 +143,17 @@ macro_rules! counter_block {
         }
 
         impl $crate::snapshot::Snapshot for $t {
-            fn to_json(&self) -> $crate::snapshot::Json {
-                $crate::snapshot::Json::obj([
-                    $((stringify!($f), $crate::snapshot::Json::U64(self.$f))),+
-                ])
+            fn write_json(&self, w: &mut $crate::snapshot::JsonWriter) {
+                w.object(|w| {
+                    $(w.field(stringify!($f), &self.$f);)+
+                });
             }
 
-            fn from_json(
-                v: &$crate::snapshot::Json,
+            fn read_json(
+                r: &mut $crate::snapshot::JsonReader<'_>,
             ) -> Result<Self, $crate::snapshot::SnapshotError> {
-                Ok($t {
-                    $($f: v.u64_field(stringify!($f))?),+
-                })
+                $crate::read_fields!(r, { $($f: u64),+ });
+                Ok($t { $($f),+ })
             }
         }
     };

@@ -13,7 +13,7 @@ use crate::histogram::Histogram;
 use crate::meta::LineMeta;
 use crate::predictor::accuracy::{AccuracyCoverage, SweepPoint};
 use crate::predictor::dead_block::{DecayDeadBlockSweep, LiveTimeDeadBlockPredictor};
-use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::snapshot::{JsonReader, JsonWriter, Snapshot, SnapshotError};
 use crate::WeightedSum;
 
 /// Live-time variability statistics (Figure 15).
@@ -120,19 +120,24 @@ impl Default for LiveTimeVariability {
 }
 
 impl Snapshot for LiveTimeVariability {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("abs_diff", self.abs_diff.to_json()),
-            ("ratio_log2", Json::u64_array(self.ratio_log2)),
-            ("pairs", Json::U64(self.pairs)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("abs_diff", &self.abs_diff);
+            w.field("pairs", &self.pairs);
+            w.field("ratio_log2", &self.ratio_log2);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        crate::read_fields!(r, {
+            abs_diff: Histogram,
+            pairs: u64,
+            ratio_log2: [u64; 25],
+        });
         Ok(LiveTimeVariability {
-            abs_diff: v.snapshot_field("abs_diff")?,
-            ratio_log2: v.u64_arr_field("ratio_log2")?,
-            pairs: v.u64_field("pairs")?,
+            abs_diff,
+            ratio_log2,
+            pairs,
         })
     }
 }
@@ -375,54 +380,54 @@ impl Default for MetricsCollector {
 }
 
 impl Snapshot for MetricsCollector {
-    fn to_json(&self) -> Json {
-        fn by_kind(hs: &[Histogram; 3]) -> Json {
-            Json::Arr(hs.iter().map(Snapshot::to_json).collect())
-        }
-        Json::obj([
-            ("live", self.live.to_json()),
-            ("dead", self.dead.to_json()),
-            ("access_interval", self.access_interval.to_json()),
-            ("reload", self.reload.to_json()),
-            ("reload_by_kind", by_kind(&self.reload_by_kind)),
-            ("dead_by_kind", by_kind(&self.dead_by_kind)),
-            ("live_by_kind", by_kind(&self.live_by_kind)),
-            ("zero_live_score", self.zero_live_score.to_json()),
-            ("decay_sweep", self.decay_sweep.to_json()),
-            ("live_time_predictor", self.live_time_predictor.to_json()),
-            ("variability", self.variability.to_json()),
-            ("generations", Json::U64(self.generations)),
-            (
-                "zero_live_generations",
-                Json::U64(self.zero_live_generations),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("access_interval", &self.access_interval);
+            w.field("dead", &self.dead);
+            w.field("dead_by_kind", &self.dead_by_kind);
+            w.field("decay_sweep", &self.decay_sweep);
+            w.field("generations", &self.generations);
+            w.field("live", &self.live);
+            w.field("live_by_kind", &self.live_by_kind);
+            w.field("live_time_predictor", &self.live_time_predictor);
+            w.field("reload", &self.reload);
+            w.field("reload_by_kind", &self.reload_by_kind);
+            w.field("variability", &self.variability);
+            w.field("zero_live_generations", &self.zero_live_generations);
+            w.field("zero_live_score", &self.zero_live_score);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        fn by_kind(v: &Json, key: &str) -> Result<[Histogram; 3], SnapshotError> {
-            let items = v.get(key)?.as_arr()?;
-            let hs: Vec<Histogram> = items
-                .iter()
-                .map(Histogram::from_json)
-                .collect::<Result<_, _>>()?;
-            hs.try_into()
-                .map_err(|_| SnapshotError::new(format!("field `{key}` needs 3 histograms")))
-        }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        crate::read_fields!(r, {
+            access_interval: Histogram,
+            dead: Histogram,
+            dead_by_kind: [Histogram; 3],
+            decay_sweep: DecayDeadBlockSweep,
+            generations: u64,
+            live: Histogram,
+            live_by_kind: [Histogram; 3],
+            live_time_predictor: LiveTimeDeadBlockPredictor,
+            reload: Histogram,
+            reload_by_kind: [Histogram; 3],
+            variability: LiveTimeVariability,
+            zero_live_generations: u64,
+            zero_live_score: AccuracyCoverage,
+        });
         Ok(MetricsCollector {
-            live: v.snapshot_field("live")?,
-            dead: v.snapshot_field("dead")?,
-            access_interval: v.snapshot_field("access_interval")?,
-            reload: v.snapshot_field("reload")?,
-            reload_by_kind: by_kind(v, "reload_by_kind")?,
-            dead_by_kind: by_kind(v, "dead_by_kind")?,
-            live_by_kind: by_kind(v, "live_by_kind")?,
-            zero_live_score: v.snapshot_field("zero_live_score")?,
-            decay_sweep: v.snapshot_field("decay_sweep")?,
-            live_time_predictor: v.snapshot_field("live_time_predictor")?,
-            variability: v.snapshot_field("variability")?,
-            generations: v.u64_field("generations")?,
-            zero_live_generations: v.u64_field("zero_live_generations")?,
+            live,
+            dead,
+            access_interval,
+            reload,
+            reload_by_kind,
+            dead_by_kind,
+            live_by_kind,
+            zero_live_score,
+            decay_sweep,
+            live_time_predictor,
+            variability,
+            generations,
+            zero_live_generations,
         })
     }
 }

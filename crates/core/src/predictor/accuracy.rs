@@ -12,7 +12,7 @@
 //! [`AccuracyCoverage`] tracks the raw counters from which either flavor
 //! can be derived.
 
-use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::snapshot::{JsonReader, JsonWriter, Snapshot, SnapshotError};
 use crate::WeightedSum;
 use std::fmt;
 
@@ -114,21 +114,27 @@ impl WeightedSum for AccuracyCoverage {
 }
 
 impl Snapshot for AccuracyCoverage {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("true_pos", Json::U64(self.true_pos)),
-            ("false_pos", Json::U64(self.false_pos)),
-            ("missed_pos", Json::U64(self.missed_pos)),
-            ("true_neg", Json::U64(self.true_neg)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("false_pos", &self.false_pos);
+            w.field("missed_pos", &self.missed_pos);
+            w.field("true_neg", &self.true_neg);
+            w.field("true_pos", &self.true_pos);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        crate::read_fields!(r, {
+            false_pos: u64,
+            missed_pos: u64,
+            true_neg: u64,
+            true_pos: u64,
+        });
         Ok(AccuracyCoverage {
-            true_pos: v.u64_field("true_pos")?,
-            false_pos: v.u64_field("false_pos")?,
-            missed_pos: v.u64_field("missed_pos")?,
-            true_neg: v.u64_field("true_neg")?,
+            true_pos,
+            false_pos,
+            missed_pos,
+            true_neg,
         })
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::generation::GenerationRecord;
 use crate::predictor::accuracy::SweepPoint;
-use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::snapshot::{JsonReader, JsonWriter, Snapshot, SnapshotError};
 use crate::WeightedSum;
 
 /// Post-hoc evaluation of the decay (idle-time threshold) dead-block
@@ -158,31 +158,25 @@ impl WeightedSum for DecayDeadBlockSweep {
 }
 
 impl Snapshot for DecayDeadBlockSweep {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "thresholds",
-                Json::u64_array(self.thresholds.iter().copied()),
-            ),
-            (
-                "fired_correct",
-                Json::u64_array(self.fired_correct.iter().copied()),
-            ),
-            (
-                "fired_wrong",
-                Json::u64_array(self.fired_wrong.iter().copied()),
-            ),
-            ("generations", Json::U64(self.generations)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("fired_correct", &self.fired_correct);
+            w.field("fired_wrong", &self.fired_wrong);
+            w.field("generations", &self.generations);
+            w.field("thresholds", &self.thresholds);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        let thresholds = v.u64_vec_field("thresholds")?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        crate::read_fields!(r, {
+            fired_correct: Vec<u64>,
+            fired_wrong: Vec<u64>,
+            generations: u64,
+            thresholds: Vec<u64>,
+        });
         if thresholds.is_empty() {
             return Err(SnapshotError::new("sweep needs at least one threshold"));
         }
-        let fired_correct = v.u64_vec_field("fired_correct")?;
-        let fired_wrong = v.u64_vec_field("fired_wrong")?;
         if fired_correct.len() != thresholds.len() || fired_wrong.len() != thresholds.len() {
             return Err(SnapshotError::new("sweep counter length mismatch"));
         }
@@ -190,7 +184,7 @@ impl Snapshot for DecayDeadBlockSweep {
             thresholds,
             fired_correct,
             fired_wrong,
-            generations: v.u64_field("generations")?,
+            generations,
         })
     }
 }
@@ -330,27 +324,33 @@ impl WeightedSum for LiveTimeDeadBlockPredictor {
 }
 
 impl Snapshot for LiveTimeDeadBlockPredictor {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("factor", Json::U64(self.factor)),
-            ("correct", Json::U64(self.correct)),
-            ("wrong", Json::U64(self.wrong)),
-            ("uncovered", Json::U64(self.uncovered)),
-            ("no_history", Json::U64(self.no_history)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("correct", &self.correct);
+            w.field("factor", &self.factor);
+            w.field("no_history", &self.no_history);
+            w.field("uncovered", &self.uncovered);
+            w.field("wrong", &self.wrong);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        let factor = v.u64_field("factor")?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        crate::read_fields!(r, {
+            correct: u64,
+            factor: u64,
+            no_history: u64,
+            uncovered: u64,
+            wrong: u64,
+        });
         if factor == 0 {
             return Err(SnapshotError::new("live-time factor must be nonzero"));
         }
         Ok(LiveTimeDeadBlockPredictor {
             factor,
-            correct: v.u64_field("correct")?,
-            wrong: v.u64_field("wrong")?,
-            uncovered: v.u64_field("uncovered")?,
-            no_history: v.u64_field("no_history")?,
+            correct,
+            wrong,
+            uncovered,
+            no_history,
         })
     }
 }

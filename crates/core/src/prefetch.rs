@@ -21,7 +21,7 @@ use std::fmt;
 
 use crate::addr::{CacheGeometry, LineAddr};
 use crate::correlation::{CorrelationConfig, CorrelationStats, CorrelationTable, Prediction};
-use crate::snapshot::{Json, Snapshot, SnapshotError};
+use crate::snapshot::{JsonReader, JsonWriter, Snapshot, SnapshotError};
 use crate::time::GlobalTicker;
 use crate::WeightedSum;
 
@@ -143,19 +143,20 @@ impl WeightedSum for TimelinessStats {
 }
 
 impl Snapshot for TimelinessStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("wrong_addr", Json::u64_array(self.counts[0])),
-            ("right_addr", Json::u64_array(self.counts[1])),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("right_addr", &self.counts[1]);
+            w.field("wrong_addr", &self.counts[0]);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        crate::read_fields!(r, {
+            right_addr: [u64; 5],
+            wrong_addr: [u64; 5],
+        });
         Ok(TimelinessStats {
-            counts: [
-                v.u64_arr_field("wrong_addr")?,
-                v.u64_arr_field("right_addr")?,
-            ],
+            counts: [wrong_addr, right_addr],
         })
     }
 }

@@ -337,10 +337,10 @@ impl VictimStats {
 }
 
 crate::counter_block!(VictimStats {
-    offered,
     admitted,
-    probes,
-    hits
+    hits,
+    offered,
+    probes
 });
 
 /// A small fully-associative LRU victim cache.

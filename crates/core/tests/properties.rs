@@ -424,18 +424,25 @@ fn variability_within_2x_exact() {
 
 // ---------------------------------------------------- snapshot round-trip
 
-/// Renders, parses and reconstructs a snapshot, asserting the text is
-/// reproduced bit-exactly and the value survives unchanged.
+/// Writes a snapshot with the streaming writer and asserts that the
+/// typed reader gives the value back, that the text is canonical (the
+/// tree view re-renders it byte for byte, so keys ascend and nothing is
+/// padded), and that the tree defaults round-trip through it too.
 fn assert_snapshot_roundtrips<T>(value: &T)
 where
     T: Snapshot + PartialEq + std::fmt::Debug,
 {
-    let doc = value.to_json().render();
-    let parsed = Json::parse(&doc).expect("rendered snapshots parse back");
-    assert_eq!(parsed.render(), doc, "render→parse→render changed the text");
-    let back = T::from_json(&parsed).expect("snapshot shape matches");
-    assert_eq!(&back, value, "from_json(to_json(x)) != x");
-    assert_eq!(back.to_json().render(), doc);
+    let doc = value.to_json_string();
+    let back = T::from_json_str(&doc).expect("snapshot shape matches");
+    assert_eq!(&back, value, "read_json(write_json(x)) != x");
+    let parsed = Json::parse(&doc).expect("written snapshots parse as trees");
+    assert_eq!(
+        parsed.render(),
+        doc,
+        "the writer's text is not canonical: keys out of order or not compact"
+    );
+    assert_eq!(&T::from_json(&parsed).expect("tree shape matches"), value);
+    assert_eq!(value.to_json(), parsed);
 }
 
 /// `count` timeliness events: (address correct, timeliness class index).

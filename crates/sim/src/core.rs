@@ -51,8 +51,8 @@ impl CoreStats {
 }
 
 timekeeping::counter_block!(CoreStats {
-    instructions,
     cycles,
+    instructions,
     loads,
     stores,
     sw_prefetches,

@@ -289,14 +289,14 @@ impl DramStats {
 }
 
 timekeeping::counter_block!(DramStats {
-    reads,
-    writes,
-    row_hits,
-    row_closed,
-    row_conflicts,
     bank_wait_cycles,
     bus_wait_cycles,
-    read_latency_cycles
+    read_latency_cycles,
+    reads,
+    row_closed,
+    row_conflicts,
+    row_hits,
+    writes
 });
 
 #[derive(Debug, Clone, Copy)]

@@ -119,23 +119,23 @@ impl HierarchyStats {
 }
 
 timekeeping::counter_block!(HierarchyStats {
+    addr_correct,
+    addr_predictions,
+    decay_misses,
+    decay_off_cycles,
     l1_accesses,
     l1_hits,
-    vc_hits,
+    l1_writebacks,
     l2_accesses,
     l2_hits,
-    mem_accesses,
-    pf_enqueued,
-    pf_issued,
-    pf_fills,
-    pf_redundant,
-    pf_dropped_live,
-    addr_predictions,
-    addr_correct,
-    l1_writebacks,
     l2_writebacks,
-    decay_misses,
-    decay_off_cycles
+    mem_accesses,
+    pf_dropped_live,
+    pf_enqueued,
+    pf_fills,
+    pf_issued,
+    pf_redundant,
+    vc_hits
 });
 
 /// The complete simulated memory system.
@@ -461,17 +461,17 @@ impl MemorySystem {
             Some(dir) => {
                 let path = dir.join(format!("profile-{:04}.json", obs::next_seq()));
                 let write = std::fs::create_dir_all(&dir)
-                    .and_then(|()| std::fs::write(&path, report.to_json().render()));
+                    .and_then(|()| std::fs::write(&path, report.to_json_string()));
                 match write {
                     Ok(()) => eprintln!("profile report written to {}", path.display()),
                     Err(e) => eprintln!(
                         "warning: cannot write profile report to {}: {e}\n{}",
                         path.display(),
-                        report.to_json().render()
+                        report.to_json_string()
                     ),
                 }
             }
-            None => eprintln!("profile report:\n{}", report.to_json().render()),
+            None => eprintln!("profile report:\n{}", report.to_json_string()),
         }
     }
 }

@@ -191,20 +191,20 @@ impl CoherenceStats {
 }
 
 timekeeping::counter_block!(CoherenceStats {
-    bus_reads,
     bus_read_exclusives,
+    bus_reads,
     bus_upgrades,
     c2c_transfers,
     coherence_invalidations,
-    inclusion_invalidations,
-    vc_invalidations,
-    inval_refetches,
+    evict_dead_time,
     evict_deaths,
     evict_live_time,
-    evict_dead_time,
+    inclusion_invalidations,
+    inval_dead_time,
     inval_deaths,
     inval_live_time,
-    inval_dead_time
+    inval_refetches,
+    vc_invalidations
 });
 
 // ---------------------------------------------------------- per-core plane

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
+use timekeeping::snapshot::{Json, JsonReader, JsonWriter, Snapshot, SnapshotError};
 use timekeeping::{CacheGeometry, Cycle, EvictCause, Histogram, LineAddr, MissKind};
 
 use crate::pipeline::{
@@ -426,24 +426,29 @@ impl TraceRecord {
 }
 
 impl Snapshot for TraceRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::Str(self.kind.name().to_owned())),
-            ("cycle", Json::U64(self.cycle)),
-            ("line", Json::U64(self.line)),
-            ("aux", Json::U64(self.aux)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("aux", &self.aux);
+            w.field("cycle", &self.cycle);
+            w.key("kind").str(self.kind.name());
+            w.field("line", &self.line);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        let name = v.get("kind")?.as_str()?;
-        let kind = TraceKind::from_name(name)
-            .ok_or_else(|| SnapshotError::new(format!("unknown trace kind `{name}`")))?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        timekeeping::read_fields!(r, {
+            aux: u64,
+            cycle: u64,
+            kind: String,
+            line: u64,
+        });
+        let kind = TraceKind::from_name(&kind)
+            .ok_or_else(|| SnapshotError::new(format!("unknown trace kind `{kind}`")))?;
         Ok(TraceRecord {
             kind,
-            cycle: v.u64_field("cycle")?,
-            line: v.u64_field("line")?,
-            aux: v.u64_field("aux")?,
+            cycle,
+            line,
+            aux,
         })
     }
 }
@@ -729,7 +734,7 @@ impl TraceObserver {
                     // Sink errors (disk full) are reported once at finish;
                     // dropping trace data must never kill a simulation.
                     let _ = bin.write_all(&rec.to_bytes());
-                    let _ = writeln!(jsonl, "{}", rec.to_json().render());
+                    let _ = writeln!(jsonl, "{}", rec.to_json_string());
                 }
             }
         }
@@ -1047,45 +1052,52 @@ pub struct ProfileReport {
     pub hops: Histogram,
 }
 
-impl Snapshot for ProfileReport {
-    fn to_json(&self) -> Json {
-        // Stages as an ordered array: JSON objects here sort keys
-        // alphabetically, which would scramble the pipeline order.
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| {
-                Json::obj([
-                    ("name", Json::Str(s.name.clone())),
-                    ("ns", Json::U64(s.ns)),
-                    ("calls", Json::U64(s.calls)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("wall_ns", Json::U64(self.wall_ns)),
-            ("events", Json::U64(self.events)),
-            ("events_per_sec", Json::U64(self.events_per_sec)),
-            ("stages", Json::Arr(stages)),
-            ("hop_cycles", self.hops.to_json()),
-        ])
+impl Snapshot for StageStat {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("calls", &self.calls);
+            w.field("name", &self.name);
+            w.field("ns", &self.ns);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
-        let mut stages = Vec::new();
-        for s in v.get("stages")?.as_arr()? {
-            stages.push(StageStat {
-                name: s.get("name")?.as_str()?.to_owned(),
-                ns: s.u64_field("ns")?,
-                calls: s.u64_field("calls")?,
-            });
-        }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        timekeeping::read_fields!(r, {
+            calls: u64,
+            name: String,
+            ns: u64,
+        });
+        Ok(StageStat { name, ns, calls })
+    }
+}
+
+impl Snapshot for ProfileReport {
+    fn write_json(&self, w: &mut JsonWriter) {
+        // Stages as an ordered array: JSON objects here sort keys
+        // alphabetically, which would scramble the pipeline order.
+        w.object(|w| {
+            w.field("events", &self.events);
+            w.field("events_per_sec", &self.events_per_sec);
+            w.field("hop_cycles", &self.hops);
+            w.field("stages", &self.stages);
+            w.field("wall_ns", &self.wall_ns);
+        });
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        timekeeping::read_fields!(r, {
+            events: u64,
+            events_per_sec: u64,
+            hop_cycles: Histogram,
+            stages: Vec<StageStat>,
+            wall_ns: u64,
+        });
         Ok(ProfileReport {
-            wall_ns: v.u64_field("wall_ns")?,
-            events: v.u64_field("events")?,
-            events_per_sec: v.u64_field("events_per_sec")?,
+            wall_ns,
+            events,
+            events_per_sec,
             stages,
-            hops: v.snapshot_field("hop_cycles")?,
+            hops: hop_cycles,
         })
     }
 }
@@ -1148,8 +1160,7 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Vec<TraceRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let json = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(TraceRecord::from_json(&json).map_err(|e| format!("line {}: {e}", i + 1))?);
+        out.push(TraceRecord::from_json_str(&line).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(out)
 }

@@ -42,7 +42,7 @@
 //! *estimate*, bounded by `sample_calibrate`; they never leak into
 //! full runs.
 
-use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
+use timekeeping::snapshot::{JsonReader, JsonWriter, Snapshot, SnapshotError};
 use timekeeping::{
     CacheGeometry, CorrelationStats, Cycle, FullyAssocShadow, LineAddr, LineMap, LinePlane,
     LineSet, MetricsCollector, MissBreakdown, TimelinessStats, VictimStats, WeightedSum,
@@ -114,26 +114,30 @@ pub struct SampleStats {
 }
 
 impl Snapshot for SampleStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("interval", Json::U64(self.interval)),
-            ("k", Json::U64(u64::from(self.k))),
-            ("intervals", Json::U64(self.intervals)),
-            (
-                "representatives",
-                Json::U64(u64::from(self.representatives)),
-            ),
-            ("timed_instructions", Json::U64(self.timed_instructions)),
-        ])
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("interval", &self.interval);
+            w.field("intervals", &self.intervals);
+            w.field("k", &u64::from(self.k));
+            w.field("representatives", &u64::from(self.representatives));
+            w.field("timed_instructions", &self.timed_instructions);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        timekeeping::read_fields!(r, {
+            interval: u64,
+            intervals: u64,
+            k: u64,
+            representatives: u64,
+            timed_instructions: u64,
+        });
         Ok(SampleStats {
-            interval: v.u64_field("interval")?,
-            k: v.u64_field("k")? as u32,
-            intervals: v.u64_field("intervals")?,
-            representatives: v.u64_field("representatives")? as u32,
-            timed_instructions: v.u64_field("timed_instructions")?,
+            interval,
+            k: k as u32,
+            intervals,
+            representatives: representatives as u32,
+            timed_instructions,
         })
     }
 }

@@ -1,11 +1,16 @@
 //! One-call experiment runner: workload × configuration → statistics.
 
-use timekeeping::snapshot::{Json, Snapshot, SnapshotError};
-use timekeeping::{MetricsCollector, MissBreakdown, TimelinessStats, VictimStats};
+use timekeeping::snapshot::{JsonReader, JsonWriter, Snapshot, SnapshotError};
+use timekeeping::{
+    CorrelationStats, DbcpStats, MetricsCollector, MissBreakdown, TimelinessStats, VictimStats,
+};
 
 use crate::config::SystemConfig;
 use crate::core::{CoreStats, OooCore};
+use crate::dram::DramStats;
 use crate::hierarchy::{HierarchyStats, MemorySystem};
+use crate::multicore::CoherenceStats;
+use crate::sample::SampleStats;
 use crate::trace::Workload;
 
 /// Everything a single simulation run produced.
@@ -60,77 +65,67 @@ impl RunResult {
 }
 
 impl Snapshot for RunResult {
-    fn to_json(&self) -> Json {
-        let mut obj = Json::obj([
-            ("workload", Json::Str(self.workload.clone())),
-            ("core", self.core.to_json()),
-            ("hierarchy", self.hierarchy.to_json()),
-            ("breakdown", self.breakdown.to_json()),
-            ("metrics", self.metrics.to_json()),
-            ("victim", Json::option(&self.victim)),
-            (
-                "victim_swap_fills",
-                match self.victim_swap_fills {
-                    Some(n) => Json::U64(n),
-                    None => Json::Null,
-                },
-            ),
-            ("timeliness", self.timeliness.to_json()),
-            ("correlation", Json::option(&self.correlation)),
-            ("dbcp", Json::option(&self.dbcp)),
-            ("pf_queue_discards", Json::U64(self.pf_queue_discards)),
-        ]);
-        // Emitted only when present: the fixed-latency default keeps the
-        // exact pre-backend document shape, so golden digests and old
-        // cached results stay byte-identical.
-        if let Some(d) = &self.dram {
-            if let Json::Obj(map) = &mut obj {
-                map.insert("dram".to_owned(), d.to_json());
+    fn write_json(&self, w: &mut JsonWriter) {
+        // `coherence`, `dram` and `sampled` are written only when
+        // present: the fixed-latency single-core full run keeps the exact
+        // pre-backend document shape, so golden digests and old cached
+        // results stay byte-identical.
+        w.object(|w| {
+            w.field("breakdown", &self.breakdown);
+            if let Some(c) = &self.coherence {
+                w.field("coherence", c);
             }
-        }
-        if let Some(s) = &self.sampled {
-            if let Json::Obj(map) = &mut obj {
-                map.insert("sampled".to_owned(), s.to_json());
+            w.field("core", &self.core);
+            w.field("correlation", &self.correlation);
+            w.field("dbcp", &self.dbcp);
+            if let Some(d) = &self.dram {
+                w.field("dram", d);
             }
-        }
-        if let Some(c) = &self.coherence {
-            if let Json::Obj(map) = &mut obj {
-                map.insert("coherence".to_owned(), c.to_json());
+            w.field("hierarchy", &self.hierarchy);
+            w.field("metrics", &self.metrics);
+            w.field("pf_queue_discards", &self.pf_queue_discards);
+            if let Some(s) = &self.sampled {
+                w.field("sampled", s);
             }
-        }
-        obj
+            w.field("timeliness", &self.timeliness);
+            w.field("victim", &self.victim);
+            w.field("victim_swap_fills", &self.victim_swap_fills);
+            w.field("workload", &self.workload);
+        });
     }
 
-    fn from_json(v: &Json) -> Result<Self, SnapshotError> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        timekeeping::read_fields!(r, {
+            breakdown: MissBreakdown,
+            coherence: Option<CoherenceStats> = None,
+            core: CoreStats,
+            correlation: Option<CorrelationStats>,
+            dbcp: Option<DbcpStats>,
+            dram: Option<DramStats> = None,
+            hierarchy: HierarchyStats,
+            metrics: MetricsCollector,
+            pf_queue_discards: u64,
+            sampled: Option<SampleStats> = None,
+            timeliness: TimelinessStats,
+            victim: Option<VictimStats>,
+            victim_swap_fills: Option<u64>,
+            workload: String,
+        });
         Ok(RunResult {
-            workload: v.get("workload")?.as_str()?.to_owned(),
-            core: v.snapshot_field("core")?,
-            hierarchy: v.snapshot_field("hierarchy")?,
-            breakdown: v.snapshot_field("breakdown")?,
-            metrics: v.snapshot_field("metrics")?,
-            victim: v.option_field("victim")?,
-            victim_swap_fills: match v.get("victim_swap_fills")? {
-                Json::Null => None,
-                other => Some(other.as_u64()?),
-            },
-            timeliness: v.snapshot_field("timeliness")?,
-            correlation: v.option_field("correlation")?,
-            dbcp: v.option_field("dbcp")?,
-            pf_queue_discards: v.u64_field("pf_queue_discards")?,
-            // Tolerant of the field's absence (documents written before
-            // the backend plane, and every fixed-latency run since).
-            dram: match v.get("dram") {
-                Err(_) | Ok(Json::Null) => None,
-                Ok(other) => Some(crate::dram::DramStats::from_json(other)?),
-            },
-            sampled: match v.get("sampled") {
-                Err(_) | Ok(Json::Null) => None,
-                Ok(other) => Some(crate::sample::SampleStats::from_json(other)?),
-            },
-            coherence: match v.get("coherence") {
-                Err(_) | Ok(Json::Null) => None,
-                Ok(other) => Some(crate::multicore::CoherenceStats::from_json(other)?),
-            },
+            workload,
+            core,
+            hierarchy,
+            breakdown,
+            metrics,
+            victim,
+            victim_swap_fills,
+            timeliness,
+            correlation,
+            dbcp,
+            pf_queue_discards,
+            dram,
+            sampled,
+            coherence,
         })
     }
 }

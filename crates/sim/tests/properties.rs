@@ -15,7 +15,9 @@ use tk_sim::bus::Bus;
 use tk_sim::cache::{ProbeResult, SetAssocCache};
 use tk_sim::mshr::MshrFile;
 use tk_sim::trace::{Instr, MemRef, Workload};
-use tk_sim::{run_workload, PrefetchMode, RunResult, SystemConfig, VictimMode};
+use tk_sim::{
+    run_workload, CoherenceStats, DramStats, PrefetchMode, SampleStats, SystemConfig, VictimMode,
+};
 
 // ----------------------------------------------------- set-assoc cache LRU
 
@@ -343,17 +345,67 @@ fn ipc_monotone_in_window() {
 
 // ------------------------------------------------- snapshot round-trip
 
+/// Writes a snapshot with the streaming writer and asserts that the
+/// typed reader gives the value back, that the text is canonical (the
+/// tree view re-renders it byte for byte, so keys ascend and nothing is
+/// padded), and that the tree defaults round-trip through it too.
+fn assert_snapshot_roundtrips<T>(value: &T)
+where
+    T: Snapshot + PartialEq + std::fmt::Debug,
+{
+    let doc = value.to_json_string();
+    let back = T::from_json_str(&doc).expect("snapshot shape matches");
+    assert_eq!(&back, value, "read_json(write_json(x)) != x");
+    let parsed = Json::parse(&doc).expect("written snapshots parse as trees");
+    assert_eq!(
+        parsed.render(),
+        doc,
+        "the writer's text is not canonical: keys out of order or not compact"
+    );
+    assert_eq!(&T::from_json(&parsed).expect("tree shape matches"), value);
+    assert_eq!(value.to_json(), parsed);
+}
+
+/// A counter block with every field drawn from `g`, whatever its fields.
+fn random_block<T: Snapshot + Default>(g: &mut Gen) -> T {
+    let Json::Obj(mut fields) = T::default().to_json() else {
+        panic!("counter blocks are objects");
+    };
+    for v in fields.values_mut() {
+        *v = Json::U64(g.next_u64());
+    }
+    T::from_json(&Json::Obj(fields)).expect("every field is set")
+}
+
+fn random_sample_stats(g: &mut Gen) -> SampleStats {
+    SampleStats {
+        interval: g.next_u64(),
+        k: g.next_u64() as u32,
+        intervals: g.next_u64(),
+        representatives: g.next_u64() as u32,
+        timed_instructions: g.next_u64(),
+    }
+}
+
 /// A complete `RunResult` — core, hierarchy, breakdown, metrics and
 /// any victim/prefetch extras — serializes to JSON and back
 /// bit-exactly, for runs on machines that populate the optional
-/// sections as well as the base machine.
+/// sections as well as the base machine, and with the keys written only
+/// when present (`coherence`, `dram`, `sampled`) filled in.
 #[test]
 fn run_result_snapshot_roundtrips() {
     check(
         "run_result_snapshot_roundtrips",
         6,
-        |g| (g.range_u32(3..8), g.range_u32(13..20), g.range_usize(0..3)),
-        |&(stride_log, footprint_log, machine)| {
+        |g| {
+            (
+                g.range_u32(3..8),
+                g.range_u32(13..20),
+                g.range_usize(0..3),
+                g.next_u64(),
+            )
+        },
+        |&(stride_log, footprint_log, machine, extras)| {
             let cfg = match machine {
                 0 => SystemConfig::base(),
                 1 => SystemConfig::with_victim(VictimMode::Collins),
@@ -362,13 +414,31 @@ fn run_result_snapshot_roundtrips() {
                 )),
             };
             let mut w = ParamStream::new(stride_log, footprint_log);
-            let r = run_workload(&mut w, cfg, 20_000);
-            let doc = r.to_json().render();
-            let parsed = Json::parse(&doc).expect("rendered snapshots parse back");
-            assert_eq!(parsed.render(), doc, "render→parse→render changed the text");
-            let back = RunResult::from_json(&parsed).expect("snapshot shape matches");
-            assert_eq!(back, r, "from_json(to_json(r)) != r");
-            assert_eq!(back.to_json().render(), doc);
+            let mut r = run_workload(&mut w, cfg, 20_000);
+            assert_snapshot_roundtrips(&r);
+            let mut g = Gen::new(extras);
+            r.coherence = Some(random_block(&mut g));
+            r.dram = Some(random_block(&mut g));
+            r.sampled = Some(random_sample_stats(&mut g));
+            r.victim_swap_fills = Some(g.next_u64());
+            assert_snapshot_roundtrips(&r);
+        },
+    );
+}
+
+/// The blocks a `RunResult` carries only when present round-trip for
+/// any counter values.
+#[test]
+fn optional_result_blocks_snapshot_roundtrip() {
+    check(
+        "optional_result_blocks_snapshot_roundtrip",
+        CASES,
+        |g| g.next_u64(),
+        |&seed| {
+            let mut g = Gen::new(seed);
+            assert_snapshot_roundtrips(&random_sample_stats(&mut g));
+            assert_snapshot_roundtrips(&random_block::<DramStats>(&mut g));
+            assert_snapshot_roundtrips(&random_block::<CoherenceStats>(&mut g));
         },
     );
 }

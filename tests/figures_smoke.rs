@@ -99,3 +99,24 @@ fn fig22_venn_summary() {
     assert!(r.contains("few memory stalls"));
     assert!(r.contains("helped by prefetch"));
 }
+
+/// A multi-core figure runs its concurrent mixes outside the engine; its
+/// manifest still counts those runs.
+#[test]
+fn fig22_mp_manifest_counts_direct_runs() {
+    let dir = std::env::temp_dir().join(format!("tk-fig22mp-obs-{}", std::process::id()));
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_fig22_mp"))
+        .args(["--cores=2", "--quick", "--obs-out"])
+        .arg(&dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("fig22_mp runs");
+    assert!(status.success());
+    let text = std::fs::read_to_string(dir.join("fig22_mp.manifest.json")).expect("manifest");
+    let m = timekeeping::Json::parse(&text).expect("manifest is JSON");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(m.u64_field("simulations").unwrap() > 0, "{text}");
+    let sims_run = m.get("provenance").unwrap().u64_field("simulations_run");
+    assert!(sims_run.unwrap() > 0, "{text}");
+}
