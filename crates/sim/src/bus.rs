@@ -125,125 +125,9 @@ impl Bus {
     }
 }
 
-/// The snoop-bus arbiter of the multi-core hierarchy
-/// ([`crate::multicore`]): a [`Bus`] that owns the coherence broadcast
-/// order and counts transactions by class.
-///
-/// Every coherence transaction — BusRd, BusRdX, upgrade — serializes
-/// through this one bus, which is what makes the MESI protocol's global
-/// transaction order deterministic: cores are serviced in (cycle,
-/// core-index) order by the driver loop, and each granted transaction
-/// reserves the bus for one block-transfer occupancy. Cache-to-cache
-/// transfers ride the granting transaction's reservation (the owner
-/// flushes onto the same bus slot), so they add a count but no second
-/// reservation.
-#[derive(Debug, Clone, Copy)]
-pub struct SnoopBus {
-    bus: Bus,
-    reads: u64,
-    read_exclusives: u64,
-    upgrades: u64,
-    c2c_transfers: u64,
-}
-
-impl SnoopBus {
-    /// Creates an arbiter whose transactions occupy `occupancy` cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `occupancy` is zero.
-    pub fn new(occupancy: u64) -> Self {
-        SnoopBus {
-            bus: Bus::new(occupancy),
-            reads: 0,
-            read_exclusives: 0,
-            upgrades: 0,
-            c2c_transfers: 0,
-        }
-    }
-
-    /// Grants a BusRd (read-miss) transaction requested at `now`;
-    /// returns its bus-grant cycle.
-    pub fn grant_read(&mut self, now: Cycle) -> Cycle {
-        self.reads += 1;
-        self.bus.schedule(now)
-    }
-
-    /// Grants a BusRdX (write-miss, invalidating) transaction.
-    pub fn grant_read_exclusive(&mut self, now: Cycle) -> Cycle {
-        self.read_exclusives += 1;
-        self.bus.schedule(now)
-    }
-
-    /// Grants an upgrade (write hit on a shared copy) transaction.
-    pub fn grant_upgrade(&mut self, now: Cycle) -> Cycle {
-        self.upgrades += 1;
-        self.bus.schedule(now)
-    }
-
-    /// Records a cache-to-cache supply riding an already-granted
-    /// transaction's reservation.
-    pub fn note_c2c(&mut self) {
-        self.c2c_transfers += 1;
-    }
-
-    /// Granted BusRd transactions.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Granted BusRdX transactions.
-    pub fn read_exclusives(&self) -> u64 {
-        self.read_exclusives
-    }
-
-    /// Granted upgrade transactions.
-    pub fn upgrades(&self) -> u64 {
-        self.upgrades
-    }
-
-    /// Cache-to-cache transfers supplied on this bus.
-    pub fn c2c_transfers(&self) -> u64 {
-        self.c2c_transfers
-    }
-
-    /// All granted transactions.
-    pub fn transactions(&self) -> u64 {
-        self.bus.transfers()
-    }
-
-    /// Total cycles of scheduled occupancy.
-    pub fn busy_cycles(&self) -> u64 {
-        self.bus.busy_cycles()
-    }
-
-    /// The cycle at which every current reservation has drained (the
-    /// arbiter's contribution to event-driven wake-up computation).
-    pub fn next_free(&self) -> Cycle {
-        self.bus.next_free()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snoop_bus_serializes_and_counts_by_class() {
-        let mut sb = SnoopBus::new(1);
-        assert_eq!(sb.grant_read(Cycle::new(0)), Cycle::new(0));
-        assert_eq!(sb.grant_read_exclusive(Cycle::new(0)), Cycle::new(1));
-        assert_eq!(sb.grant_upgrade(Cycle::new(0)), Cycle::new(2));
-        sb.note_c2c();
-        assert_eq!(sb.reads(), 1);
-        assert_eq!(sb.read_exclusives(), 1);
-        assert_eq!(sb.upgrades(), 1);
-        assert_eq!(sb.c2c_transfers(), 1);
-        assert_eq!(sb.transactions(), 3);
-        // The c2c supply rode an existing reservation: 3 slots booked.
-        assert_eq!(sb.busy_cycles(), 3);
-        assert_eq!(sb.next_free(), Cycle::new(3));
-    }
 
     #[test]
     fn transfers_serialize() {

@@ -251,15 +251,18 @@ pub struct SystemConfig {
     pub step_every_cycle: bool,
     /// Number of timing cores (1..=[`MAX_CORES`]).
     ///
-    /// `1` (the default) runs the original single-core hierarchy
-    /// bit-exactly. `N > 1` instantiates N out-of-order cores with
-    /// private L1s and victim caches over a MESI-coherent shared L2
-    /// ([`crate::multicore`]): generations can then end by coherence
-    /// invalidation ([`timekeeping::EvictCause::Invalidate`]) as well as
-    /// by eviction. Multi-core runs support every victim-cache mode and
+    /// `1` (the default) runs the single-core paper machine. `N > 1`
+    /// instantiates N out-of-order cores with private L1s and victim
+    /// caches over a shared, inclusive L2, which the coherence stage
+    /// ([`crate::multicore`]) keeps MESI-coherent: generations can then
+    /// end by coherence invalidation
+    /// ([`timekeeping::EvictCause::Invalidate`]) as well as by eviction.
+    /// Multi-core runs support every victim-cache mode and
     /// `predict_only` prefetcher scoring; decay, slack scheduling, the
     /// cold-miss oracle, and *issuing* prefetchers are rejected at
-    /// `build()` because their timing machinery is single-core.
+    /// `build()` because the coherence stage does not cover them yet (a
+    /// prefetch fill, for one, has no bus transaction of its own to
+    /// snoop).
     pub cores: u32,
 }
 
@@ -298,13 +301,14 @@ pub enum ConfigError {
     TooManyCores,
     /// `cores > 1` was combined with cache decay, slack prefetch
     /// scheduling, or the cold-miss oracle L1 — mechanisms whose timing
-    /// machinery (the decay tick, the prefetch issue gate, the oracle
-    /// shadow) is single-core only.
+    /// machinery (the decay refetch, the prefetch issue gate, the oracle
+    /// shadow) the coherence stage does not cover yet.
     MultiCoreWithMechanism,
-    /// `cores > 1` with a prefetcher that *issues* prefetches. Prefetch
-    /// issue timing (queue, gate, MSHRs) is single-core machinery;
-    /// multi-core runs must add `predict_only`, which still scores the
-    /// predictor's intrinsic coverage/accuracy under coherence traffic.
+    /// `cores > 1` with a prefetcher that *issues* prefetches. A prefetch
+    /// fill has no bus transaction of its own for the coherence stage to
+    /// snoop; multi-core runs must add `predict_only`, which still scores
+    /// the predictor's intrinsic coverage/accuracy under coherence
+    /// traffic.
     MultiCoreIssuingPrefetcher,
 }
 
@@ -332,11 +336,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TooManyCores => "core count exceeds MAX_CORES (8)",
             ConfigError::MultiCoreWithMechanism => {
                 "cores > 1 cannot be combined with cache decay, slack prefetch \
-                 scheduling, or the cold-miss oracle (single-core timing machinery)"
+                 scheduling, or the cold-miss oracle (not yet covered by coherence)"
             }
             ConfigError::MultiCoreIssuingPrefetcher => {
                 "cores > 1 with a prefetcher requires predict_only (prefetch \
-                 issue timing is single-core machinery)"
+                 fills are not yet covered by coherence)"
             }
             ConfigError::InvalidDram(_) => unreachable!("delegated to DramConfigError above"),
         };

@@ -10,10 +10,10 @@
 //! overlap until the window fills.
 //!
 //! One driver, `OooCore::run_cores`, runs any number of cores against
-//! one `CoreMemory`: the single-core [`MemorySystem`] (through
-//! [`OooCore::run`]) and the MESI-coherent
-//! [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) alike. The
-//! issue, retire and clock-hop rules live only here.
+//! one `CoreMemory`, the [`MemorySystem`] of that many cores: through
+//! [`OooCore::run`] at one core, through
+//! [`run_multicore`](crate::multicore::run_multicore) at N. The issue,
+//! retire and clock-hop rules live only here.
 
 use timekeeping::Cycle;
 

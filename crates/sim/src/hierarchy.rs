@@ -1,6 +1,7 @@
-//! The full memory system: L1D (+ optional victim cache), L2, buses, DRAM,
-//! MSHRs, miss classification, generational timekeeping, and the two
-//! prefetchers.
+//! The full memory system of one or more cores: per core an L1D (+
+//! optional victim cache), MSHRs, miss classification, generational
+//! timekeeping and the prefetchers; shared by all cores the L2, the
+//! buses and DRAM.
 //!
 //! This is the substrate every experiment runs on. The timing model is
 //! occupancy-based: every shared resource (buses, MSHRs) tracks when it is
@@ -10,8 +11,12 @@
 //! observe the fill time through the MSHRs).
 //!
 //! The access path itself is a staged pipeline of typed events consumed
-//! by an observer plane — see [`crate::pipeline`]. This module holds the
-//! machine state ([`MemorySystem`]), its constructor and accessors, the
+//! by an observer plane — see [`crate::pipeline`]. One machine serves
+//! every core count, with N = 1 as the degenerate case: at N > 1 the
+//! coherence stage of [`crate::multicore`] runs at every demand fill and
+//! keeps the private L1s MESI-coherent over the shared, inclusive L2.
+//! This module holds the machine state ([`MemorySystem`] and its
+//! per-core `CoreSlice`s), its constructor and accessors, the
 //! per-access lockstep-checker wrapper, and the aggregate counters.
 
 use std::cmp::Reverse;
@@ -20,20 +25,22 @@ use std::collections::BinaryHeap;
 use timekeeping::snapshot::Snapshot;
 use timekeeping::{
     Cycle, FullyAssocShadow, GlobalTicker, LineSet, MetricsCollector, MissBreakdown, PrefetchQueue,
-    TimelinessStats,
+    TimelinessStats, WeightedSum,
 };
 
 use crate::bus::Bus;
 use crate::cache::SetAssocCache;
 use crate::config::{PrefetchMode, SystemConfig};
-use crate::core::CoreMemory;
+use crate::core::{CoreMemory, CoreStats};
 use crate::dram::{DramStats, MemBackend};
 use crate::mshr::MshrFile;
+use crate::multicore::{CoherenceStats, Mesi};
 use crate::obs::{
     self, ProfStage, ProfileReport, Profiler, TraceCategories, TraceObserver, TraceRecord,
 };
 use crate::oracle::{FunctionalOracle, LockstepChecker};
-use crate::pipeline::{Observers, PendingPf, PipelineEvent, TapEvent};
+use crate::pipeline::{Observers, PendingPf, TapEvent};
+use crate::system::RunResult;
 use crate::trace::MemRef;
 
 /// Result of one data-cache access.
@@ -138,36 +145,73 @@ timekeeping::counter_block!(HierarchyStats {
     vc_hits
 });
 
-/// The complete simulated memory system.
-///
-/// Timing state (caches, buses, MSHRs, the prefetch queue) lives here;
-/// everything that merely *watches* the access stream — generation
-/// tracking, metrics, predictors, victim-cache admission, the
-/// lockstep-oracle tap — lives in the `Observers` plane and is driven
-/// by the pipeline stages in [`crate::pipeline`].
+/// One core's private slice of the machine: its L1 and the state that
+/// serves it. Shared resources (L2, buses, DRAM) live in
+/// [`MemorySystem`].
 #[derive(Debug)]
-pub struct MemorySystem {
-    pub(crate) cfg: SystemConfig,
-    pub(crate) ticker: GlobalTicker,
+pub(crate) struct CoreSlice {
     pub(crate) l1d: SetAssocCache,
-    pub(crate) l2: SetAssocCache,
     /// The event-observer plane, dispatched in fixed order.
     pub(crate) obs: Observers,
     pub(crate) shadow: FullyAssocShadow,
     pub(crate) demand_mshrs: MshrFile,
     pub(crate) prefetch_mshrs: MshrFile,
-    pub(crate) l1l2_bus: Bus,
-    pub(crate) l2mem_bus: Bus,
-    /// Main-memory model behind the L2↔memory bus (see [`crate::dram`]).
-    pub(crate) backend: Box<dyn MemBackend>,
     pub(crate) pf_queue: PrefetchQueue,
     /// In-flight prefetches ordered by arrival: `(arrive, line, set)`.
     pub(crate) inflight_pf: BinaryHeap<Reverse<(u64, u64, u64)>>,
     /// At most one pending prefetch per L1 set, indexed by set.
     pub(crate) pending_pf: Vec<Option<PendingPf>>,
-    pub(crate) timeliness: TimelinessStats,
     /// Lines ever seen, for the cold-miss-only study L1.
     pub(crate) cold_seen: LineSet,
+    /// MESI state per L1 frame (parallel to the tag array); read and
+    /// written only at N > 1, by the coherence stage.
+    pub(crate) mesi: Vec<Mesi>,
+    /// Lines this core lost to an invalidation and has not refetched yet.
+    pub(crate) inval_lost: LineSet,
+    pub(crate) stats: HierarchyStats,
+}
+
+impl CoreSlice {
+    fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
+        let m = &cfg.machine;
+        let num_frames = m.l1d.num_frames() as usize;
+        CoreSlice {
+            l1d: SetAssocCache::new(m.l1d),
+            obs: Observers::new(cfg, ticker),
+            shadow: FullyAssocShadow::new(num_frames),
+            demand_mshrs: MshrFile::new(m.demand_mshrs),
+            prefetch_mshrs: MshrFile::new(m.prefetch_mshrs),
+            pf_queue: PrefetchQueue::new(m.prefetch_queue),
+            inflight_pf: BinaryHeap::new(),
+            pending_pf: vec![None; m.l1d.num_sets() as usize],
+            cold_seen: LineSet::default(),
+            mesi: vec![Mesi::Invalid; num_frames],
+            inval_lost: LineSet::default(),
+            stats: HierarchyStats::default(),
+        }
+    }
+}
+
+/// The complete simulated memory system, for one core or several.
+///
+/// Timing state lives here: per core a `CoreSlice` (L1, MSHRs, the
+/// prefetch queue), shared by all cores the L2, both buses and the
+/// memory backend. Everything that merely *watches* the access stream —
+/// generation tracking, metrics, predictors, victim-cache admission,
+/// the lockstep-oracle tap — lives in each core's `Observers` plane and
+/// is driven by the pipeline stages in [`crate::pipeline`].
+#[derive(Debug)]
+pub struct MemorySystem {
+    pub(crate) cfg: SystemConfig,
+    pub(crate) ticker: GlobalTicker,
+    /// One private slice per core; core 0 alone at N = 1.
+    pub(crate) cores: Vec<CoreSlice>,
+    pub(crate) l2: SetAssocCache,
+    pub(crate) l1l2_bus: Bus,
+    pub(crate) l2mem_bus: Bus,
+    /// Main-memory model behind the L2↔memory bus (see [`crate::dram`]).
+    pub(crate) backend: Box<dyn MemBackend>,
+    pub(crate) timeliness: TimelinessStats,
     pub(crate) last_tick: u64,
     /// High-water mark of [`advance`](MemorySystem::advance) calls: the
     /// event-replay loop walks from here to the requested cycle.
@@ -176,60 +220,56 @@ pub struct MemorySystem {
     /// per-tick allocation; sized one request per frame, so it never
     /// grows).
     pub(crate) tick_scratch: Vec<timekeeping::PrefetchRequest>,
-    pub(crate) stats: HierarchyStats,
+    /// Coherence counters, kept at N > 1 only.
+    pub(crate) coh: CoherenceStats,
     pub(crate) checker: Option<Box<LockstepChecker>>,
-    /// Optional pipeline event trace (see
-    /// [`record_events`](MemorySystem::record_events)).
-    pub(crate) event_log: Option<Vec<PipelineEvent>>,
     /// Optional self-profiler (`--profile`); `None` keeps the disabled
     /// path to one pointer-sized branch per scope.
     pub(crate) prof: Option<Box<Profiler>>,
 }
 
 impl MemorySystem {
-    /// Builds the memory system described by `cfg`.
+    /// Builds the memory system described by `cfg`, with one
+    /// `CoreSlice` per core.
     pub fn new(cfg: SystemConfig) -> Self {
         let m = &cfg.machine;
-        let num_frames = m.l1d.num_frames() as usize;
-        let num_sets = m.l1d.num_sets() as usize;
         let ticker = GlobalTicker::new(m.tick_period);
-        let obs = Observers::new(&cfg, ticker);
+        let cores = (0..cfg.cores)
+            .map(|_| CoreSlice::new(&cfg, ticker))
+            .collect();
         MemorySystem {
             ticker,
-            l1d: SetAssocCache::new(m.l1d),
+            cores,
             l2: SetAssocCache::new(m.l2),
-            obs,
-            shadow: FullyAssocShadow::new(m.l1d.num_frames() as usize),
-            demand_mshrs: MshrFile::new(m.demand_mshrs),
-            prefetch_mshrs: MshrFile::new(m.prefetch_mshrs),
             l1l2_bus: Bus::new(m.l1l2_bus_occupancy),
             l2mem_bus: Bus::new(m.l2mem_bus_occupancy),
             backend: crate::dram::build_backend(&cfg),
-            pf_queue: PrefetchQueue::new(m.prefetch_queue),
-            inflight_pf: BinaryHeap::new(),
-            pending_pf: vec![None; num_sets],
             timeliness: TimelinessStats::new(),
-            cold_seen: LineSet::default(),
             last_tick: 0,
             last_advance: Cycle::ZERO,
             tick_scratch: match cfg.prefetch {
-                PrefetchMode::Timekeeping(_) => Vec::with_capacity(num_frames),
+                PrefetchMode::Timekeeping(_) => Vec::with_capacity(m.l1d.num_frames() as usize),
                 _ => Vec::new(),
             },
-            stats: HierarchyStats::default(),
+            coh: CoherenceStats::default(),
             checker: None,
-            event_log: None,
             prof: obs::profiler_from_global(),
             cfg,
         }
     }
 
+    /// Whether no core has accessed memory yet.
+    fn untouched(&self) -> bool {
+        self.cores.iter().all(|c| c.stats.l1_accesses == 0)
+    }
+
     /// Installs the functional-oracle lockstep checker (see
     /// [`crate::oracle`]): every subsequent demand access, prefetch fill
     /// and prefetch L2 touch is replayed into a timing-free reference
-    /// model, and any disagreement on hit/miss classification, level
-    /// serviced, evicted-line identity or generation boundaries panics
-    /// with a divergence report.
+    /// model of every core, and any disagreement on hit/miss
+    /// classification, level serviced, evicted-line identity, generation
+    /// boundaries or the invalidation set panics with a divergence
+    /// report.
     ///
     /// Returns whether the checker was installed; configurations the
     /// oracle cannot mirror (the cold-miss-only L1 study mode) are left
@@ -240,8 +280,8 @@ impl MemorySystem {
     /// Panics if the system has already performed accesses — the oracle
     /// mirrors an empty hierarchy.
     pub fn enable_lockstep_check(&mut self) -> bool {
-        assert_eq!(
-            self.stats.l1_accesses, 0,
+        assert!(
+            self.untouched(),
             "lockstep checker must be installed before any access"
         );
         if !FunctionalOracle::supports(&self.cfg) {
@@ -261,9 +301,19 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters, summed over cores.
     pub fn stats(&self) -> HierarchyStats {
-        self.stats
+        sum_cores(&self.cores, |c| c.stats)
+    }
+
+    /// One core's hierarchy counters.
+    pub fn core_stats(&self, core: usize) -> HierarchyStats {
+        self.cores[core].stats
+    }
+
+    /// Coherence counters; all zero at one core.
+    pub fn coherence(&self) -> &CoherenceStats {
+        &self.coh
     }
 
     /// Capacity of the reusable buffer receiving tick-fired prefetches.
@@ -275,32 +325,34 @@ impl MemorySystem {
         self.tick_scratch.capacity()
     }
 
-    /// Bytes of trace ring-buffer capacity held by this system: 0 when
+    /// Bytes of trace ring-buffer capacity held by core 0: 0 when
     /// tracing is disabled, and fixed for the life of the system either
     /// way — the trace ring is bounded and the disabled path allocates
     /// nothing.
     #[cfg(test)]
     pub(crate) fn obs_trace_capacity(&self) -> usize {
-        self.obs.trace.as_deref().map_or(0, |t| {
+        self.cores[0].obs.trace.as_deref().map_or(0, |t| {
             t.ring_capacity() * std::mem::size_of::<TraceRecord>()
         })
     }
 
-    /// Installs an in-memory trace observer directly on this system,
-    /// bypassing the process-global configuration — for hermetic tests
-    /// (the golden `tk_obs_dump` run) that must not race with other
-    /// tests over the global flags.
+    /// Installs an in-memory trace observer directly on every core of
+    /// this system, bypassing the process-global configuration — for
+    /// hermetic tests (the golden `tk_obs_dump` run) that must not race
+    /// with other tests over the global flags.
     ///
     /// # Panics
     ///
     /// Panics if the system has already performed accesses.
     pub fn install_trace(&mut self, cats: TraceCategories, sample: u64) {
-        assert_eq!(
-            self.stats.l1_accesses, 0,
+        assert!(
+            self.untouched(),
             "trace observer must be installed before any access"
         );
         let geom = self.cfg.machine.l1d;
-        self.obs.trace = Some(Box::new(TraceObserver::memory(cats, sample, geom)));
+        for c in &mut self.cores {
+            c.obs.trace = Some(Box::new(TraceObserver::memory(cats, sample, geom)));
+        }
     }
 
     /// Installs a profiler directly on this system, bypassing the
@@ -309,10 +361,10 @@ impl MemorySystem {
         self.prof = Some(Box::new(Profiler::new()));
     }
 
-    /// The records captured by an in-memory trace observer; `None` when
-    /// tracing is disabled or streaming to files.
+    /// The records core 0's in-memory trace observer captured; `None`
+    /// when tracing is disabled or streaming to files.
     pub fn trace_records(&mut self) -> Option<&[TraceRecord]> {
-        self.obs.trace.as_deref_mut().map(|t| t.records())
+        self.cores[0].obs.trace.as_deref_mut().map(|t| t.records())
     }
 
     /// The profiling report accumulated so far, when profiling is on.
@@ -335,43 +387,42 @@ impl MemorySystem {
         }
     }
 
-    /// Timekeeping metric distributions and predictor scores.
+    /// Core 0's timekeeping metric distributions and predictor scores.
     pub fn metrics(&self) -> &MetricsCollector {
-        &self.obs.metrics.collector
+        &self.cores[0].obs.metrics.collector
     }
 
     /// Access intervals observed at the L2 (one sample per repeat L1 miss
-    /// of a line). Per §3, this distribution coincides with the L1 reload
-    /// intervals — see `l2_access_interval_equals_l1_reload_interval`.
+    /// of a line) by core 0. Per §3, this distribution coincides with the
+    /// L1 reload intervals — see `l2_access_interval_equals_l1_reload_interval`.
     pub fn l2_access_intervals(&self) -> &timekeeping::Histogram {
-        &self.obs.metrics.l2_access_interval
+        &self.cores[0].obs.metrics.l2_access_interval
     }
 
-    /// Prediction scores of the hardware L2 interval monitor (§4.1's
+    /// Prediction scores of core 0's hardware L2 interval monitor (§4.1's
     /// L2-side conflict predictor, with real counter quantization).
     pub fn l2_monitor_score(&self) -> &timekeeping::AccuracyCoverage {
-        self.obs.metrics.l2_monitor.score()
+        self.cores[0].obs.metrics.l2_monitor.score()
     }
 
-    /// Mutable access to the metrics, so a finished run can move them out
-    /// without cloning the histograms.
-    pub fn metrics_mut(&mut self) -> &mut MetricsCollector {
-        &mut self.obs.metrics.collector
-    }
-
-    /// Ground-truth miss breakdown (Figure 2).
+    /// Ground-truth miss breakdown (Figure 2), summed over cores.
     pub fn miss_breakdown(&self) -> MissBreakdown {
-        self.shadow.breakdown()
+        sum_cores(&self.cores, |c| c.shadow.breakdown())
     }
 
-    /// Victim-cache statistics, if a victim cache is configured.
+    /// Victim-cache statistics summed over cores, if a victim cache is
+    /// configured.
     pub fn victim_stats(&self) -> Option<timekeeping::VictimStats> {
-        self.obs.victim.unit.as_ref().map(|v| v.cache.stats())
+        sum_cores(&self.cores, |c| {
+            c.obs.victim.unit.as_ref().map(|v| v.cache.stats())
+        })
     }
 
-    /// Blocks entered into the victim cache by L1↔VC swaps.
+    /// Blocks entered into the victim caches by L1↔VC swaps.
     pub fn victim_swap_fills(&self) -> Option<u64> {
-        self.obs.victim.unit.as_ref().map(|v| v.swap_fills)
+        sum_cores(&self.cores, |c| {
+            c.obs.victim.unit.as_ref().map(|v| v.swap_fills)
+        })
     }
 
     /// Prefetch timeliness breakdown (Figure 21).
@@ -379,15 +430,15 @@ impl MemorySystem {
         &self.timeliness
     }
 
-    /// Prefetch queue drop count.
+    /// Prefetch queue drop count, summed over cores.
     pub fn pf_queue_discards(&self) -> u64 {
-        self.pf_queue.discarded()
+        sum_cores(&self.cores, |c| c.pf_queue.discarded())
     }
 
-    /// Correlation-table statistics of the timekeeping prefetcher, if
-    /// configured (hit rate = Figure 20 coverage).
+    /// Correlation-table statistics of the timekeeping predictor, if
+    /// configured (hit rate = Figure 20 coverage), summed over cores.
     pub fn correlation_stats(&self) -> Option<timekeeping::CorrelationStats> {
-        self.obs.predictors.correlation_stats()
+        sum_cores(&self.cores, |c| c.obs.predictors.correlation_stats())
     }
 
     /// Banked-DRAM statistics; `None` under the fixed-latency backend
@@ -396,36 +447,84 @@ impl MemorySystem {
         self.backend.snapshot()
     }
 
-    /// DBCP statistics, if configured.
+    /// DBCP statistics summed over cores, if configured.
     pub fn dbcp_stats(&self) -> Option<timekeeping::DbcpStats> {
-        self.obs.predictors.dbcp_stats()
+        sum_cores(&self.cores, |c| c.obs.predictors.dbcp_stats())
     }
 
-    /// Performs one data reference. Stores mark the line dirty
+    /// Collects a finished run into a [`RunResult`]: every per-core block
+    /// summed over cores (core 0's alone at N = 1), the metric
+    /// distributions merged, and the coherence counters, which are
+    /// present exactly when `cores > 1`. Moves the metrics out, so a
+    /// system yields one result.
+    pub(crate) fn take_result(&mut self, workload: &str, core: CoreStats) -> RunResult {
+        let mut metrics = std::mem::take(&mut self.cores[0].obs.metrics.collector);
+        for c in &self.cores[1..] {
+            metrics.merge(&c.obs.metrics.collector);
+        }
+        RunResult {
+            workload: workload.to_owned(),
+            core,
+            hierarchy: self.stats(),
+            breakdown: self.miss_breakdown(),
+            metrics,
+            victim: self.victim_stats(),
+            victim_swap_fills: self.victim_swap_fills(),
+            timeliness: self.timeliness,
+            correlation: self.correlation_stats(),
+            dbcp: self.dbcp_stats(),
+            pf_queue_discards: self.pf_queue_discards(),
+            dram: self.dram_stats(),
+            sampled: None,
+            coherence: (self.cores.len() > 1).then_some(self.coh),
+        }
+    }
+
+    /// Performs one data reference by core 0. Stores mark the line dirty
     /// (write-back, write-allocate); the caller decides whether to stall
     /// on the result.
     pub fn access(&mut self, mref: &MemRef, is_store: bool, now: Cycle) -> AccessOutcome {
+        self.access_by(0, mref, is_store, now)
+    }
+
+    /// Performs one data reference by core `core`: [`access`](Self::access)
+    /// for any core of the machine.
+    #[inline]
+    pub fn access_by(
+        &mut self,
+        core: usize,
+        mref: &MemRef,
+        is_store: bool,
+        now: Cycle,
+    ) -> AccessOutcome {
         let t0 = self.prof_t0();
-        let out = self.access_impl(mref, is_store, now);
+        let out = self.access_impl(core, mref, is_store, now);
         self.prof_rec(ProfStage::Access, t0);
         out
     }
 
-    fn access_impl(&mut self, mref: &MemRef, is_store: bool, now: Cycle) -> AccessOutcome {
+    fn access_impl(
+        &mut self,
+        c: usize,
+        mref: &MemRef,
+        is_store: bool,
+        now: Cycle,
+    ) -> AccessOutcome {
         if self.checker.is_none() {
-            return self.stage_lookup(mref, is_store, now);
+            return self.stage_lookup(c, mref, is_store, now);
         }
-        self.obs.oracle.evt = TapEvent::default();
-        let out = self.stage_lookup(mref, is_store, now);
-        let obs = self
+        self.cores[c].obs.oracle.evt = TapEvent::default();
+        let out = self.stage_lookup(c, mref, is_store, now);
+        let core = &self.cores[c];
+        let obs = core
             .obs
             .oracle
             .evt
-            .observation(0, mref.addr, is_store, out.l1_hit, out.vc_hit);
-        let vc_lines = self.obs.victim.unit.as_ref().map(|v| v.cache.lines());
-        let mut chk = self.checker.take().expect("checked above");
-        chk.check_demand(&self.l1d, vc_lines.as_deref(), &obs);
-        self.checker = Some(chk);
+            .observation(c, mref.addr, is_store, out.l1_hit, out.vc_hit);
+        let vc_lines = core.obs.victim.unit.as_ref().map(|v| v.cache.lines());
+        if let Some(chk) = self.checker.as_deref_mut() {
+            chk.check_demand(&core.l1d, vc_lines.as_deref(), &obs);
+        }
         out
     }
 
@@ -435,20 +534,24 @@ impl MemorySystem {
     /// written out (both idempotent across repeated calls).
     pub fn finish(&mut self, now: Cycle) {
         let t0 = self.prof_t0();
-        if self.cfg.decay_interval.is_some() {
-            for frame in 0..self.obs.predictors.addr_pred.len() {
-                self.bank_decay_off_time(frame, now);
+        for c in 0..self.cores.len() {
+            if self.cfg.decay_interval.is_some() {
+                for frame in 0..self.cores[c].obs.predictors.addr_pred.len() {
+                    self.bank_decay_off_time(c, frame, now);
+                }
             }
+            self.cores[c].obs.flush(now);
         }
-        self.obs.flush(now);
         self.prof_rec(ProfStage::Finish, t0);
         self.finish_obs();
     }
 
     /// Flushes trace sinks and emits the profile report (first call only).
     fn finish_obs(&mut self) {
-        if let Some(t) = self.obs.trace.as_deref_mut() {
-            t.finish();
+        for c in &mut self.cores {
+            if let Some(t) = c.obs.trace.as_deref_mut() {
+                t.finish();
+            }
         }
         let Some(p) = self.prof.as_deref_mut() else {
             return;
@@ -476,12 +579,21 @@ impl MemorySystem {
     }
 }
 
-/// The single-core memory system serves core 0 only.
+/// A per-core block summed over `cores`, starting from core 0's own
+/// value (so one core's block comes back unchanged).
+fn sum_cores<T: WeightedSum>(cores: &[CoreSlice], block: impl Fn(&CoreSlice) -> T) -> T {
+    let mut acc = block(&cores[0]);
+    for c in &cores[1..] {
+        acc.add_weighted(&block(c), 1);
+    }
+    acc
+}
+
+/// The memory system as the core driver sees it, at any core count.
 impl CoreMemory for MemorySystem {
     #[inline]
     fn access(&mut self, core: usize, mref: &MemRef, is_store: bool, now: Cycle) -> Cycle {
-        debug_assert_eq!(core, 0, "MemorySystem serves one core");
-        MemorySystem::access(self, mref, is_store, now).ready_at
+        self.access_by(core, mref, is_store, now).ready_at
     }
 
     #[inline]

@@ -55,7 +55,6 @@ pub mod sample;
 pub mod system;
 pub mod trace;
 
-pub use bus::SnoopBus;
 pub use ckpt::{
     checkpoint_dir, checkpoint_stats, checkpoints_enabled, job_fingerprint, obtain_keyed,
     record_checkpoints, reset_checkpoint_store, set_checkpoint_dir, set_checkpoints_enabled,
@@ -71,7 +70,7 @@ pub use dram::{
     MemBackend, MemBackendConfig, MemReply, RowOutcome,
 };
 pub use hierarchy::{AccessOutcome, HierarchyStats, MemorySystem};
-pub use multicore::{run_multicore, CoherenceStats, Mesi, MultiCoreSystem};
+pub use multicore::{run_multicore, CoherenceStats, Mesi};
 pub use obs::{
     obs_config, set_obs_config, set_out_dir, set_profile, set_trace, set_trace_sample,
     trace_enabled, ObsConfig, ProfileReport, TraceCategories, TraceCategory, TraceKind,

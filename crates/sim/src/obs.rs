@@ -812,7 +812,7 @@ pub(crate) fn profiler_from_global() -> Option<Box<Profiler>> {
     obs_config().profile.then(|| Box::new(Profiler::new()))
 }
 
-fn miss_kind_code(kind: MissKind) -> u64 {
+pub(crate) fn miss_kind_code(kind: MissKind) -> u64 {
     match kind {
         MissKind::Cold => 0,
         MissKind::Conflict => 1,
@@ -820,7 +820,7 @@ fn miss_kind_code(kind: MissKind) -> u64 {
     }
 }
 
-fn evict_cause_code(cause: EvictCause) -> u64 {
+pub(crate) fn evict_cause_code(cause: EvictCause) -> u64 {
     match cause {
         EvictCause::Demand => 0,
         EvictCause::Prefetch => 1,

@@ -15,16 +15,21 @@
 //! what makes a miss [`SimLevel::CacheToCache`], and a load that takes
 //! the line that way leaves the owner's copy clean. A store kills every
 //! other core's copy (L1 and victim buffer). The inclusion rule is the
-//! simulator's, given by `l2_is_inclusive`: the single-core
+//! simulator's, given by `l2_is_inclusive`: at one core the
 //! [`MemorySystem`](crate::hierarchy::MemorySystem) keeps a
-//! non-inclusive L2, while the shared L2 of the
-//! [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) recalls both
-//! L1-sized halves of every line it evicts from every L1 and victim
-//! buffer.
+//! non-inclusive L2, while at N > 1 the shared L2 recalls both L1-sized
+//! halves of every line it evicts from every L1 and victim buffer.
+//!
+//! A miss is replayed in the simulator's stage order: the coherence
+//! transaction (a cache-to-cache supply, or the L2 probe and fill with
+//! its recall), then the L1 fill that evicts the missing core's victim.
+//! So a recall that takes the requester's own L1 victim leaves that fill
+//! with nothing to evict. A store's kills touch only other cores' copies
+//! of the stored line, so where they fall in that order does not
+//! matter.
 //!
 //! In lockstep check mode (see
-//! [`MemorySystem::enable_lockstep_check`](crate::hierarchy::MemorySystem::enable_lockstep_check),
-//! [`MultiCoreSystem::enable_lockstep_check`](crate::multicore::MultiCoreSystem::enable_lockstep_check)
+//! [`MemorySystem::enable_lockstep_check`](crate::hierarchy::MemorySystem::enable_lockstep_check)
 //! and [`SimSystem`](crate::system::SimSystem)), the cycle simulator
 //! replays every demand access, prefetch fill, and prefetch L2 touch
 //! into the oracle and asserts per-access agreement on:
@@ -55,7 +60,9 @@
 //!   to a line finds the first still outstanding depends on latencies.
 //!   The oracle still verifies the L1/VC classification and the
 //!   eviction identity of such accesses, but does not touch its L2
-//!   mirror (the simulator did not consult its L2 either).
+//!   mirror (the simulator did not consult its L2 either). A merge
+//!   still snoops, so one that finds a remote Modified copy is a
+//!   cache-to-cache supply like any other miss.
 //! * **Victim-cache admission** for timing-based filters (dead-time,
 //!   reload-interval) — the admit bit is mirrored from the simulator
 //!   so the buffer contents stay comparable; every *lookup* (the part
@@ -322,11 +329,10 @@ impl ShadowVictim {
 }
 
 /// Whether the L2 includes every L1 and victim-buffer copy — the rule
-/// the simulator follows, as one function of the core count. The
-/// single-core [`MemorySystem`](crate::hierarchy::MemorySystem) is
+/// the simulator follows, as one function of the core count. At one
+/// core the [`MemorySystem`](crate::hierarchy::MemorySystem) is
 /// non-inclusive: an L2 eviction leaves L1 copies alone, and their
-/// write-backs continue to memory. The shared L2 of the
-/// [`MultiCoreSystem`](crate::multicore::MultiCoreSystem) is inclusive:
+/// write-backs continue to memory. At N > 1 the shared L2 is inclusive:
 /// an L2 eviction recalls both L1-sized halves of the departing line
 /// from every core's L1 and victim buffer.
 pub(crate) fn l2_is_inclusive(cfg: &SystemConfig) -> bool {
@@ -455,14 +461,9 @@ impl FunctionalOracle {
                 core.vc.as_mut().expect("swap").insert(ev);
             }
         } else {
-            v.evicted = self.fill_l1(c, line, obs.vc_admitted);
             let owner = (0..self.cores.len())
                 .find(|&o| o != c && self.cores[o].modified.contains(&line.get()));
-            if obs.level == SimLevel::InFlight {
-                // For in-flight merges the simulator consulted no cache
-                // level; mirror the refill without touching the L2.
-                v.level = SimLevel::InFlight;
-            } else if let Some(owner) = owner {
+            if let Some(owner) = owner {
                 // The owner supplies the line, and the shared L2, which
                 // holds it by inclusion, takes the flushed data.
                 v.level = SimLevel::CacheToCache;
@@ -471,9 +472,14 @@ impl FunctionalOracle {
                     // BusRd: the owner keeps a clean, shared copy.
                     self.cores[owner].modified.remove(&line.get());
                 }
+            } else if obs.level == SimLevel::InFlight {
+                // For in-flight merges the simulator consulted no cache
+                // level; mirror the refill without touching the L2.
+                v.level = SimLevel::InFlight;
             } else {
                 (v.level, v.l2_evicted) = self.l2_fetch(obs.addr);
             }
+            v.evicted = self.fill_l1(c, line, obs.vc_admitted);
         }
         if obs.is_store {
             for o in (0..self.cores.len()).filter(|&o| v.invalidated & 1 << o != 0) {
@@ -736,9 +742,8 @@ impl LockstepChecker {
         panic!("{msg}");
     }
 
-    /// Checks a prefetch fill (the simulator decided to land `line`;
-    /// *when* a prefetch lands is timing). Prefetches issue on one core
-    /// only.
+    /// Checks a prefetch fill into `core`'s L1 (the simulator decided to
+    /// land `line`; *when* a prefetch lands is timing).
     ///
     /// # Panics
     ///
@@ -746,13 +751,14 @@ impl LockstepChecker {
     /// generation boundary disagrees.
     pub fn check_prefetch_fill(
         &mut self,
+        core: usize,
         l1d: &SetAssocCache,
         line: LineAddr,
         sim_evicted: Option<LineAddr>,
         closed_generation: bool,
         vc_admitted: Option<bool>,
     ) {
-        let evicted = self.oracle.fill_l1(0, line, vc_admitted);
+        let evicted = self.oracle.fill_l1(core, line, vc_admitted);
         if evicted == sim_evicted && closed_generation == evicted.is_some() {
             return;
         }
@@ -768,7 +774,7 @@ impl LockstepChecker {
             self.accesses,
             evicted.is_some(),
             sim_set(l1d, set),
-            join(&self.oracle.cores[0].l1.set_lines(set)),
+            join(&self.oracle.cores[core].l1.set_lines(set)),
         );
     }
 

@@ -7,7 +7,7 @@
 //!    │
 //!   miss─▶ MissClassify ─▶ VictimProbe ──vc hit──▶ swap fill
 //!                              │
-//!                             miss ─▶ MissIssue ─▶ Fill / Evict
+//!                             miss ─▶ MissIssue ─▶ Coherence ─▶ Fill / Evict
 //! ```
 //!
 //! Each stage moves data between the caches, MSHRs and buses (the
@@ -28,6 +28,12 @@
 //! the behavioral contract — reordering observers changes which state a
 //! later observer sees and breaks bit-exactness with the golden runs.
 //!
+//! Every stage runs for one core of the machine, on that core's L1 and
+//! observers. The Coherence stage ([`crate::multicore`]) runs only at
+//! N > 1, at every demand fill: the fetch's L1↔L2 bus slot is its
+//! BusRd or BusRdX, and a store hit on a Shared line takes a bus slot
+//! for its upgrade.
+//!
 //! The prefetch machinery (queue, issue, in-flight heap, arrival fills)
 //! also lives here: a prefetch arrival is just another Fill/Evict event
 //! pair, emitted from [`MemorySystem::advance`] instead of a demand
@@ -45,7 +51,7 @@ use timekeeping::{Histogram, L2IntervalMonitor, MetricsCollector, Pc};
 
 use crate::cache::ProbeResult;
 use crate::config::{L1Mode, MachineConfig, PrefetchMode, SystemConfig, VictimMode};
-use crate::hierarchy::{AccessOutcome, MemorySystem};
+use crate::hierarchy::{AccessOutcome, CoreSlice, MemorySystem};
 use crate::obs::{self, ProfStage, TraceKind, TraceObserver};
 use crate::oracle::{SimLevel, SimObservation};
 use crate::trace::MemRef;
@@ -135,10 +141,6 @@ pub struct EvictEvent {
     /// When the generation ended (for decay this is the switch-off
     /// point, which precedes the access that discovers it).
     pub at: Cycle,
-    /// Whether the closed generation is offered to the victim-cache
-    /// admission filter. Every close is, except a victim-cache swap's at
-    /// `cores > 1` (one condition, `VictimUnit::offers_swap_close`).
-    pub offer: bool,
 }
 
 impl EvictEvent {
@@ -151,7 +153,6 @@ impl EvictEvent {
         at: Cycle,
         cause: EvictCause,
         incoming_tag: Option<u64>,
-        offer: bool,
     ) -> Self {
         EvictEvent {
             line,
@@ -161,7 +162,6 @@ impl EvictEvent {
             set_index: geom.index_of_line(line),
             tag: geom.tag_of_line(line),
             at,
-            offer,
         }
     }
 }
@@ -277,54 +277,13 @@ pub trait MemObserver {
     /// The hierarchy level that serviced an L1 miss was determined.
     fn on_service(&mut self, _level: SimLevel) {}
     /// A coherence bus transaction was granted (multi-core runs only;
-    /// single-core pipelines never emit this).
+    /// the coherence stage never runs at one core).
     fn on_snoop(&mut self, _ev: &SnoopEvent, _rx: &mut Reactions) {}
     /// A line copy was killed by coherence (multi-core runs only).
     fn on_invalidate(&mut self, _ev: &InvalidateEvent, _rx: &mut Reactions) {}
     /// A modified line was supplied cache-to-cache (multi-core runs
     /// only).
     fn on_c2c(&mut self, _ev: &C2cEvent, _rx: &mut Reactions) {}
-}
-
-/// One entry in the optional pipeline event log (see
-/// [`MemorySystem::record_events`]). The log is the stage-ordering
-/// contract made testable: fills always follow the evict that made
-/// room, decay refetches close at the switch-off point, and prefetch
-/// arrivals are non-demand fills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineEvent {
-    /// An L1 hit in `frame`.
-    Hit {
-        /// The referenced line.
-        line: LineAddr,
-        /// The frame that hit.
-        frame: usize,
-    },
-    /// An L1 miss classified as `kind`.
-    Miss {
-        /// The missing line.
-        line: LineAddr,
-        /// Ground-truth classification.
-        kind: MissKind,
-    },
-    /// A line filled into `frame`.
-    Fill {
-        /// The filled line.
-        line: LineAddr,
-        /// Destination frame.
-        frame: usize,
-        /// Demand fill (false = prefetch arrival).
-        demand: bool,
-    },
-    /// A generation closed: `line` left `frame`.
-    Evict {
-        /// The evicted line.
-        line: LineAddr,
-        /// The frame it left.
-        frame: usize,
-        /// Why the generation ended.
-        cause: EvictCause,
-    },
 }
 
 // ---------------------------------------------------------------------------
@@ -567,9 +526,9 @@ pub(crate) struct VictimUnit {
     pub(crate) cache: VictimCache,
     pub(crate) filter: Box<dyn VictimFilter>,
     /// Blocks entered by L1↔VC swaps, each inserted whatever the filter
-    /// says. Whether the swapped-out generation is also offered to the
-    /// filter first is [`offers_swap_close`](Self::offers_swap_close);
-    /// when it is, a swap the filter admits counts in `admitted` as well.
+    /// says. The swapped-out generation is offered to the filter first,
+    /// like every other close, so a swap the filter admits counts in
+    /// `admitted` as well.
     pub(crate) swap_fills: u64,
 }
 
@@ -596,24 +555,12 @@ impl VictimUnit {
             swap_fills: 0,
         })
     }
-
-    /// Whether a victim-cache swap offers the generation it closes to the
-    /// admission filter: at one core it does, at `cores > 1` it does not.
-    /// Both swap sites (the VictimProbe stage and the multi-core swap
-    /// path) read this one condition. ROADMAP item 3 is to choose one
-    /// rule for every core count; until then
-    /// `pipeline::tests::swap_closes_are_offered_at_one_core` and
-    /// `multicore::tests::swap_closes_are_not_offered_at_two_cores` pin
-    /// both sides.
-    pub(crate) fn offers_swap_close(cfg: &SystemConfig) -> bool {
-        cfg.cores == 1
-    }
 }
 
 /// Victim-cache admission, as an observer: offers each generation an
-/// Evict event closes (see [`EvictEvent::offer`]) to the filter and
-/// publishes the decision. Generations killed by coherence
-/// ([`InvalidateEvent`]) are never offered.
+/// Evict event closes to the filter and publishes the decision.
+/// Generations killed by coherence ([`InvalidateEvent`]) are never
+/// offered.
 #[derive(Debug)]
 pub(crate) struct VictimObserver {
     pub(crate) unit: Option<VictimUnit>,
@@ -621,7 +568,7 @@ pub(crate) struct VictimObserver {
 
 impl MemObserver for VictimObserver {
     fn on_evict(&mut self, ev: &EvictEvent, rx: &mut Reactions) {
-        let (Some(rec), true) = (&rx.generation, ev.offer) else {
+        let Some(rec) = &rx.generation else {
             return;
         };
         if let Some(v) = self.unit.as_mut() {
@@ -754,8 +701,7 @@ macro_rules! dispatch_all {
 }
 
 /// The fixed set of observers, dispatched in declaration order: one per
-/// L1, so the single-core [`MemorySystem`] holds one and each core of a
-/// [`MultiCoreSystem`](crate::MultiCoreSystem) holds its own.
+/// L1, so each core of a [`MemorySystem`] holds its own.
 #[derive(Debug)]
 pub(crate) struct Observers {
     pub(crate) gens: GenObserver,
@@ -901,82 +847,71 @@ fn geom_deadline(
 // The pipeline stages
 // ---------------------------------------------------------------------------
 
+/// What a block fetch entering at the L2 is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fetch {
+    /// A demand load (at N > 1 its bus slot is a BusRd).
+    Load,
+    /// A demand store (at N > 1 its bus slot is a BusRdX).
+    Store,
+    /// A hardware prefetch.
+    Prefetch,
+}
+
 impl MemorySystem {
     // -- event emission -----------------------------------------------------
 
-    fn emit_lookup(&mut self, ev: &LookupEvent) -> Reactions {
+    fn emit_lookup(&mut self, c: usize, ev: &LookupEvent) -> Reactions {
         let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.lookup(ev, &mut rx);
+        self.cores[c].obs.lookup(ev, &mut rx);
         self.prof_rec(ProfStage::ObsLookup, t0);
         rx
     }
 
-    fn emit_hit(&mut self, ev: &HitEvent) -> Reactions {
+    fn emit_hit(&mut self, c: usize, ev: &HitEvent) -> Reactions {
         let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.hit(ev, &mut rx);
+        self.cores[c].obs.hit(ev, &mut rx);
         self.prof_rec(ProfStage::ObsHit, t0);
-        if let Some(log) = &mut self.event_log {
-            log.push(PipelineEvent::Hit {
-                line: ev.line,
-                frame: ev.frame,
-            });
-        }
         rx
     }
 
-    fn emit_miss(&mut self, ev: &MissEvent) -> Reactions {
+    fn emit_miss(&mut self, c: usize, ev: &MissEvent) -> Reactions {
         let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.miss(ev, &mut rx);
+        self.cores[c].obs.miss(ev, &mut rx);
         self.prof_rec(ProfStage::ObsMiss, t0);
-        if let Some(log) = &mut self.event_log {
-            log.push(PipelineEvent::Miss {
-                line: ev.line,
-                kind: ev.kind,
-            });
-        }
         rx
     }
 
-    fn emit_fill(&mut self, ev: &FillEvent) -> Reactions {
+    fn emit_fill(&mut self, c: usize, ev: &FillEvent) -> Reactions {
         let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.fill(ev, &mut rx);
+        self.cores[c].obs.fill(ev, &mut rx);
         self.prof_rec(ProfStage::ObsFill, t0);
-        if let Some(log) = &mut self.event_log {
-            log.push(PipelineEvent::Fill {
-                line: ev.line,
-                frame: ev.frame,
-                demand: ev.demand,
-            });
-        }
         rx
     }
 
-    fn emit_evict(&mut self, ev: &EvictEvent) -> Reactions {
+    /// Emits an Evict event; at N > 1 the closed generation also counts
+    /// in the coherence plane's death split.
+    fn emit_evict(&mut self, c: usize, ev: &EvictEvent) -> Reactions {
         let mut rx = Reactions::default();
         let t0 = self.prof_t0();
-        self.obs.evict(ev, &mut rx);
+        self.cores[c].obs.evict(ev, &mut rx);
         self.prof_rec(ProfStage::ObsEvict, t0);
-        if rx.generation.is_some() {
-            if let Some(log) = &mut self.event_log {
-                log.push(PipelineEvent::Evict {
-                    line: ev.line,
-                    frame: ev.frame,
-                    cause: ev.cause,
-                });
-            }
+        if self.coherent() {
+            self.coh.record_death(rx.generation.as_ref());
         }
         rx
     }
 
     /// Records one prefetch-lifecycle trace record (fire / arrival /
-    /// discard) when tracing is installed; free otherwise.
+    /// discard) in core `c`'s trace when tracing is installed; free
+    /// otherwise.
     #[inline]
-    fn trace_pf(&mut self, kind: TraceKind, line: LineAddr, at: Cycle, aux: u64) {
-        if let Some(t) = self.obs.trace.as_deref_mut() {
+    fn trace_pf(&mut self, c: usize, kind: TraceKind, line: LineAddr, at: Cycle, aux: u64) {
+        if let Some(t) = self.cores[c].obs.trace.as_deref_mut() {
             t.push(kind, at, line, aux);
         }
     }
@@ -989,28 +924,31 @@ impl MemorySystem {
     #[inline]
     fn trace_dram(
         &mut self,
+        c: usize,
         kind: TraceKind,
         addr: timekeeping::Addr,
         at: Cycle,
         row: Option<crate::dram::RowOutcome>,
     ) {
         if let Some(row) = row {
-            let line = self.l1d.geometry().line_of(addr);
-            self.trace_pf(kind, line, at, row.code());
+            let line = self.cfg.machine.l1d.line_of(addr);
+            self.trace_pf(c, kind, line, at, row.code());
         }
     }
 
     /// Enqueues the prefetch targets the observers produced, in order.
-    fn drain_prefetches(&mut self, rx: Reactions, now: Cycle) {
+    fn drain_prefetches(&mut self, c: usize, rx: Reactions, now: Cycle) {
         for req in rx.prefetches {
-            self.enqueue_prefetch(req, now);
+            self.enqueue_prefetch(c, req, now);
         }
     }
 
     /// Emits the Fill event for `line` entering `frame` and applies the
     /// reactions (address-prediction scoring, chained prefetch targets).
+    #[allow(clippy::too_many_arguments)]
     fn fill_event(
         &mut self,
+        c: usize,
         frame: usize,
         line: LineAddr,
         pc: Option<Pc>,
@@ -1018,22 +956,20 @@ impl MemorySystem {
         evicted: Option<LineAddr>,
         now: Cycle,
     ) {
-        let geom = self.l1d.geometry();
-        let set = geom.index_of_line(line);
-        let tag = geom.tag_of_line(line);
+        let geom = self.cfg.machine.l1d;
         let ev = FillEvent {
             line,
             frame,
-            set,
-            tag,
+            set: geom.index_of_line(line),
+            tag: geom.tag_of_line(line),
             pc,
             demand,
             evicted,
             now,
         };
-        let rx = self.emit_fill(&ev);
-        self.stats.score_addr(rx.addr_scored);
-        self.drain_prefetches(rx, now);
+        let rx = self.emit_fill(c, &ev);
+        self.cores[c].stats.score_addr(rx.addr_scored);
+        self.drain_prefetches(c, rx, now);
     }
 
     // -- stages -------------------------------------------------------------
@@ -1042,40 +978,53 @@ impl MemorySystem {
     /// route to the hit or miss stages.
     pub(crate) fn stage_lookup(
         &mut self,
+        c: usize,
         mref: &MemRef,
         is_store: bool,
         now: Cycle,
     ) -> AccessOutcome {
-        self.stats.l1_accesses += 1;
+        let addr = mref.addr;
+        let line = self.cfg.machine.l1d.line_of(addr);
+        let core = &mut self.cores[c];
+        core.stats.l1_accesses += 1;
         // Capture the raw reference stream (`--trace=ref`) ahead of the
         // ColdOnly early-return so every demand reference is recorded —
         // exactly one Access record per l1_access.
-        if let Some(t) = self.obs.trace.as_deref_mut() {
-            let line = self.l1d.geometry().line_of(mref.addr);
+        if let Some(t) = core.obs.trace.as_deref_mut() {
             t.ref_event(now, line, mref.pc.get(), is_store);
         }
         if self.cfg.l1_mode == L1Mode::ColdOnly {
-            return self.access_cold_only(mref, now);
+            return self.access_cold_only(c, mref, now);
         }
-        let addr = mref.addr;
-        let line = self.l1d.geometry().line_of(addr);
-        let rx = self.emit_lookup(&LookupEvent {
-            addr,
-            pc: mref.pc,
-            now,
-        });
-        self.drain_prefetches(rx, now);
-        match self.l1d.probe(addr) {
-            ProbeResult::Hit(frame) => self.stage_hit(mref, line, frame, is_store, now),
+        let rx = self.emit_lookup(
+            c,
+            &LookupEvent {
+                addr,
+                pc: mref.pc,
+                now,
+            },
+        );
+        self.drain_prefetches(c, rx, now);
+        match self.cores[c].l1d.probe(addr) {
+            ProbeResult::Hit(frame) => self.stage_hit(c, mref, line, frame, is_store, now),
             ProbeResult::Miss {
                 victim_frame,
                 evicted,
             } => {
-                let out = self.stage_miss(mref, line, victim_frame, evicted, now);
+                let miss = Miss {
+                    mref,
+                    line,
+                    is_store,
+                };
+                let out = self.stage_miss(c, &miss, victim_frame, evicted, now);
                 if is_store {
-                    if let Some(f) = self.l1d.peek(addr) {
-                        self.l1d.mark_dirty(f);
+                    let core = &mut self.cores[c];
+                    if let Some(f) = core.l1d.peek(addr) {
+                        core.l1d.mark_dirty(f);
                     }
+                }
+                if self.coherent() {
+                    self.settle_fill(c, line, addr, is_store, now);
                 }
                 out
             }
@@ -1086,6 +1035,7 @@ impl MemorySystem {
     /// prefetch-timeliness resolution, and hit-under-miss timing.
     fn stage_hit(
         &mut self,
+        c: usize,
         mref: &MemRef,
         line: LineAddr,
         frame: usize,
@@ -1093,35 +1043,43 @@ impl MemorySystem {
         now: Cycle,
     ) -> AccessOutcome {
         if is_store {
-            self.l1d.mark_dirty(frame);
+            self.cores[c].l1d.mark_dirty(frame);
+            if self.coherent() {
+                self.store_hit(c, frame, line, mref.addr, now);
+            }
         }
         // Cache decay: a line idle past the decay interval was switched
         // off; its data must be refetched from the L2.
         if let Some(interval) = self.cfg.decay_interval {
-            if let Some(last_use) = self.obs.gens.plane.last_use(frame) {
+            if let Some(last_use) = self.cores[c].obs.gens.plane.last_use(frame) {
                 if now.since(last_use) >= interval {
-                    return self.stage_decay_refetch(mref, line, frame, last_use, interval, now);
+                    return self.stage_decay_refetch(c, mref, line, frame, last_use, interval, now);
                 }
             }
         }
-        self.stats.l1_hits += 1;
-        self.shadow.on_access(line);
-        let rx = self.emit_hit(&HitEvent {
-            line,
-            frame,
-            pc: mref.pc,
-            now,
-        });
-        self.drain_prefetches(rx, now);
+        let core = &mut self.cores[c];
+        core.stats.l1_hits += 1;
+        core.shadow.on_access(line);
+        let rx = self.emit_hit(
+            c,
+            &HitEvent {
+                line,
+                frame,
+                pc: mref.pc,
+                now,
+            },
+        );
+        self.drain_prefetches(c, rx, now);
         // A hit on a prefetched block resolves its timeliness.
-        let set = self.l1d.geometry().index_of_line(line) as usize;
-        if let Some(p) = self.pending_pf[set] {
+        let core = &mut self.cores[c];
+        let set = core.l1d.geometry().index_of_line(line) as usize;
+        if let Some(p) = core.pending_pf[set] {
             if p.line == line {
                 if let PfState::Arrived {
                     displaced_missed, ..
                 } = p.state
                 {
-                    self.pending_pf[set] = None;
+                    core.pending_pf[set] = None;
                     let class = if displaced_missed {
                         Timeliness::Early
                     } else {
@@ -1132,11 +1090,12 @@ impl MemorySystem {
             }
         }
         // Hit under miss: data may still be in flight.
+        let core = &self.cores[c];
         let mut ready = now + self.cfg.machine.l1_hit_latency;
-        if let Some(r) = self.demand_mshrs.ready_time(line) {
+        if let Some(r) = core.demand_mshrs.ready_time(line) {
             ready = ready.max(r);
         }
-        if let Some(r) = self.prefetch_mshrs.ready_time(line) {
+        if let Some(r) = core.prefetch_mshrs.ready_time(line) {
             ready = ready.max(r);
         }
         AccessOutcome {
@@ -1149,69 +1108,85 @@ impl MemorySystem {
     /// Miss macro-stage: classification, victim-cache probe, then issue.
     fn stage_miss(
         &mut self,
-        mref: &MemRef,
-        line: LineAddr,
+        c: usize,
+        miss: &Miss,
         victim_frame: usize,
         evicted: Option<LineAddr>,
         now: Cycle,
     ) -> AccessOutcome {
-        let set = self.l1d.geometry().index_of_line(line);
-        self.stage_miss_classify(mref, line, now);
+        let set = self.cfg.machine.l1d.index_of_line(miss.line);
+        self.stage_miss_classify(c, miss.mref, miss.line, now);
+        if self.coherent() && self.cores[c].inval_lost.remove(&miss.line.get()) {
+            self.coh.inval_refetches += 1;
+        }
         // Resolve / annotate pending prefetch state for this set.
-        self.resolve_pending_on_miss(set, line, now);
-        if let Some(out) = self.stage_victim_probe(mref, line, victim_frame, evicted, now) {
+        self.resolve_pending_on_miss(c, set, miss.line, now);
+        if let Some(out) = self.stage_victim_probe(c, miss, victim_frame, evicted, now) {
             return out;
         }
-        self.stage_miss_issue(mref, line, now)
+        self.stage_miss_issue(c, miss, now)
     }
 
     /// Miss-classify stage: ground-truth classification and the Miss
     /// event (metrics, L2 monitor, Markov training).
-    fn stage_miss_classify(&mut self, mref: &MemRef, line: LineAddr, now: Cycle) {
-        let kind = self.shadow.classify_miss(line);
-        let rx = self.emit_miss(&MissEvent {
-            line,
-            addr: mref.addr,
-            kind,
-            now,
-        });
-        self.drain_prefetches(rx, now);
+    fn stage_miss_classify(&mut self, c: usize, mref: &MemRef, line: LineAddr, now: Cycle) {
+        let kind = self.cores[c].shadow.classify_miss(line);
+        let rx = self.emit_miss(
+            c,
+            &MissEvent {
+                line,
+                addr: mref.addr,
+                kind,
+                now,
+            },
+        );
+        self.drain_prefetches(c, rx, now);
     }
 
     /// VictimProbe stage: if the victim cache holds the line, swap it
     /// with the displaced resident and finish in one extra cycle.
     fn stage_victim_probe(
         &mut self,
-        mref: &MemRef,
-        line: LineAddr,
+        c: usize,
+        miss: &Miss,
         victim_frame: usize,
         evicted: Option<LineAddr>,
         now: Cycle,
     ) -> Option<AccessOutcome> {
-        let unit = self.obs.victim.unit.as_mut()?;
-        if !unit.cache.take(line) {
+        let unit = self.cores[c].obs.victim.unit.as_mut()?;
+        if !unit.cache.take(miss.line) {
             return None;
         }
-        self.stats.vc_hits += 1;
+        self.cores[c].stats.vc_hits += 1;
         // Swap: close the displaced generation, then move the block into
         // the victim cache unconditionally. The close is an ordinary
-        // Evict event; where `VictimUnit::offers_swap_close` holds (one
-        // core), the victim observer also offers the generation to the
-        // admission filter: the filter trains on it, `offered` counts it,
-        // and `admitted` does too if the filter says yes.
+        // Evict event, so the victim observer also offers the generation
+        // to the admission filter: the filter trains on it, `offered`
+        // counts it, and `admitted` does too if the filter says yes.
         if let Some(ev) = evicted {
-            let offer = VictimUnit::offers_swap_close(&self.cfg);
-            let geom = self.l1d.geometry();
-            let close =
-                EvictEvent::new(geom, victim_frame, ev, now, EvictCause::Demand, None, offer);
-            self.emit_evict(&close);
-            self.writeback_if_dirty(victim_frame, now);
-            let v = self.obs.victim.unit.as_mut().expect("checked above");
+            let geom = self.cfg.machine.l1d;
+            let close = EvictEvent::new(&geom, victim_frame, ev, now, EvictCause::Demand, None);
+            self.emit_evict(c, &close);
+            self.writeback_if_dirty(c, victim_frame, now);
+            let v = self.cores[c]
+                .obs
+                .victim
+                .unit
+                .as_mut()
+                .expect("checked above");
             v.cache.insert(ev);
             v.swap_fills += 1;
         }
-        self.l1d.fill_frame(victim_frame, mref.addr);
-        self.fill_event(victim_frame, line, Some(mref.pc), true, evicted, now);
+        self.cores[c].l1d.fill_frame(victim_frame, miss.mref.addr);
+        self.fill_event(
+            c,
+            victim_frame,
+            miss.line,
+            Some(miss.mref.pc),
+            true,
+            evicted,
+            now,
+        );
         Some(AccessOutcome {
             ready_at: now + self.cfg.machine.l1_hit_latency + 1,
             l1_hit: false,
@@ -1221,14 +1196,23 @@ impl MemorySystem {
 
     /// MissIssue stage: merge with outstanding fetches (demand MSHRs,
     /// in-flight prefetches) or issue a fresh fetch, then fill.
-    fn stage_miss_issue(&mut self, mref: &MemRef, line: LineAddr, now: Cycle) -> AccessOutcome {
+    fn stage_miss_issue(&mut self, c: usize, miss: &Miss, now: Cycle) -> AccessOutcome {
+        let (mref, line) = (miss.mref, miss.line);
         // Merge with an outstanding demand miss for the same line.
-        if let Some(ready) = self.demand_mshrs.lookup(line) {
-            self.obs.service(SimLevel::InFlight);
+        if let Some(mut ready) = self.cores[c].demand_mshrs.lookup(line) {
+            self.cores[c].obs.service(SimLevel::InFlight);
+            if self.coherent() {
+                // The merge still snoops, on a bus slot of its own: other
+                // cores may have taken the line since the first miss.
+                let grant = self.l1l2_bus.schedule(now);
+                if let Some(c2c) = self.stage_coherence(c, mref.addr, miss.is_store, grant) {
+                    ready = c2c;
+                }
+            }
             // The tag was filled by the first miss unless it was evicted
             // in between; refill if needed.
-            if self.l1d.peek(mref.addr).is_none() {
-                self.stage_fill(mref, line, now);
+            if self.cores[c].l1d.peek(mref.addr).is_none() {
+                self.stage_fill(c, mref, line, now);
             }
             return AccessOutcome {
                 ready_at: ready,
@@ -1238,12 +1222,12 @@ impl MemorySystem {
         }
         // A prefetch already in flight for this line: the demand takes
         // ownership of it.
-        if let Some(pf_ready) = self.prefetch_mshrs.remove(line) {
-            self.obs.service(SimLevel::InFlight);
-            self.pf_queue.cancel_line(line);
-            self.stage_fill(mref, line, now);
+        if let Some(pf_ready) = self.cores[c].prefetch_mshrs.remove(line) {
+            self.cores[c].obs.service(SimLevel::InFlight);
+            self.cores[c].pf_queue.cancel_line(line);
+            self.stage_fill(c, mref, line, now);
             let ready = pf_ready.max(now + 1);
-            self.alloc_demand(line, ready, now);
+            self.alloc_demand(c, line, ready, now);
             return AccessOutcome {
                 ready_at: ready,
                 l1_hit: false,
@@ -1251,10 +1235,15 @@ impl MemorySystem {
             };
         }
         // Still queued (never issued): fetch normally.
-        self.pf_queue.cancel_line(line);
-        let ready = self.fetch_from_l2(mref.addr, now, true);
-        self.alloc_demand(line, ready, now);
-        self.stage_fill(mref, line, now);
+        self.cores[c].pf_queue.cancel_line(line);
+        let fetch = if miss.is_store {
+            Fetch::Store
+        } else {
+            Fetch::Load
+        };
+        let ready = self.fetch_from_l2(c, mref.addr, now, fetch);
+        self.alloc_demand(c, line, ready, now);
+        self.stage_fill(c, mref, line, now);
         AccessOutcome {
             ready_at: ready,
             l1_hit: false,
@@ -1264,32 +1253,32 @@ impl MemorySystem {
 
     /// Fill/Evict stage (demand): write back the displaced resident,
     /// fill the frame, and emit the Evict + Fill event pair.
-    fn stage_fill(&mut self, mref: &MemRef, line: LineAddr, now: Cycle) {
-        let geom = *self.l1d.geometry();
-        {
-            let (victim_frame, resident) = self.l1d.peek_victim(mref.addr);
-            if resident.is_some() {
-                if self.cfg.decay_interval.is_some() {
-                    self.bank_decay_off_time(victim_frame, now);
-                }
-                self.writeback_if_dirty(victim_frame, now);
+    fn stage_fill(&mut self, c: usize, mref: &MemRef, line: LineAddr, now: Cycle) {
+        let geom = self.cfg.machine.l1d;
+        let (victim_frame, resident) = self.cores[c].l1d.peek_victim(mref.addr);
+        if resident.is_some() {
+            if self.cfg.decay_interval.is_some() {
+                self.bank_decay_off_time(c, victim_frame, now);
             }
+            self.writeback_if_dirty(c, victim_frame, now);
         }
-        let (frame, evicted) = self.l1d.fill(mref.addr);
+        let (frame, evicted) = self.cores[c].l1d.fill(mref.addr);
         if let Some(ev) = evicted {
             let incoming = Some(geom.tag_of_line(line));
-            let close = EvictEvent::new(&geom, frame, ev, now, EvictCause::Demand, incoming, true);
-            self.emit_evict(&close);
+            let close = EvictEvent::new(&geom, frame, ev, now, EvictCause::Demand, incoming);
+            self.emit_evict(c, &close);
         }
-        self.fill_event(frame, line, Some(mref.pc), true, evicted, now);
+        self.fill_event(c, frame, line, Some(mref.pc), true, evicted, now);
     }
 
     /// DecayRefetch stage: a reference to a decayed (switched-off) line
     /// ends the generation at the decay point, refetches the block from
     /// the L2 and starts a fresh generation. The interval between
     /// switch-off and this access is banked as leakage saving.
+    #[allow(clippy::too_many_arguments)]
     fn stage_decay_refetch(
         &mut self,
+        c: usize,
         mref: &MemRef,
         line: LineAddr,
         frame: usize,
@@ -1297,20 +1286,21 @@ impl MemorySystem {
         interval: u64,
         now: Cycle,
     ) -> AccessOutcome {
-        self.stats.decay_misses += 1;
         let off_at = last_use + interval;
-        self.stats.decay_off_cycles += now.since(off_at);
+        let stats = &mut self.cores[c].stats;
+        stats.decay_misses += 1;
+        stats.decay_off_cycles += now.since(off_at);
         // The decayed generation ended when the line switched off.
-        let geom = self.l1d.geometry();
-        let close = EvictEvent::new(geom, frame, line, off_at, EvictCause::Flush, None, true);
-        self.emit_evict(&close);
+        let geom = self.cfg.machine.l1d;
+        let close = EvictEvent::new(&geom, frame, line, off_at, EvictCause::Flush, None);
+        self.emit_evict(c, &close);
         // Refetch: the shadow still sees a reference (decay is invisible
         // to the fully-associative model — these are not program misses).
-        self.shadow.on_access(line);
-        let ready = self.fetch_from_l2(mref.addr, now, true);
-        self.alloc_demand(line, ready, now);
-        self.l1d.fill_frame(frame, mref.addr);
-        self.fill_event(frame, line, Some(mref.pc), true, None, now);
+        self.cores[c].shadow.on_access(line);
+        let ready = self.fetch_from_l2(c, mref.addr, now, Fetch::Load);
+        self.alloc_demand(c, line, ready, now);
+        self.cores[c].l1d.fill_frame(frame, mref.addr);
+        self.fill_event(c, frame, line, Some(mref.pc), true, None, now);
         AccessOutcome {
             ready_at: ready,
             l1_hit: false,
@@ -1320,26 +1310,27 @@ impl MemorySystem {
 
     /// The cold-miss-only study L1 (§6 sizing bound): every line hits
     /// forever after its first reference.
-    fn access_cold_only(&mut self, mref: &MemRef, now: Cycle) -> AccessOutcome {
-        let line = self.l1d.geometry().line_of(mref.addr);
-        if self.cold_seen.contains(&line.get()) {
-            self.stats.l1_hits += 1;
+    fn access_cold_only(&mut self, c: usize, mref: &MemRef, now: Cycle) -> AccessOutcome {
+        let line = self.cfg.machine.l1d.line_of(mref.addr);
+        let core = &mut self.cores[c];
+        if core.cold_seen.contains(&line.get()) {
+            core.stats.l1_hits += 1;
             return AccessOutcome {
                 ready_at: now + self.cfg.machine.l1_hit_latency,
                 l1_hit: true,
                 vc_hit: false,
             };
         }
-        self.cold_seen.insert(line.get());
-        if let Some(ready) = self.demand_mshrs.lookup(line) {
+        core.cold_seen.insert(line.get());
+        if let Some(ready) = core.demand_mshrs.lookup(line) {
             return AccessOutcome {
                 ready_at: ready,
                 l1_hit: false,
                 vc_hit: false,
             };
         }
-        let ready = self.fetch_from_l2(mref.addr, now, true);
-        self.alloc_demand(line, ready, now);
+        let ready = self.fetch_from_l2(c, mref.addr, now, Fetch::Load);
+        self.alloc_demand(c, line, ready, now);
         AccessOutcome {
             ready_at: ready,
             l1_hit: false,
@@ -1350,63 +1341,66 @@ impl MemorySystem {
     // -- timing helpers -----------------------------------------------------
 
     /// Allocates a demand MSHR, modeling queueing delay when full.
-    pub(crate) fn alloc_demand(&mut self, line: LineAddr, ready: Cycle, now: Cycle) {
+    pub(crate) fn alloc_demand(&mut self, c: usize, line: LineAddr, ready: Cycle, now: Cycle) {
         // `fetch_from_l2` already folded MSHR queuing into `ready` via
         // `demand_base`; here we only record occupancy.
-        if self.demand_mshrs.next_free(now).is_none() {
-            self.demand_mshrs.allocate(line, ready);
+        let mshrs = &mut self.cores[c].demand_mshrs;
+        if mshrs.next_free(now).is_none() {
+            mshrs.allocate(line, ready);
         }
         // When full the request queued behind the earliest entry; that
         // entry's register is reused, so no separate allocation is needed.
     }
 
-    /// Start time for a new demand request, accounting for MSHR
-    /// availability.
-    fn demand_base(&mut self, now: Cycle) -> Cycle {
-        match self.demand_mshrs.next_free(now) {
-            None => now,
-            Some(free_at) => free_at,
-        }
-    }
-
-    /// Computes the completion time of a block fetch entering at the L2,
-    /// updating L2 state, buses and counters. `demand` selects demand
-    /// (priority) or prefetch scheduling.
+    /// Computes the completion time of a block fetch by core `c`
+    /// entering at the L2, updating L2 state, buses and counters. Demand
+    /// fetches start once a demand MSHR is free (priority scheduling);
+    /// at N > 1 their L1↔L2 bus slot is the coherence transaction.
     pub(crate) fn fetch_from_l2(
         &mut self,
+        c: usize,
         addr: timekeeping::Addr,
         now: Cycle,
-        demand: bool,
+        fetch: Fetch,
     ) -> Cycle {
         let m = self.cfg.machine;
-        let base = if demand { self.demand_base(now) } else { now };
-        if demand {
-            self.stats.l2_accesses += 1;
-        }
+        let demand = fetch != Fetch::Prefetch;
+        let base = if demand {
+            // Start time accounting for MSHR availability.
+            let core = &mut self.cores[c];
+            core.stats.l2_accesses += 1;
+            core.demand_mshrs.next_free(now).unwrap_or(now)
+        } else {
+            now
+        };
         // Bus occupancy is charged at request time (the response slot is
         // reserved when the request enters): latency pipelines around the
         // occupancy, so the backlog reflects genuine congestion rather
         // than in-flight latency.
+        let start = self.l1l2_bus.schedule(base);
+        if demand && self.coherent() {
+            if let Some(c2c) = self.stage_coherence(c, addr, fetch == Fetch::Store, start) {
+                return c2c;
+            }
+        }
         match self.l2.probe(addr) {
             ProbeResult::Hit(_) => {
                 if demand {
-                    self.stats.l2_hits += 1;
-                    self.obs.service(SimLevel::L2);
+                    self.cores[c].stats.l2_hits += 1;
+                    self.cores[c].obs.service(SimLevel::L2);
                 } else {
                     self.notify_prefetch_l2(addr, true);
                 }
-                let start = self.l1l2_bus.schedule(base);
                 self.l1l2_bus.done_at(start) + m.l2_latency
             }
             ProbeResult::Miss { .. } => {
                 if demand {
-                    self.stats.mem_accesses += 1;
-                    self.obs.service(SimLevel::Mem);
+                    self.cores[c].stats.mem_accesses += 1;
+                    self.cores[c].obs.service(SimLevel::Mem);
                 } else {
                     self.notify_prefetch_l2(addr, false);
                 }
-                let start1 = self.l1l2_bus.schedule(base);
-                let at_l2 = self.l1l2_bus.done_at(start1) + m.l2_latency;
+                let at_l2 = self.l1l2_bus.done_at(start) + m.l2_latency;
                 let start2 = self.l2mem_bus.schedule(at_l2);
                 // The read reaches the memory device once it has crossed
                 // the L2/memory bus; the backend owns everything after
@@ -1414,11 +1408,16 @@ impl MemorySystem {
                 // timing under BankedDram).
                 let at_mem = self.l2mem_bus.done_at(start2);
                 let reply = self.backend.issue(addr, at_mem);
-                self.trace_dram(TraceKind::DramRead, addr, at_mem, reply.row);
-                // An L2 fill may evict a dirty L2 line: write it to memory.
+                self.trace_dram(c, TraceKind::DramRead, addr, at_mem, reply.row);
                 let (l2_victim, l2_resident) = self.l2.peek_victim(addr);
+                if let (Some(gone), true) = (l2_resident, self.coherent()) {
+                    // The inclusive L2 recalls every copy of the line it
+                    // evicts before the line leaves.
+                    self.recall(gone, l2_victim, start);
+                }
+                // An L2 fill may evict a dirty L2 line: write it to memory.
                 if l2_resident.is_some() && self.l2.frame_dirty(l2_victim) {
-                    self.stats.l2_writebacks += 1;
+                    self.cores[c].stats.l2_writebacks += 1;
                     let wb_addr = self.l2.geometry().addr_of_line(
                         self.l2
                             .line_in_frame(l2_victim)
@@ -1427,57 +1426,59 @@ impl MemorySystem {
                     let wb_start = self.l2mem_bus.schedule(at_l2);
                     let wb_at_mem = self.l2mem_bus.done_at(wb_start);
                     let wb_row = self.backend.write(wb_addr, wb_at_mem);
-                    self.trace_dram(TraceKind::DramWrite, wb_addr, wb_at_mem, wb_row);
+                    self.trace_dram(c, TraceKind::DramWrite, wb_addr, wb_at_mem, wb_row);
                 }
                 let (_, l2_evicted) = self.l2.fill(addr);
                 if demand {
-                    self.obs.oracle.evt.l2_evicted = l2_evicted;
+                    self.cores[c].obs.oracle.evt.l2_evicted = l2_evicted;
                 }
                 reply.done
             }
         }
     }
 
-    /// Writes a dirty evicted L1 line back toward the L2: the transfer
-    /// occupies the L1/L2 bus (write-backs contend with demand fills). If
-    /// the line is no longer L2-resident (the hierarchy is not inclusive),
-    /// the write continues to memory over the L2/memory bus.
-    fn writeback_if_dirty(&mut self, frame: usize, now: Cycle) {
-        if !self.l1d.frame_dirty(frame) {
+    /// Writes a dirty evicted L1 line of core `c` back toward the L2: the
+    /// transfer occupies the L1/L2 bus (write-backs contend with demand
+    /// fills). If the line is no longer L2-resident (the single-core
+    /// hierarchy is not inclusive), the write continues to memory over
+    /// the L2/memory bus.
+    fn writeback_if_dirty(&mut self, c: usize, frame: usize, now: Cycle) {
+        let core = &mut self.cores[c];
+        if !core.l1d.frame_dirty(frame) {
             return;
         }
-        self.stats.l1_writebacks += 1;
+        core.stats.l1_writebacks += 1;
         self.l1l2_bus.schedule(now);
-        let line = self.l1d.line_in_frame(frame).expect("dirty frame is valid");
-        let addr = self.l1d.geometry().addr_of_line(line);
+        let line = core.l1d.line_in_frame(frame).expect("dirty frame is valid");
+        let addr = core.l1d.geometry().addr_of_line(line);
         match self.l2.peek(addr) {
             Some(l2_frame) => self.l2.mark_dirty(l2_frame),
             None => {
                 // Not L2-resident: the write-back continues to memory.
-                self.stats.l2_writebacks += 1;
+                core.stats.l2_writebacks += 1;
                 let start = self.l2mem_bus.schedule(now);
                 let at_mem = self.l2mem_bus.done_at(start);
                 let row = self.backend.write(addr, at_mem);
-                self.trace_dram(TraceKind::DramWrite, addr, at_mem, row);
+                self.trace_dram(c, TraceKind::DramWrite, addr, at_mem, row);
             }
         }
     }
 
     /// Banks leakage savings for a frame being evicted while decayed.
-    pub(crate) fn bank_decay_off_time(&mut self, frame: usize, now: Cycle) {
+    pub(crate) fn bank_decay_off_time(&mut self, c: usize, frame: usize, now: Cycle) {
         if let Some(interval) = self.cfg.decay_interval {
-            if let Some(last_use) = self.obs.gens.plane.last_use(frame) {
+            let core = &mut self.cores[c];
+            if let Some(last_use) = core.obs.gens.plane.last_use(frame) {
                 let off_at = last_use + interval;
-                self.stats.decay_off_cycles += now.since(off_at);
+                core.stats.decay_off_cycles += now.since(off_at);
             }
         }
     }
 
     /// Forwards a prefetch's L2 probe outcome to the lockstep checker.
     fn notify_prefetch_l2(&mut self, addr: timekeeping::Addr, hit: bool) {
-        if let Some(mut chk) = self.checker.take() {
+        if let Some(chk) = self.checker.as_deref_mut() {
             chk.check_prefetch_l2(addr, hit);
-            self.checker = Some(chk);
         }
     }
 
@@ -1522,23 +1523,28 @@ impl MemorySystem {
             let mut fired = std::mem::take(&mut self.tick_scratch);
             while self.last_tick < cur_tick {
                 self.last_tick += 1;
-                fired.clear();
-                if let PrefetcherImpl::Tk(p) = &mut self.obs.predictors.prefetcher {
-                    // When the prefetcher is active, every tick boundary is
-                    // an event (next_event reports it), so this loop runs
-                    // exactly once per boundary and `now` is the boundary
-                    // cycle itself — deadlines come out exact.
-                    p.tick_into(&mut fired);
-                }
-                for req in fired.iter().copied() {
-                    self.enqueue_prefetch(req, now);
+                for c in 0..self.cores.len() {
+                    fired.clear();
+                    if let PrefetcherImpl::Tk(p) = &mut self.cores[c].obs.predictors.prefetcher {
+                        // When the prefetcher is active, every tick
+                        // boundary is an event (next_event reports it), so
+                        // this loop runs exactly once per boundary and
+                        // `now` is the boundary cycle itself — deadlines
+                        // come out exact.
+                        p.tick_into(&mut fired);
+                    }
+                    for req in fired.iter().copied() {
+                        self.enqueue_prefetch(c, req, now);
+                    }
                 }
             }
             fired.clear();
             self.tick_scratch = fired;
         }
-        self.stage_prefetch_arrival(now);
-        self.issue_prefetches(now);
+        for c in 0..self.cores.len() {
+            self.stage_prefetch_arrival(c, now);
+            self.issue_prefetches(c, now);
+        }
         self.last_advance = self.last_advance.max(now);
     }
 
@@ -1548,11 +1554,12 @@ impl MemorySystem {
     /// - the next global tick boundary, when the timekeeping prefetcher's
     ///   per-frame counters are clocked by it (for other configurations a
     ///   tick mutates nothing and is not an event);
-    /// - the earliest in-flight prefetch arrival (which also covers
-    ///   prefetch-MSHR registers freeing up — they drain at arrivals);
+    /// - the earliest in-flight prefetch arrival of any core (which also
+    ///   covers prefetch-MSHR registers freeing up — they drain at
+    ///   arrivals);
     /// - the first cycle the prefetch-issue gates (bus backlog, slack
-    ///   urgency/idleness, MSHR availability) can open for the queued
-    ///   head.
+    ///   urgency/idleness, MSHR availability) can open for a core's
+    ///   queued head.
     ///
     /// Returns `None` when the system is quiescent: nothing will change
     /// until the next access. Every gate is monotone in time against
@@ -1566,32 +1573,34 @@ impl MemorySystem {
                 next = Some(c);
             }
         };
-        if matches!(self.obs.predictors.prefetcher, PrefetcherImpl::Tk(_)) {
+        if matches!(self.cfg.prefetch, PrefetchMode::Timekeeping(_)) {
             consider(self.ticker.cycle_of_tick(self.last_tick + 1));
         }
-        if let Some(&Reverse((arrive, _, _))) = self.inflight_pf.peek() {
-            consider(Cycle::new(arrive));
-        }
-        if let Some(c) = self.next_issue_opportunity(now) {
-            consider(c);
+        for core in &self.cores {
+            if let Some(&Reverse((arrive, _, _))) = core.inflight_pf.peek() {
+                consider(Cycle::new(arrive));
+            }
+            if let Some(e) = self.next_issue_opportunity(core, now) {
+                consider(e);
+            }
         }
         next
     }
 
     /// The first cycle strictly after `now` at which
-    /// [`issue_prefetches`](Self::issue_prefetches) could make progress,
-    /// given that no other event intervenes. Mirrors the issue gates
-    /// exactly: each gate condition is monotone in the probe cycle (bus
-    /// backlogs only drain, deadlines only get nearer), so solving each
-    /// threshold inequality for the probe cycle gives the precise opening
-    /// time.
-    fn next_issue_opportunity(&self, now: Cycle) -> Option<Cycle> {
-        if self.pf_queue.is_empty() {
+    /// [`issue_prefetches`](Self::issue_prefetches) could make progress
+    /// for `core`, given that no other event intervenes. Mirrors the
+    /// issue gates exactly: each gate condition is monotone in the probe
+    /// cycle (bus backlogs only drain, deadlines only get nearer), so
+    /// solving each threshold inequality for the probe cycle gives the
+    /// precise opening time.
+    fn next_issue_opportunity(&self, core: &CoreSlice, now: Cycle) -> Option<Cycle> {
+        if core.pf_queue.is_empty() {
             return None;
         }
         // A full file drains only at an arrival, which is already an
         // event; no separate wake-up needed.
-        if !self.prefetch_mshrs.has_free_at(now) {
+        if !core.prefetch_mshrs.has_free_at(now) {
             return None;
         }
         let (max_backlog, max_mem_backlog, urgency_window) = pf_gate_limits(&self.cfg.machine);
@@ -1602,11 +1611,11 @@ impl MemorySystem {
             .saturating_sub(max_backlog)
             .max(nf2.saturating_sub(max_mem_backlog));
         if self.cfg.slack_prefetch {
-            let geom = *self.l1d.geometry();
-            let head_deadline = self
+            let geom = self.cfg.machine.l1d;
+            let head_deadline = core
                 .pf_queue
                 .peek()
-                .and_then(|r| geom_deadline(&self.pending_pf, geom, r));
+                .and_then(|r| geom_deadline(&core.pending_pf, geom, r));
             // urgent(c) ⇔ deadline - c <= window ⇔ c >= deadline - window;
             // an unknown deadline is always urgent.
             let urgent_at = head_deadline.map_or(0, |d| d.get().saturating_sub(urgency_window));
@@ -1619,16 +1628,17 @@ impl MemorySystem {
         Some(Cycle::new(open).max(now + 1))
     }
 
-    /// Resolves or annotates the pending prefetch for `set` when a demand
-    /// miss to `miss_line` occurs there.
-    fn resolve_pending_on_miss(&mut self, set: u64, miss_line: LineAddr, now: Cycle) {
-        let Some(p) = self.pending_pf[set as usize] else {
+    /// Resolves or annotates core `c`'s pending prefetch for `set` when a
+    /// demand miss to `miss_line` occurs there.
+    fn resolve_pending_on_miss(&mut self, c: usize, set: u64, miss_line: LineAddr, now: Cycle) {
+        let core = &mut self.cores[c];
+        let Some(p) = core.pending_pf[set as usize] else {
             return;
         };
         let correct = p.line == miss_line;
         let class = match p.state {
             PfState::Queued => {
-                self.pf_queue.cancel_line(p.line);
+                core.pf_queue.cancel_line(p.line);
                 Timeliness::NotStarted
             }
             PfState::Discarded => Timeliness::Discarded,
@@ -1652,59 +1662,62 @@ impl MemorySystem {
                 }
             }
         };
-        self.pending_pf[set as usize] = None;
+        core.pending_pf[set as usize] = None;
         self.timeliness.record(correct, class);
     }
 
-    /// Accepts a prefetch request from a predictor.
-    fn enqueue_prefetch(&mut self, req: PrefetchRequest, now: Cycle) {
+    /// Accepts a prefetch request from one of core `c`'s predictors.
+    fn enqueue_prefetch(&mut self, c: usize, req: PrefetchRequest, now: Cycle) {
         if self.cfg.predict_only {
             return;
         }
-        let geom = *self.l1d.geometry();
+        let geom = self.cfg.machine.l1d;
         let addr = geom.addr_of_line(req.line);
+        let core = &mut self.cores[c];
         // Drop if already cached or already being fetched.
-        if self.l1d.peek(addr).is_some()
-            || self.demand_mshrs.contains(req.line)
-            || self.prefetch_mshrs.contains(req.line)
+        if core.l1d.peek(addr).is_some()
+            || core.demand_mshrs.contains(req.line)
+            || core.prefetch_mshrs.contains(req.line)
         {
-            self.stats.pf_redundant += 1;
+            core.stats.pf_redundant += 1;
             return;
         }
         let set = geom.index_of_line(req.line) as usize;
         // One pending prefetch per set: keep the older one.
-        if self.pending_pf[set].is_some() {
-            self.stats.pf_redundant += 1;
+        if core.pending_pf[set].is_some() {
+            core.stats.pf_redundant += 1;
             return;
         }
-        self.stats.pf_enqueued += 1;
+        core.stats.pf_enqueued += 1;
         let deadline = req
             .need_in_ticks
             .map(|t| now + self.ticker.cycles(t as u64));
-        self.pending_pf[set] = Some(PendingPf {
+        core.pending_pf[set] = Some(PendingPf {
             line: req.line,
             state: PfState::Queued,
             deadline,
         });
-        if let Some(dropped) = self.pf_queue.push(req) {
+        if let Some(dropped) = core.pf_queue.push(req) {
             let dset = geom.index_of_line(dropped.line) as usize;
-            if let Some(dp) = self.pending_pf[dset].as_mut() {
+            if let Some(dp) = core.pending_pf[dset].as_mut() {
                 if dp.line == dropped.line && dp.state == PfState::Queued {
                     dp.state = PfState::Discarded;
                 }
             }
-            self.trace_pf(TraceKind::PfDiscard, dropped.line, now, 0);
+            self.trace_pf(c, TraceKind::PfDiscard, dropped.line, now, 0);
         }
     }
 
-    /// Issues queued prefetches while the L1/L2 bus backlog is low and
-    /// prefetch MSHRs are available (demand priority). The backlog bound is
-    /// one L2 round-trip: beyond that, demand traffic owns the bus.
-    fn issue_prefetches(&mut self, now: Cycle) {
-        let geom = *self.l1d.geometry();
+    /// Issues core `c`'s queued prefetches while the L1/L2 bus backlog is
+    /// low and prefetch MSHRs are available (demand priority). The
+    /// backlog bound is one L2 round-trip: beyond that, demand traffic
+    /// owns the bus.
+    fn issue_prefetches(&mut self, c: usize, now: Cycle) {
+        let geom = self.cfg.machine.l1d;
         let (max_backlog, max_mem_backlog, urgency_window) = pf_gate_limits(&self.cfg.machine);
         loop {
-            if self.pf_queue.is_empty() {
+            let core = &mut self.cores[c];
+            if core.pf_queue.is_empty() {
                 return;
             }
             if self.l1l2_bus.backlog(now) > max_backlog
@@ -1717,10 +1730,10 @@ impl MemorySystem {
             // they will go out in a genuinely idle window instead of
             // queueing in front of near-future demand.
             if self.cfg.slack_prefetch {
-                let head_deadline = self
+                let head_deadline = core
                     .pf_queue
                     .peek()
-                    .and_then(|r| geom_deadline(&self.pending_pf, geom, r));
+                    .and_then(|r| geom_deadline(&core.pending_pf, geom, r));
                 let urgent = match head_deadline {
                     Some(d) => d.since(now) <= urgency_window,
                     None => true, // unknown deadline: treat as urgent
@@ -1729,54 +1742,56 @@ impl MemorySystem {
                     return;
                 }
             }
-            if self.prefetch_mshrs.next_free(now).is_some() {
+            if core.prefetch_mshrs.next_free(now).is_some() {
                 return; // file full
             }
-            let Some(req) = self.pf_queue.pop() else {
+            let Some(req) = core.pf_queue.pop() else {
                 return;
             };
             let set = geom.index_of_line(req.line);
             // Stale request (superseded or resolved)?
-            let valid = self.pending_pf[set as usize]
+            let valid = core.pending_pf[set as usize]
                 .map(|p| p.line == req.line && p.state == PfState::Queued)
                 .unwrap_or(false);
             if !valid {
                 continue;
             }
             let addr = geom.addr_of_line(req.line);
-            let arrive = self.fetch_from_l2(addr, now, false);
-            self.prefetch_mshrs.allocate(req.line, arrive);
-            self.inflight_pf
+            let arrive = self.fetch_from_l2(c, addr, now, Fetch::Prefetch);
+            let core = &mut self.cores[c];
+            core.prefetch_mshrs.allocate(req.line, arrive);
+            core.inflight_pf
                 .push(Reverse((arrive.get(), req.line.get(), set)));
-            let deadline = self.pending_pf[set as usize].and_then(|p| p.deadline);
-            self.pending_pf[set as usize] = Some(PendingPf {
+            let deadline = core.pending_pf[set as usize].and_then(|p| p.deadline);
+            core.pending_pf[set as usize] = Some(PendingPf {
                 line: req.line,
                 state: PfState::Issued(arrive),
                 deadline,
             });
-            self.stats.pf_issued += 1;
-            self.trace_pf(TraceKind::PfFire, req.line, now, arrive.get());
+            core.stats.pf_issued += 1;
+            self.trace_pf(c, TraceKind::PfFire, req.line, now, arrive.get());
         }
     }
 
-    /// Arrival stage: fills prefetches whose data has arrived by `now`.
-    /// Each accepted arrival is an Evict/Fill event pair with
+    /// Arrival stage: fills core `c`'s prefetches whose data has arrived
+    /// by `now`. Each accepted arrival is an Evict/Fill event pair with
     /// `demand: false`; arrivals that would displace a likely-live
     /// resident (§5.1) are dropped instead.
-    fn stage_prefetch_arrival(&mut self, now: Cycle) {
-        let geom = *self.l1d.geometry();
-        while let Some(&Reverse((arrive, line_raw, set))) = self.inflight_pf.peek() {
+    fn stage_prefetch_arrival(&mut self, c: usize, now: Cycle) {
+        let geom = self.cfg.machine.l1d;
+        while let Some(&Reverse((arrive, line_raw, set))) = self.cores[c].inflight_pf.peek() {
             if arrive > now.get() {
                 break;
             }
-            self.inflight_pf.pop();
+            let core = &mut self.cores[c];
+            core.inflight_pf.pop();
             let line = LineAddr::new(line_raw);
             let at = Cycle::new(arrive);
-            self.prefetch_mshrs.remove(line);
+            core.prefetch_mshrs.remove(line);
             // Superseded by a demand fetch (tag already present) or pending
             // state cleared: nothing to fill.
             let addr = geom.addr_of_line(line);
-            if self.l1d.peek(addr).is_some() {
+            if core.l1d.peek(addr).is_some() {
                 continue;
             }
             // §5.1: "prefetches that arrive into the cache before the
@@ -1790,65 +1805,60 @@ impl MemorySystem {
             let set0 = geom.index_of_line(line) as usize;
             // The frame the fill will actually use (LRU way for
             // associative L1s).
-            let (target_frame, _) = self.l1d.peek_victim(addr);
+            let (target_frame, _) = core.l1d.peek_victim(addr);
+            let plane = &core.obs.gens.plane;
             if let (Some(resident), Some(start)) = (
-                self.obs.gens.plane.resident(target_frame),
-                self.obs.gens.plane.generation_start(target_frame),
+                plane.resident(target_frame),
+                plane.generation_start(target_frame),
             ) {
-                let prev_lt = self
-                    .obs
-                    .gens
-                    .plane
+                let prev_lt = plane
                     .line_meta(resident)
                     .filter(|h| h.completed)
                     .map(|h| h.last_live_time)
                     .unwrap_or(0);
                 let dead_point = 2 * prev_lt;
                 if at.since(start) < dead_point {
-                    self.stats.pf_dropped_live += 1;
-                    self.trace_pf(TraceKind::PfDiscard, line, at, 1);
-                    if self.pending_pf[set0]
+                    core.stats.pf_dropped_live += 1;
+                    if core.pending_pf[set0]
                         .map(|p| p.line == line)
                         .unwrap_or(false)
                     {
-                        self.pending_pf[set0] = None;
+                        core.pending_pf[set0] = None;
                     }
+                    self.trace_pf(c, TraceKind::PfDiscard, line, at, 1);
                     continue;
                 }
             }
-            let still_pending = self.pending_pf[set as usize]
+            let still_pending = core.pending_pf[set as usize]
                 .map(|p| p.line == line && matches!(p.state, PfState::Issued(_)))
                 .unwrap_or(false);
-            {
-                let (victim_frame, resident) = self.l1d.peek_victim(addr);
-                if resident.is_some() {
-                    self.writeback_if_dirty(victim_frame, at);
-                }
+            let (victim_frame, resident) = core.l1d.peek_victim(addr);
+            if resident.is_some() {
+                self.writeback_if_dirty(c, victim_frame, at);
             }
             if self.checker.is_some() {
-                self.obs.oracle.evt = TapEvent::default();
+                self.cores[c].obs.oracle.evt = TapEvent::default();
             }
-            let (frame, evicted) = self.l1d.fill(addr);
+            let (frame, evicted) = self.cores[c].l1d.fill(addr);
             if let Some(ev) = evicted {
-                let close = EvictEvent::new(&geom, frame, ev, at, EvictCause::Prefetch, None, true);
-                self.emit_evict(&close);
+                let close = EvictEvent::new(&geom, frame, ev, at, EvictCause::Prefetch, None);
+                self.emit_evict(c, &close);
             }
-            if self.checker.is_some() {
-                let (closed, admitted) =
-                    (self.obs.oracle.evt.closed, self.obs.oracle.evt.vc_admitted);
-                let mut chk = self.checker.take().expect("checked above");
-                chk.check_prefetch_fill(&self.l1d, line, evicted, closed, admitted);
-                self.checker = Some(chk);
+            if let Some(chk) = self.checker.as_deref_mut() {
+                let core = &self.cores[c];
+                let evt = &core.obs.oracle.evt;
+                chk.check_prefetch_fill(c, &core.l1d, line, evicted, evt.closed, evt.vc_admitted);
             }
-            self.stats.pf_fills += 1;
-            self.trace_pf(TraceKind::PfArrival, line, at, frame as u64);
+            self.cores[c].stats.pf_fills += 1;
+            self.trace_pf(c, TraceKind::PfArrival, line, at, frame as u64);
             // A prefetch fill is a generation start, and trains the
             // prefetcher exactly like a demand fill (enabling chained
             // prefetches), but carries no referencing PC.
-            self.fill_event(frame, line, None, false, evicted, at);
+            self.fill_event(c, frame, line, None, false, evicted, at);
             if still_pending {
-                let deadline = self.pending_pf[set as usize].and_then(|p| p.deadline);
-                self.pending_pf[set as usize] = Some(PendingPf {
+                let pending = &mut self.cores[c].pending_pf[set as usize];
+                let deadline = pending.and_then(|p| p.deadline);
+                *pending = Some(PendingPf {
                     line,
                     deadline,
                     state: PfState::Arrived {
@@ -1861,110 +1871,135 @@ impl MemorySystem {
         // Early detection: a demand miss to a displaced line is recorded in
         // `resolve_pending_on_miss`; nothing to do here.
     }
+}
 
-    // -- event-log API ------------------------------------------------------
-
-    /// Starts recording the pipeline event stream (for tests and
-    /// debugging). Clears any previously recorded events.
-    pub fn record_events(&mut self) {
-        self.event_log = Some(Vec::new());
-    }
-
-    /// Takes the recorded event stream, leaving recording enabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`record_events`](Self::record_events) was never called.
-    pub fn take_events(&mut self) -> Vec<PipelineEvent> {
-        let log = self
-            .event_log
-            .as_mut()
-            .expect("call record_events() before take_events()");
-        std::mem::take(log)
-    }
+/// The facts of one demand miss that its stages share.
+struct Miss<'a> {
+    mref: &'a MemRef,
+    line: LineAddr,
+    is_store: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{PrefetchMode, SystemConfig};
+    use crate::config::{PrefetchMode, SystemConfig, VictimMode};
+    use crate::obs::{evict_cause_code, miss_kind_code, TraceCategories, TraceRecord};
     use timekeeping::{Addr, StrideConfig};
 
     fn mref(addr: u64) -> MemRef {
         MemRef::new(Addr::new(addr), Pc::new(0x1000 + addr % 97))
     }
 
-    fn line_of(sys: &MemorySystem, addr: u64) -> LineAddr {
-        sys.config().machine.l1d.line_of(Addr::new(addr))
+    fn line_of(sys: &MemorySystem, addr: u64) -> u64 {
+        sys.config().machine.l1d.line_of(Addr::new(addr)).get()
+    }
+
+    /// A machine of `cfg` recording every event category in memory.
+    fn traced(cfg: SystemConfig) -> MemorySystem {
+        let mut sys = MemorySystem::new(cfg);
+        sys.install_trace(TraceCategories::all(), 1);
+        sys
+    }
+
+    /// Core 0's Hit, Miss, Fill, Evict and GenClose records, from the
+    /// `from`-th record of its trace on.
+    fn events(sys: &mut MemorySystem, from: usize) -> Vec<TraceRecord> {
+        let recs = sys.trace_records().expect("trace installed");
+        recs[from..]
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r.kind,
+                    TraceKind::Hit
+                        | TraceKind::Miss
+                        | TraceKind::Fill
+                        | TraceKind::Evict
+                        | TraceKind::GenClose
+                )
+            })
+            .copied()
+            .collect()
+    }
+
+    /// How many records core 0's trace holds so far.
+    fn mark(sys: &mut MemorySystem) -> usize {
+        sys.trace_records().expect("trace installed").len()
+    }
+
+    /// The (frame, demand) of a Fill record.
+    fn fill_of(r: &TraceRecord) -> (u64, bool) {
+        assert_eq!(r.kind, TraceKind::Fill, "{r:?}");
+        (r.aux / 2, r.aux % 2 == 1)
     }
 
     /// A demand miss to an empty set emits exactly Miss then Fill.
     #[test]
     fn cold_miss_emits_miss_then_demand_fill() {
-        let mut sys = MemorySystem::new(SystemConfig::base());
-        sys.record_events();
+        let mut sys = traced(SystemConfig::base());
         sys.access(&mref(0x1000), false, Cycle::new(0));
         let a = line_of(&sys, 0x1000);
-        let events = sys.take_events();
+        let events = events(&mut sys, 0);
         assert_eq!(events.len(), 2, "unexpected stream: {events:?}");
         assert_eq!(
-            events[0],
-            PipelineEvent::Miss {
-                line: a,
-                kind: MissKind::Cold
-            }
+            (events[0].kind, events[0].line, events[0].aux),
+            (TraceKind::Miss, a, miss_kind_code(MissKind::Cold))
         );
-        assert!(
-            matches!(events[1], PipelineEvent::Fill { line, demand: true, .. } if line == a),
-            "unexpected stream: {events:?}"
-        );
+        assert_eq!(events[1].line, a, "unexpected stream: {events:?}");
+        assert!(fill_of(&events[1]).1, "unexpected stream: {events:?}");
     }
 
     /// A conflict miss closes the displaced generation *before* the new
     /// fill, and names the evicted line correctly.
     #[test]
     fn conflict_miss_emits_evict_before_fill_with_victim_identity() {
-        let mut sys = MemorySystem::new(SystemConfig::base());
+        let mut sys = traced(SystemConfig::base());
         sys.access(&mref(0x1000), false, Cycle::new(0));
         let a = line_of(&sys, 0x1000);
+        let a_frame = fill_of(&events(&mut sys, 0)[1]).0;
         // Same set, different tag: one L1 size (32 KB) away in a
         // direct-mapped cache.
         let conflicting = 0x1000 + 32 * 1024;
-        sys.record_events();
+        let from = mark(&mut sys);
         sys.access(&mref(conflicting), false, Cycle::new(100));
         let b = line_of(&sys, conflicting);
-        let events = sys.take_events();
-        assert_eq!(events.len(), 3, "unexpected stream: {events:?}");
-        assert!(matches!(events[0], PipelineEvent::Miss { line, .. } if line == b));
-        let PipelineEvent::Evict { line, frame, cause } = events[1] else {
-            panic!("expected Evict second, got {events:?}");
-        };
-        assert_eq!(line, a, "evicted-line identity");
-        assert_eq!(cause, EvictCause::Demand);
-        let PipelineEvent::Fill {
-            line: fline,
-            frame: fframe,
-            demand,
-        } = events[2]
-        else {
-            panic!("expected Fill last, got {events:?}");
-        };
-        assert_eq!(fline, b);
-        assert_eq!(fframe, frame, "fill lands in the vacated frame");
+        let events = events(&mut sys, from);
+        assert_eq!(events.len(), 4, "unexpected stream: {events:?}");
+        assert_eq!((events[0].kind, events[0].line), (TraceKind::Miss, b));
+        let evict = events[1];
+        assert_eq!(
+            evict.kind,
+            TraceKind::Evict,
+            "expected Evict second: {events:?}"
+        );
+        assert_eq!(evict.line, a, "evicted-line identity");
+        assert_eq!(evict.aux, evict_cause_code(EvictCause::Demand));
+        assert_eq!(
+            (events[2].kind, events[2].line),
+            (TraceKind::GenClose, a),
+            "the eviction closes a's generation: {events:?}"
+        );
+        assert_eq!(events[3].line, b, "expected b's Fill last: {events:?}");
+        let (frame, demand) = fill_of(&events[3]);
+        assert_eq!(frame, a_frame, "fill lands in the vacated frame");
         assert!(demand);
     }
 
     /// A hit emits exactly one Hit event naming the resident frame.
     #[test]
     fn hit_emits_single_hit_event() {
-        let mut sys = MemorySystem::new(SystemConfig::base());
+        let mut sys = traced(SystemConfig::base());
         sys.access(&mref(0x1000), false, Cycle::new(0));
-        sys.record_events();
+        let a_frame = fill_of(&events(&mut sys, 0)[1]).0;
+        let from = mark(&mut sys);
         sys.access(&mref(0x1000), false, Cycle::new(50));
         let a = line_of(&sys, 0x1000);
-        let events = sys.take_events();
+        let events = events(&mut sys, from);
         assert_eq!(events.len(), 1, "unexpected stream: {events:?}");
-        assert!(matches!(events[0], PipelineEvent::Hit { line, .. } if line == a));
+        assert_eq!(
+            (events[0].kind, events[0].line, events[0].aux),
+            (TraceKind::Hit, a, a_frame)
+        );
     }
 
     /// A decay refetch is a Flush-cause Evict (at the switch-off point)
@@ -1972,21 +2007,24 @@ mod tests {
     /// because decay misses are invisible to the program-level model.
     #[test]
     fn decay_refetch_emits_flush_evict_then_refill() {
-        let mut sys = MemorySystem::new(SystemConfig::with_decay(8_192));
+        let mut sys = traced(SystemConfig::with_decay(8_192));
         sys.access(&mref(0x1000), false, Cycle::new(0));
         let a = line_of(&sys, 0x1000);
-        sys.record_events();
+        let from = mark(&mut sys);
         sys.access(&mref(0x1000), false, Cycle::new(50_000));
-        let events = sys.take_events();
-        assert_eq!(events.len(), 2, "unexpected stream: {events:?}");
-        assert!(
-            matches!(events[0], PipelineEvent::Evict { line, cause: EvictCause::Flush, .. } if line == a),
+        let events = events(&mut sys, from);
+        assert_eq!(events.len(), 3, "unexpected stream: {events:?}");
+        assert_eq!(
+            (events[0].kind, events[0].line, events[0].aux),
+            (TraceKind::Evict, a, evict_cause_code(EvictCause::Flush)),
             "decay must close the generation with Flush cause: {events:?}"
         );
-        assert!(
-            matches!(events[1], PipelineEvent::Fill { line, demand: true, .. } if line == a),
+        assert_eq!((events[1].kind, events[1].line), (TraceKind::GenClose, a));
+        assert_eq!(
+            events[2].line, a,
             "decay must refill the same line: {events:?}"
         );
+        assert!(fill_of(&events[2]).1, "the refill is a demand fill");
         assert_eq!(sys.stats().decay_misses, 1);
     }
 
@@ -1994,10 +2032,9 @@ mod tests {
     /// (with a Prefetch-cause Evict first when it displaces a line).
     #[test]
     fn prefetch_arrival_emits_non_demand_fill() {
-        let mut sys = MemorySystem::new(SystemConfig::with_prefetch(PrefetchMode::Stride(
+        let mut sys = traced(SystemConfig::with_prefetch(PrefetchMode::Stride(
             StrideConfig::CLASSIC,
         )));
-        sys.record_events();
         let mut now = 0u64;
         // A steady one-line stride from a single PC trains the table and
         // triggers prefetches; generous spacing lets them arrive.
@@ -2009,31 +2046,21 @@ mod tests {
         }
         sys.advance(Cycle::new(now));
         assert!(sys.stats().pf_fills > 0, "stride prefetches never landed");
-        let events = sys.take_events();
-        let pf_fills: Vec<_> = events
-            .iter()
-            .filter(|e| matches!(e, PipelineEvent::Fill { demand: false, .. }))
-            .collect();
+        let pf_fills = sys.stats().pf_fills;
+        let events = events(&mut sys, 0);
+        let is_pf_fill = |r: &TraceRecord| r.kind == TraceKind::Fill && !fill_of(r).1;
         assert_eq!(
-            pf_fills.len() as u64,
-            sys.stats().pf_fills,
+            events.iter().filter(|r| is_pf_fill(r)).count() as u64,
+            pf_fills,
             "every prefetch fill must be announced as a non-demand Fill"
         );
         // Prefetched lines are ahead of the demand stream: each
         // prefetch-filled line must not have been demand-missed before.
-        for e in &events {
-            if let PipelineEvent::Fill {
-                line,
-                demand: false,
-                ..
-            } = e
-            {
-                let demanded_before = events
-                    .iter()
-                    .take_while(|x| **x != *e)
-                    .any(|x| matches!(x, PipelineEvent::Miss { line: m, .. } if m == line));
-                assert!(!demanded_before, "prefetch fill for an already-missed line");
-            }
+        for (i, e) in events.iter().enumerate().filter(|(_, e)| is_pf_fill(e)) {
+            let demanded_before = events[..i]
+                .iter()
+                .any(|x| x.kind == TraceKind::Miss && x.line == e.line);
+            assert!(!demanded_before, "prefetch fill for an already-missed line");
         }
     }
 
@@ -2042,9 +2069,7 @@ mod tests {
     /// configured publishes an admission decision.
     #[test]
     fn evict_event_reaches_victim_admission() {
-        let mut sys = MemorySystem::new(SystemConfig::with_victim(
-            crate::config::VictimMode::Unfiltered,
-        ));
+        let mut sys = MemorySystem::new(SystemConfig::with_victim(VictimMode::Unfiltered));
         sys.access(&mref(0x1000), false, Cycle::new(0));
         sys.access(&mref(0x1000 + 32 * 1024), false, Cycle::new(100));
         let stats = sys.victim_stats().expect("victim configured");
@@ -2052,31 +2077,45 @@ mod tests {
         assert_eq!(stats.admitted, 1, "unfiltered VC admits everything");
     }
 
-    /// Pins the one-core swap accounting: a victim-cache hit closes the
-    /// displaced generation through the ordinary Evict event, so the
-    /// admission filter is offered that generation (and, unfiltered,
-    /// admits it) before the swap inserts the block anyway. The
-    /// multi-core swap path does not offer
-    /// (`multicore::tests::swap_closes_are_not_offered_at_two_cores`).
-    #[test]
-    fn swap_closes_are_offered_at_one_core() {
-        let mut sys = MemorySystem::new(SystemConfig::with_victim(
-            crate::config::VictimMode::Unfiltered,
-        ));
-        // Three lines conflicting in one direct-mapped set, in rotation.
+    /// Pins the swap accounting, one rule at every core count: a
+    /// victim-cache hit closes the displaced generation through the
+    /// ordinary Evict event, so the admission filter is offered that
+    /// generation (and, unfiltered, admits it) before the swap inserts
+    /// the block anyway.
+    fn assert_swap_closes_offered(cores: u32) {
+        let cfg = SystemConfig::builder()
+            .cores(cores)
+            .victim(VictimMode::Unfiltered)
+            .build()
+            .unwrap();
+        let mut sys = MemorySystem::new(cfg);
+        assert!(sys.enable_lockstep_check());
+        // Three lines conflicting in one direct-mapped set, in
+        // rotation, on core 0.
         let rounds = 10u64;
         for i in 0..3 * rounds {
             let a = 0x1000 + (i % 3) * 32 * 1024;
             sys.access(&mref(a), false, Cycle::new(i * 200));
         }
-        // Three cold misses, then every access swaps through the buffer.
+        // Three cold misses, then every access swaps through the
+        // buffer.
         let swaps = sys.victim_swap_fills().expect("victim configured");
-        assert_eq!(swaps, 3 * rounds - 3);
-        assert_eq!(sys.stats().vc_hits, swaps);
-        // Every close is offered: the two full-miss evictions and every
-        // swap.
+        assert_eq!(swaps, 3 * rounds - 3, "{cores} cores");
+        assert_eq!(sys.stats().vc_hits, swaps, "{cores} cores");
+        // Every close is offered: the two full-miss evictions and
+        // every swap.
         let stats = sys.victim_stats().expect("victim configured");
-        assert_eq!(stats.offered, 2 + swaps);
-        assert_eq!(stats.admitted, 2 + swaps);
+        assert_eq!(stats.offered, 2 + swaps, "{cores} cores");
+        assert_eq!(stats.admitted, 2 + swaps, "{cores} cores");
+    }
+
+    #[test]
+    fn swap_closes_are_offered_at_one_core() {
+        assert_swap_closes_offered(1);
+    }
+
+    #[test]
+    fn swap_closes_are_offered_at_two_cores() {
+        assert_swap_closes_offered(2);
     }
 }

@@ -869,20 +869,21 @@ fn inject(mem: &mut MemorySystem, warm: &WarmState, checked: bool) -> MissBreakd
     // oracle must agree with the machine it checks.
     oracle.clear_vc();
     let g1 = *oracle.l1_geometry();
+    let core = &mut mem.cores[0];
     for line in oracle.l1_lines() {
-        let (frame, evicted) = mem.l1d.fill(g1.addr_of_line(line));
+        let (frame, evicted) = core.l1d.fill(g1.addr_of_line(line));
         debug_assert!(evicted.is_none(), "injection into an empty cache");
-        mem.obs.gens.plane.fill(frame, line, Cycle::ZERO);
+        core.obs.gens.plane.fill(frame, line, Cycle::ZERO);
         if warm.shadow.is_dirty(line.get()) {
-            mem.l1d.mark_dirty(frame);
+            core.l1d.mark_dirty(frame);
         }
     }
+    core.shadow = warm.shadow.to_fully_assoc();
+    let baseline = core.shadow.breakdown();
     let g2 = *oracle.l2_geometry();
     for line in oracle.l2_lines() {
         mem.l2.fill(g2.addr_of_line(line));
     }
-    mem.shadow = warm.shadow.to_fully_assoc();
-    let baseline = mem.shadow.breakdown();
     if checked {
         mem.checker = Some(Box::new(LockstepChecker::from_oracle(oracle)));
     }
@@ -919,7 +920,7 @@ fn time_interval<W: Workload + ?Sized>(
     rep_index: u64,
     weight: u64,
 ) -> RunResult {
-    if let Some(t) = mem.obs.trace.as_deref_mut() {
+    if let Some(t) = mem.cores[0].obs.trace.as_deref_mut() {
         t.push(
             TraceKind::SampleRep,
             Cycle::ZERO,
@@ -929,28 +930,14 @@ fn time_interval<W: Workload + ?Sized>(
     }
     let mut core = OooCore::new(cfg);
     let core_stats = core.run(wl, &mut mem, n);
-    let full = mem.miss_breakdown();
-    let breakdown = MissBreakdown {
+    let mut r = mem.take_result(wl.name(), core_stats);
+    let full = r.breakdown;
+    r.breakdown = MissBreakdown {
         cold: full.cold - baseline.cold,
         conflict: full.conflict - baseline.conflict,
         capacity: full.capacity - baseline.capacity,
     };
-    RunResult {
-        workload: wl.name().to_owned(),
-        core: core_stats,
-        hierarchy: mem.stats(),
-        breakdown,
-        victim: mem.victim_stats(),
-        victim_swap_fills: mem.victim_swap_fills(),
-        timeliness: *mem.timeliness(),
-        correlation: mem.correlation_stats(),
-        dbcp: mem.dbcp_stats(),
-        pf_queue_discards: mem.pf_queue_discards(),
-        dram: mem.dram_stats(),
-        sampled: None,
-        coherence: None,
-        metrics: std::mem::take(mem.metrics_mut()),
-    }
+    r
 }
 
 // ---------------------------------------------------------------------------
@@ -1260,28 +1247,28 @@ fn inject_shard(
     ckpt: &SampleCheckpoint,
     shard: &RepShard,
 ) -> MissBreakdown {
-    let g1 = mem.cfg.machine.l1d;
-    for (&line, &dirty) in shard.l1_lines.iter().zip(&shard.l1_dirty) {
-        let line = LineAddr::new(line);
-        let (frame, evicted) = mem.l1d.fill(g1.addr_of_line(line));
-        debug_assert!(evicted.is_none(), "injection into an empty cache");
-        mem.obs.gens.plane.fill(frame, line, Cycle::ZERO);
-        if dirty {
-            mem.l1d.mark_dirty(frame);
-        }
-    }
-    let g2 = mem.cfg.machine.l2;
+    let (g1, g2) = (mem.cfg.machine.l1d, mem.cfg.machine.l2);
     for &line in &shard.l2_lines {
         mem.l2.fill(g2.addr_of_line(LineAddr::new(line)));
     }
-    mem.shadow = FullyAssocShadow::from_parts_epoch(
+    let core = &mut mem.cores[0];
+    for (&line, &dirty) in shard.l1_lines.iter().zip(&shard.l1_dirty) {
+        let line = LineAddr::new(line);
+        let (frame, evicted) = core.l1d.fill(g1.addr_of_line(line));
+        debug_assert!(evicted.is_none(), "injection into an empty cache");
+        core.obs.gens.plane.fill(frame, line, Cycle::ZERO);
+        if dirty {
+            core.l1d.mark_dirty(frame);
+        }
+    }
+    core.shadow = FullyAssocShadow::from_parts_epoch(
         g1.num_frames() as usize,
         shard.shadow_stack.iter().copied(),
         std::sync::Arc::clone(&ckpt.first_touch),
         shard.rep_index as u32,
         MissBreakdown::default(),
     );
-    mem.shadow.breakdown()
+    core.shadow.breakdown()
 }
 
 /// The state [`inject_shard`] writes, kept so that further
@@ -1297,20 +1284,22 @@ struct ShardImage {
 
 impl ShardImage {
     fn capture(mem: &MemorySystem, baseline: MissBreakdown) -> Self {
+        let core = &mem.cores[0];
         ShardImage {
-            l1d: mem.l1d.clone(),
+            l1d: core.l1d.clone(),
             l2: mem.l2.clone(),
-            plane: mem.obs.gens.plane.clone(),
-            shadow: mem.shadow.clone(),
+            plane: core.obs.gens.plane.clone(),
+            shadow: core.shadow.clone(),
             baseline,
         }
     }
 
     fn install(&self, mem: &mut MemorySystem) -> MissBreakdown {
-        mem.l1d.clone_from(&self.l1d);
         mem.l2.clone_from(&self.l2);
-        mem.obs.gens.plane.clone_from(&self.plane);
-        mem.shadow.clone_from(&self.shadow);
+        let core = &mut mem.cores[0];
+        core.l1d.clone_from(&self.l1d);
+        core.obs.gens.plane.clone_from(&self.plane);
+        core.shadow.clone_from(&self.shadow);
         self.baseline
     }
 }

@@ -179,9 +179,9 @@ fn run<W: Workload + ?Sized>(
     checked: bool,
 ) -> RunResult {
     if cfg.cores > 1 {
-        // Multi-core configurations run the MESI-coherent hierarchy.
-        // Statistical sampling is ignored there; the missing `sampled`
-        // tag is the standard fallback signal.
+        // Multi-core configurations run one stream per core. Statistical
+        // sampling is ignored there; the missing `sampled` tag is the
+        // standard fallback signal.
         return crate::multicore::run_multicore(workload, cfg, instructions, checked);
     }
     if let Some(sc) = cfg.sample {
@@ -247,23 +247,7 @@ impl SimSystem {
     /// results. Draining the metrics means a `SimSystem` runs once.
     pub fn run<W: Workload + ?Sized>(&mut self, workload: &mut W, instructions: u64) -> RunResult {
         let core_stats = self.core.run(workload, &mut self.mem, instructions);
-        let mem = &mut self.mem;
-        RunResult {
-            workload: workload.name().to_owned(),
-            core: core_stats,
-            hierarchy: mem.stats(),
-            breakdown: mem.miss_breakdown(),
-            victim: mem.victim_stats(),
-            victim_swap_fills: mem.victim_swap_fills(),
-            timeliness: *mem.timeliness(),
-            correlation: mem.correlation_stats(),
-            dbcp: mem.dbcp_stats(),
-            pf_queue_discards: mem.pf_queue_discards(),
-            dram: mem.dram_stats(),
-            sampled: None,
-            coherence: None,
-            metrics: std::mem::take(mem.metrics_mut()),
-        }
+        self.mem.take_result(workload.name(), core_stats)
     }
 }
 
