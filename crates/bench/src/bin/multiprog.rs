@@ -3,19 +3,22 @@
 //! reshapes generational behavior, and whether the timekeeping victim
 //! filter still holds up under context switching.
 //!
-//! Usage: `multiprog [instructions] [--jobs J] ...` (default 4,000,000).
+//! Usage: `multiprog [instructions] [--seed S] [--jobs J] ...` (default
+//! 4,000,000); the co-schedules are time-sliced [`WorkloadId::Mix`] jobs.
 
+use tk_bench::engine::run_jobs;
 use tk_bench::fmt::{pct, TextTable};
-use tk_bench::runner::FigureOpts;
+use tk_bench::runner::{run_bench, FigureOpts};
+use tk_bench::workload::{Schedule, WorkloadId};
 use tk_sim::{SystemConfig, VictimMode};
-use tk_workloads::{Multiprogrammed, SpecBenchmark};
-
-fn pair(a: SpecBenchmark, b: SpecBenchmark, quantum: u64) -> Multiprogrammed {
-    Multiprogrammed::new(vec![Box::new(a.build(1)), Box::new(b.build(1))], quantum)
-}
+use tk_workloads::SpecBenchmark::{Art, Eon, Gzip, Twolf};
 
 fn main() {
     let opts = FigureOpts::from_args().or_default_budget(4_000_000);
+    let mix = |members, quantum| WorkloadId::Mix {
+        members,
+        schedule: Schedule::TimeSliced { quantum },
+    };
 
     println!("Multiprogramming and generational behavior (Mendelson [11])\n");
 
@@ -28,7 +31,7 @@ fn main() {
         "mean dead",
         "zero-live gens",
     ]);
-    let solo = opts.simulate(&mut SpecBenchmark::Gzip.build(1), SystemConfig::base());
+    let solo = run_bench(Gzip, SystemConfig::base(), opts);
     let row = |name: &str, r: &tk_sim::RunResult| {
         vec![
             name.to_owned(),
@@ -40,9 +43,9 @@ fn main() {
         ]
     };
     t.row(row("gzip alone", &solo));
-    for quantum in [200_000u64, 50_000, 10_000] {
-        let mut mp = pair(SpecBenchmark::Gzip, SpecBenchmark::Art, quantum);
-        let r = opts.simulate(&mut mp, SystemConfig::base());
+    let quanta = [200_000u64, 50_000, 10_000];
+    let jobs = quanta.map(|q| opts.job(mix([Gzip, Art], q), SystemConfig::base()));
+    for (quantum, r) in quanta.iter().zip(run_jobs(&jobs, opts.jobs)) {
         t.row(row(&format!("gzip+art, q={quantum}"), &r));
     }
     println!("{}", t.render());
@@ -53,21 +56,21 @@ fn main() {
 
     // 2. Does the dead-time victim filter survive multiprogramming?
     let mut t = TextTable::new(vec!["schedule", "base IPC", "vc(tk) speedup", "admit rate"]);
-    for (name, a, b) in [
-        ("twolf+eon", SpecBenchmark::Twolf, SpecBenchmark::Eon),
-        ("twolf+art", SpecBenchmark::Twolf, SpecBenchmark::Art),
-    ] {
-        let mut base_w = pair(a, b, 50_000);
-        let base = opts.simulate(&mut base_w, SystemConfig::base());
-        let mut vc_w = pair(a, b, 50_000);
-        let vc = opts.simulate(
-            &mut vc_w,
-            SystemConfig::with_victim(VictimMode::paper_dead_time()),
-        );
+    let pairs = [("twolf+eon", [Twolf, Eon]), ("twolf+art", [Twolf, Art])];
+    let cfgs = [
+        SystemConfig::base(),
+        SystemConfig::with_victim(VictimMode::paper_dead_time()),
+    ];
+    let jobs: Vec<_> = pairs
+        .iter()
+        .flat_map(|&(_, members)| cfgs.map(|cfg| opts.job(mix(members, 50_000), cfg)))
+        .collect();
+    for (&(name, _), rs) in pairs.iter().zip(run_jobs(&jobs, opts.jobs).chunks(2)) {
+        let (base, vc) = (&rs[0], &rs[1]);
         t.row(vec![
             name.to_owned(),
             format!("{:.3}", base.ipc()),
-            pct(vc.speedup_over(&base)),
+            pct(vc.speedup_over(base)),
             vc.victim
                 .and_then(|v| v.admission_rate())
                 .map_or("n/a".into(), pct),

@@ -24,8 +24,8 @@
 //! that stays inside the suite gate, so figures with benign workload
 //! mixes can sample far more aggressively than the suite-wide default
 //! while sensitive figures fall back to finer points or to full runs.
-//! Figures whose jobs bypass the engine (the multi-core mixes) are
-//! skipped with a note.
+//! The multi-core figures' jobs at `cores > 1` never sample; they count
+//! as full-run fallbacks in their figure's bands.
 //!
 //! Suite runs bypass the engine memo on purpose: the point is honest
 //! wall-clock, not cached results. The per-figure section *uses* the
@@ -354,11 +354,11 @@ fn figure_bands(opts: &FigureOpts) -> Vec<Json> {
     rows
 }
 
-/// Runs the base machine on `b` directly (no memo) and times it.
+/// Runs the base machine on `b` outside the memo and times it.
 fn timed_run(b: SpecBenchmark, opts: FigureOpts) -> (RunResult, f64) {
-    let mut w = b.build(opts.seed);
+    let job = opts.job(b, SystemConfig::base());
     let start = Instant::now();
-    let r = opts.simulate(&mut w, SystemConfig::base());
+    let r = job.simulate();
     (r, start.elapsed().as_secs_f64())
 }
 

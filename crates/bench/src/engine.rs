@@ -1,9 +1,12 @@
 //! The parallel experiment engine.
 //!
 //! Every figure of the paper's evaluation is a pile of *independent*
-//! simulations — `(benchmark, configuration, seed, instruction budget)`
-//! tuples whose results are pure functions of the tuple. The engine
-//! exploits that three ways:
+//! simulations — `(workload, configuration, seed, instruction budget)`
+//! tuples whose results are pure functions of the tuple. The workload is
+//! a benchmark, a registered trace or a two-program mix ([`WorkloadId`]),
+//! and the configuration's core count picks one core or N, so the
+//! multi-core and multiprogrammed figures are ordinary jobs too. The
+//! engine exploits that three ways:
 //!
 //! * **Fan-out** — [`run_jobs`] spreads a batch of [`Job`]s across a
 //!   fixed-size pool of worker threads (`--jobs N`), returning results in
@@ -57,8 +60,8 @@ use crate::workload::WorkloadId;
 /// tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Job {
-    /// The workload to run: a synthetic benchmark or a registered
-    /// external trace ([`WorkloadId`]).
+    /// The workload to run: a synthetic benchmark, a registered
+    /// external trace or a two-program mix ([`WorkloadId`]).
     pub bench: WorkloadId,
     /// The system configuration.
     pub cfg: SystemConfig,
@@ -96,8 +99,8 @@ impl Job {
     /// `std`'s hasher is randomized per process, so filenames use an FNV
     /// hash of this string instead.) Synthetic jobs keep the historical
     /// `bench={name};…` format; trace jobs lead with
-    /// `trace={digest:016x}` so entries can never alias across traces
-    /// or against a benchmark.
+    /// `trace={digest:016x}` and mix jobs with `mix={a}+{b}`, so entries
+    /// can never alias across workload kinds.
     pub fn cache_key(&self) -> String {
         format!(
             "{};{};seed={};instructions={}",
@@ -108,8 +111,10 @@ impl Job {
         )
     }
 
-    /// The simulation itself (no caching).
-    fn simulate(&self) -> RunResult {
+    /// The simulation itself, outside the memo and the disk cache (for
+    /// harnesses that time a real run). At `cfg.cores > 1`
+    /// `run_workload` runs one stream per core.
+    pub fn simulate(&self) -> RunResult {
         let mut w = self.bench.build(self.seed);
         if self.check {
             run_workload_checked(&mut w, self.cfg, self.instructions)
@@ -136,7 +141,6 @@ struct Engine {
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
     sims_run: AtomicU64,
-    direct_runs: AtomicU64,
 }
 
 fn engine() -> &'static Engine {
@@ -147,7 +151,6 @@ fn engine() -> &'static Engine {
         memo_hits: AtomicU64::new(0),
         disk_hits: AtomicU64::new(0),
         sims_run: AtomicU64::new(0),
-        direct_runs: AtomicU64::new(0),
     })
 }
 
@@ -203,19 +206,6 @@ pub fn memo_stats() -> (u64, u64, u64) {
     )
 }
 
-/// Simulations run outside the engine since process start (or the last
-/// [`reset_stats`]): the workloads a [`Job`] cannot name, like
-/// concurrent mixes, run by [`FigureOpts::simulate`](crate::FigureOpts::simulate).
-/// [`memo_stats`] does not count them.
-pub fn direct_runs() -> u64 {
-    engine().direct_runs.load(Ordering::Relaxed)
-}
-
-/// Counts one simulation run outside the engine.
-pub(crate) fn count_direct_run() {
-    engine().direct_runs.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Clears the in-process memo and zeroes the counters (test hook; the
 /// disk cache is left untouched).
 pub fn reset_stats() {
@@ -224,7 +214,6 @@ pub fn reset_stats() {
     e.memo_hits.store(0, Ordering::Relaxed);
     e.disk_hits.store(0, Ordering::Relaxed);
     e.sims_run.store(0, Ordering::Relaxed);
-    e.direct_runs.store(0, Ordering::Relaxed);
 }
 
 /// The default worker-pool size: one worker per available core.
@@ -611,6 +600,7 @@ mod cases;
 mod tests {
     use super::*;
     use crate::runner::FigureOpts;
+    use crate::workload::Schedule;
     use timekeeping::snapshot::{Json, Snapshot};
     use tk_workloads::SpecBenchmark;
 
@@ -639,7 +629,22 @@ mod tests {
         let mut c = a;
         c.instructions += 1;
         let d = quick_job(SystemConfig::ideal());
-        let keys = [a.cache_key(), b.cache_key(), c.cache_key(), d.cache_key()];
+        // Mixes that differ only in schedule, quantum, member order or
+        // seed.
+        let mix = |members, schedule| Job {
+            bench: WorkloadId::Mix { members, schedule },
+            ..a
+        };
+        let (gz, sw) = (SpecBenchmark::Gzip, SpecBenchmark::Swim);
+        let sliced = |quantum| Schedule::TimeSliced { quantum };
+        let e = mix([gz, sw], Schedule::Concurrent);
+        let f = mix([gz, sw], sliced(50_000));
+        let g = mix([gz, sw], sliced(10_000));
+        let h = mix([sw, gz], Schedule::Concurrent);
+        let i = mix([sw, gz], sliced(50_000));
+        let mut j = e;
+        j.seed = 2;
+        let keys = [a, b, c, d, e, f, g, h, i, j].map(|job| job.cache_key());
         for (i, k) in keys.iter().enumerate() {
             for other in &keys[i + 1..] {
                 assert_ne!(k, other);

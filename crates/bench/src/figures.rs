@@ -5,10 +5,12 @@
 //! are thin wrappers; integration tests call these functions at reduced
 //! instruction budgets.
 
+use std::sync::Arc;
+
 use timekeeping::{CorrelationConfig, DbcpConfig, MissKind, Timeliness};
-use tk_sim::trace::Workload as _;
 use tk_sim::{
-    BankedDramConfig, MachineConfig, MemBackendConfig, PrefetchMode, SystemConfig, VictimMode,
+    BankedDramConfig, MachineConfig, MemBackendConfig, PrefetchMode, RunResult, SystemConfig,
+    VictimMode,
 };
 use tk_workloads::SpecBenchmark;
 
@@ -17,7 +19,7 @@ use crate::fmt::{bar, geomean_improvement, histogram_chart, pct, pct_opt, TextTa
 use crate::runner::{
     best_workloads, run_bench, run_suite, suite_metrics, suite_workloads, FigureOpts,
 };
-use crate::workload::WorkloadId;
+use crate::workload::{Schedule, WorkloadId};
 
 /// Fans the cross product `benches × cfgs` across the worker pool,
 /// populating the engine's memo so the figure's (deterministic, serial)
@@ -732,26 +734,13 @@ pub fn dram_compare(opts: FigureOpts) -> String {
 // Multi-core figures (tk_sim::multicore)
 // ---------------------------------------------------------------------------
 
-/// The concurrent mixes of the multi-core figures: a streaming pair, a
-/// conflict-heavy pair, and a latency-bound pair. Each mix is rebuilt
-/// per run (workload state is consumed by simulation).
-fn mp_mixes(seed: u64) -> Vec<tk_workloads::ConcurrentMix> {
-    use tk_workloads::ConcurrentMix;
-    vec![
-        ConcurrentMix::new(vec![
-            Box::new(SpecBenchmark::Gzip.build(seed)),
-            Box::new(SpecBenchmark::Swim.build(seed)),
-        ]),
-        ConcurrentMix::new(vec![
-            Box::new(SpecBenchmark::Twolf.build(seed)),
-            Box::new(SpecBenchmark::Art.build(seed)),
-        ]),
-        ConcurrentMix::new(vec![
-            Box::new(SpecBenchmark::Mcf.build(seed)),
-            Box::new(SpecBenchmark::Gzip.build(seed)),
-        ]),
-    ]
-}
+/// The member pairs of the multi-core figures' concurrent mixes: a
+/// streaming pair, a conflict-heavy pair, and a latency-bound pair.
+const MP_MIXES: [[SpecBenchmark; 2]; 3] = [
+    [SpecBenchmark::Gzip, SpecBenchmark::Swim],
+    [SpecBenchmark::Twolf, SpecBenchmark::Art],
+    [SpecBenchmark::Mcf, SpecBenchmark::Gzip],
+];
 
 /// The core counts every multi-core figure sweeps.
 const MP_CORES: [u32; 3] = [1, 2, 4];
@@ -773,14 +762,35 @@ fn mp_cfg(victim: Option<VictimMode>, tk: bool) -> SystemConfig {
     b.build().expect("multi-core figure configs are valid")
 }
 
+/// Runs every concurrent mix at every core count under each of `cfgs`,
+/// as one engine batch. Returns one row per (mix, core count), in sweep
+/// order: the mix's name, the core count, and one result per config.
+fn mp_runs<const N: usize>(
+    opts: FigureOpts,
+    cfgs: [SystemConfig; N],
+) -> Vec<(String, u32, [Arc<RunResult>; N])> {
+    let schedule = Schedule::Concurrent;
+    let jobs: Vec<Job> = MP_MIXES
+        .iter()
+        .flat_map(|&members| MP_CORES.map(|cores| (members, FigureOpts { cores, ..opts })))
+        .flat_map(|(members, o)| cfgs.map(|c| o.job(WorkloadId::Mix { members, schedule }, c)))
+        .collect();
+    let results = engine::run_jobs(&jobs, opts.jobs);
+    let row = |(js, rs): (&[Job], &[Arc<RunResult>])| {
+        let runs = std::array::from_fn(|i| Arc::clone(&rs[i]));
+        (js[0].bench.name(), js[0].cfg.cores, runs)
+    };
+    jobs.chunks(N).zip(results.chunks(N)).map(row).collect()
+}
+
 /// Figure 22-MP: the timekeeping mechanisms on the MESI-coherent
 /// multi-core hierarchy — Figure 22's question (which mechanism helps?)
 /// re-asked when the victim cache and predictor compete with coherence
 /// invalidations for the same generations.
 ///
-/// The budget is per core; IPC is the aggregate over cores. These runs
-/// bypass the engine memo (concurrent mixes are not `SpecBenchmark`
-/// jobs), so the figure is serial and bit-deterministic.
+/// The budget is per core; IPC is the aggregate over cores. The 18 runs
+/// are one engine batch: parallel across `--jobs`, memoized (the victim
+/// runs are shared with [`mesi_compare`]) and disk-cached.
 pub fn fig22_mp(opts: FigureOpts) -> String {
     let mut t = TextTable::new(vec![
         "mix",
@@ -791,35 +801,28 @@ pub fn fig22_mp(opts: FigureOpts) -> String {
         "c2c/tx",
         "inval deaths",
     ]);
-    for mix in mp_mixes(opts.seed) {
-        for &cores in &MP_CORES {
-            let o = FigureOpts { cores, ..opts };
-            let base = o.simulate(
-                &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(None, false),
-            );
-            let vc = o.simulate(
-                &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(Some(VictimMode::paper_dead_time()), false),
-            );
-            let coh = base.coherence;
-            t.row(vec![
-                mix.name().to_owned(),
-                cores.to_string(),
-                format!("{:.3}", base.ipc()),
-                pct(vc.speedup_over(&base)),
-                pct(base.hierarchy.l1_miss_rate()),
-                coh.map_or("n/a".to_owned(), |c| {
-                    format!(
-                        "{:.3}",
-                        c.c2c_transfers as f64 / c.transactions().max(1) as f64
-                    )
-                }),
-                coh.map_or("n/a".to_owned(), |c| {
-                    pct_opt(c.invalidation_death_fraction())
-                }),
-            ]);
-        }
+    let cfgs = [
+        mp_cfg(None, false),
+        mp_cfg(Some(VictimMode::paper_dead_time()), false),
+    ];
+    for (mix, cores, [base, vc]) in mp_runs(opts, cfgs) {
+        let coh = base.coherence;
+        t.row(vec![
+            mix,
+            cores.to_string(),
+            format!("{:.3}", base.ipc()),
+            pct(vc.speedup_over(&base)),
+            pct(base.hierarchy.l1_miss_rate()),
+            coh.map_or("n/a".to_owned(), |c| {
+                format!(
+                    "{:.3}",
+                    c.c2c_transfers as f64 / c.transactions().max(1) as f64
+                )
+            }),
+            coh.map_or("n/a".to_owned(), |c| {
+                pct_opt(c.invalidation_death_fraction())
+            }),
+        ]);
     }
     format!(
         "Figure 22-MP: timekeeping mechanisms under MESI coherence\n\
@@ -853,63 +856,40 @@ pub fn mesi_compare(opts: FigureOpts) -> String {
         "mean live(inv)",
         "mean dead(inv)",
     ]);
-    for mix in mp_mixes(opts.seed) {
-        for &cores in &MP_CORES {
-            let o = FigureOpts { cores, ..opts };
-            let vc = o.simulate(
-                &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(Some(VictimMode::paper_dead_time()), false),
-            );
-            let tk = o.simulate(
-                &mut mix.fork().expect("spec mixes fork"),
-                mp_cfg(None, true),
-            );
-            quality.row(vec![
-                mix.name().to_owned(),
-                cores.to_string(),
-                vc.victim
-                    .and_then(|v| v.admission_rate())
-                    .map_or("n/a".to_owned(), pct),
-                vc.victim
-                    .and_then(|v| v.hit_rate())
-                    .map_or("n/a".to_owned(), pct),
-                pct_opt(tk.hierarchy.addr_accuracy()),
-                tk.correlation
-                    .and_then(|c| c.hit_rate())
-                    .map_or("n/a".to_owned(), pct),
-            ]);
-            // The death breakdown comes from the victim-cache run: that
-            // is the configuration whose filter the dead times feed.
-            let row = match vc.coherence {
-                Some(c) => vec![
-                    mix.name().to_owned(),
-                    cores.to_string(),
-                    c.evict_deaths.to_string(),
-                    c.inval_deaths.to_string(),
-                    format!(
-                        "{:.0}",
-                        c.evict_live_time as f64 / c.evict_deaths.max(1) as f64
-                    ),
-                    c.mean_evict_dead_time()
-                        .map_or("n/a".to_owned(), |m| format!("{m:.0}")),
-                    c.mean_inval_live_time()
-                        .map_or("n/a".to_owned(), |m| format!("{m:.0}")),
-                    c.mean_inval_dead_time()
-                        .map_or("n/a".to_owned(), |m| format!("{m:.0}")),
-                ],
-                None => vec![
-                    mix.name().to_owned(),
-                    cores.to_string(),
-                    "n/a".to_owned(),
-                    "n/a".to_owned(),
-                    "n/a".to_owned(),
-                    "n/a".to_owned(),
-                    "n/a".to_owned(),
-                    "n/a".to_owned(),
-                ],
-            };
-            deaths.row(row);
-        }
+    let cfgs = [
+        mp_cfg(Some(VictimMode::paper_dead_time()), false),
+        mp_cfg(None, true),
+    ];
+    for (mix, cores, [vc, tk]) in mp_runs(opts, cfgs) {
+        quality.row(vec![
+            mix.clone(),
+            cores.to_string(),
+            vc.victim
+                .and_then(|v| v.admission_rate())
+                .map_or("n/a".to_owned(), pct),
+            vc.victim
+                .and_then(|v| v.hit_rate())
+                .map_or("n/a".to_owned(), pct),
+            pct_opt(tk.hierarchy.addr_accuracy()),
+            tk.correlation
+                .and_then(|c| c.hit_rate())
+                .map_or("n/a".to_owned(), pct),
+        ]);
+        // The death breakdown comes from the victim-cache run: that is
+        // the configuration whose filter the dead times feed.
+        let c = vc.coherence;
+        let count = |n: Option<u64>| n.map_or("n/a".to_owned(), |n| n.to_string());
+        let mean = |m: Option<f64>| m.map_or("n/a".to_owned(), |m| format!("{m:.0}"));
+        deaths.row(vec![
+            mix,
+            cores.to_string(),
+            count(c.map(|c| c.evict_deaths)),
+            count(c.map(|c| c.inval_deaths)),
+            mean(c.map(|c| c.evict_live_time as f64 / c.evict_deaths.max(1) as f64)),
+            mean(c.and_then(|c| c.mean_evict_dead_time())),
+            mean(c.and_then(|c| c.mean_inval_live_time())),
+            mean(c.and_then(|c| c.mean_inval_dead_time())),
+        ]);
     }
     format!(
         "MESI compare: timekeeping quality across core counts\n\

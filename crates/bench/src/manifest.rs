@@ -5,8 +5,7 @@
 //! [`Job::cache_key`]), the seed and instruction budget, the crate
 //! versions that produced it, the wall time, and the cache-hit
 //! provenance from the [`engine`](crate::engine) (how many results were
-//! memo hits, disk hits, or freshly simulated — including the direct
-//! runs of workloads a [`Job`] cannot name, which bypass the engine).
+//! memo hits, disk hits, or freshly simulated).
 //!
 //! The figure binaries write `<obs-out>/<name>.manifest.json` when
 //! `--obs-out DIR` is given; the `report` binary writes
@@ -55,8 +54,7 @@ impl CkptDelta {
 }
 
 /// The engine counters behind one report: the
-/// [`memo_stats`](crate::engine::memo_stats) buckets plus the
-/// [`direct_runs`](crate::engine::direct_runs) made outside the engine.
+/// [`memo_stats`](crate::engine::memo_stats) buckets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Provenance {
     /// Jobs answered by the in-process memo.
@@ -65,8 +63,6 @@ pub struct Provenance {
     pub disk_hits: u64,
     /// Jobs the engine simulated.
     pub sims_run: u64,
-    /// Simulations run outside the engine.
-    pub direct_runs: u64,
 }
 
 impl Provenance {
@@ -78,7 +74,6 @@ impl Provenance {
             memo_hits,
             disk_hits,
             sims_run,
-            direct_runs: crate::engine::direct_runs(),
         }
     }
 
@@ -89,7 +84,6 @@ impl Provenance {
             memo_hits: now.memo_hits - before.memo_hits,
             disk_hits: now.disk_hits - before.disk_hits,
             sims_run: now.sims_run - before.sims_run,
-            direct_runs: now.direct_runs - before.direct_runs,
         }
     }
 }
@@ -105,8 +99,7 @@ pub fn ckpt_snapshot() -> tk_sim::CkptStats {
 /// `jobs` is the engine's job log for the run (see
 /// [`engine::take_recorded_jobs`](crate::engine::take_recorded_jobs));
 /// `provenance` is the counter delta for the run; `ckpt` is the
-/// checkpoint-plane delta. Direct runs count into both `simulations` and
-/// `provenance.simulations_run`.
+/// checkpoint-plane delta.
 pub fn manifest_json(
     name: &str,
     opts: &FigureOpts,
@@ -118,7 +111,6 @@ pub fn manifest_json(
     let mut fingerprints: Vec<String> = jobs.iter().map(Job::cache_key).collect();
     fingerprints.sort();
     fingerprints.dedup();
-    let direct = provenance.direct_runs;
     Json::obj([
         ("name", Json::Str(name.to_owned())),
         ("instructions", Json::U64(opts.instructions)),
@@ -171,7 +163,7 @@ pub fn manifest_json(
             Json::obj([
                 ("memo_hits", Json::U64(provenance.memo_hits)),
                 ("disk_hits", Json::U64(provenance.disk_hits)),
-                ("simulations_run", Json::U64(provenance.sims_run + direct)),
+                ("simulations_run", Json::U64(provenance.sims_run)),
             ]),
         ),
         (
@@ -187,7 +179,7 @@ pub fn manifest_json(
                 ),
             ]),
         ),
-        ("simulations", Json::U64(jobs.len() as u64 + direct)),
+        ("simulations", Json::U64(jobs.len() as u64)),
         (
             "config_fingerprints",
             Json::Arr(fingerprints.into_iter().map(Json::Str).collect()),
@@ -292,7 +284,6 @@ mod tests {
                 memo_hits: 2,
                 disk_hits: 0,
                 sims_run: 1,
-                direct_runs: 0,
             },
             &ckpt,
         );
@@ -337,31 +328,6 @@ mod tests {
             vers.get("tk-sim").unwrap().as_str().unwrap(),
             tk_sim::VERSION
         );
-    }
-
-    #[test]
-    fn direct_runs_count_as_simulations() {
-        let j = manifest_json(
-            "fig22_mp",
-            &FigureOpts::quick(),
-            Duration::ZERO,
-            &[Job::new(
-                SpecBenchmark::Gzip,
-                SystemConfig::base(),
-                1,
-                10_000,
-            )],
-            Provenance {
-                memo_hits: 0,
-                disk_hits: 0,
-                sims_run: 1,
-                direct_runs: 4,
-            },
-            &CkptDelta::default(),
-        );
-        assert_eq!(j.u64_field("simulations").unwrap(), 5);
-        let prov = j.get("provenance").unwrap();
-        assert_eq!(prov.u64_field("simulations_run").unwrap(), 5);
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //!
 //! The run-wide choices that change a result (`--dram`, `--sample`,
 //! `--cores`, `--check`) live only in [`FigureOpts`]. They reach a
-//! simulation through [`FigureOpts::config`], [`FigureOpts::job`] and
-//! [`FigureOpts::simulate`]; `SystemConfig::builder()` itself always
-//! starts from the Table 1 machine.
+//! simulation through [`FigureOpts::config`] and [`FigureOpts::job`];
+//! `SystemConfig::builder()` itself always starts from the Table 1
+//! machine. Every simulation is an engine [`Job`], the multi-core and
+//! multiprogrammed mixes included ([`WorkloadId::Mix`]).
 
 use std::sync::Arc;
 
 use timekeeping::MetricsCollector;
-use tk_sim::trace::Workload;
 use tk_sim::{RunResult, SystemConfig};
 use tk_workloads::SpecBenchmark;
 
@@ -133,21 +133,6 @@ impl FigureOpts {
         Job {
             check: self.check,
             ..Job::new(bench, self.config(cfg), self.seed, self.instructions)
-        }
-    }
-
-    /// Runs `workload` directly, outside the engine (for workloads a
-    /// [`Job`] cannot name, like concurrent mixes), under
-    /// [`config`](Self::config)`(cfg)` for this run's budget, in lockstep
-    /// with the functional oracle under `--check`. The run is counted in
-    /// [`engine::direct_runs`], which manifests add to their simulations.
-    pub fn simulate<W: Workload + ?Sized>(&self, workload: &mut W, cfg: SystemConfig) -> RunResult {
-        engine::count_direct_run();
-        let cfg = self.config(cfg);
-        if self.check {
-            tk_sim::run_workload_checked(workload, cfg, self.instructions)
-        } else {
-            tk_sim::run_workload(workload, cfg, self.instructions)
         }
     }
 
@@ -425,30 +410,24 @@ impl Default for FigureOpts {
 /// trace registered with `--trace-file`, in registration order — the
 /// iteration set of every suite-driven figure.
 pub fn suite_workloads() -> Vec<WorkloadId> {
-    SpecBenchmark::ALL
-        .iter()
-        .copied()
-        .map(WorkloadId::Spec)
-        .chain(
-            workload::registered_traces()
-                .into_iter()
-                .map(WorkloadId::Trace),
-        )
-        .collect()
+    with_traces(&SpecBenchmark::ALL)
 }
 
 /// The best-performer subset plus every registered trace (external
 /// traces always ride along: the user asked for them by path).
 pub fn best_workloads() -> Vec<WorkloadId> {
-    SpecBenchmark::BEST_PERFORMERS
+    with_traces(&SpecBenchmark::BEST_PERFORMERS)
+}
+
+/// `benches`, then every registered trace in registration order.
+fn with_traces(benches: &[SpecBenchmark]) -> Vec<WorkloadId> {
+    let traces = workload::registered_traces()
+        .into_iter()
+        .map(WorkloadId::Trace);
+    benches
         .iter()
-        .copied()
-        .map(WorkloadId::Spec)
-        .chain(
-            workload::registered_traces()
-                .into_iter()
-                .map(WorkloadId::Trace),
-        )
+        .map(|&b| WorkloadId::Spec(b))
+        .chain(traces)
         .collect()
 }
 

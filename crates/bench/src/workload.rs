@@ -1,6 +1,6 @@
-//! Workload identity for the engine: synthetic benchmarks and
-//! registered external trace files, unified behind one cheap,
-//! hashable [`WorkloadId`].
+//! Workload identity for the engine: synthetic benchmarks, registered
+//! external trace files and two-program mixes, unified behind one
+//! cheap, hashable [`WorkloadId`].
 //!
 //! The `--trace-file=PATH[:fmt]` flag ([`register_trace`]) opens and
 //! validates a [`TraceFileWorkload`] once and parks the prototype in a
@@ -13,7 +13,8 @@
 //! Cache-key discipline: a trace job's key fragment is
 //! `trace={digest:016x}` — the FNV-1a digest of the decoded
 //! instruction stream, plus `;once` for a single-pass registration —
-//! where a synthetic job's is `bench={name}`.
+//! where a synthetic job's is `bench={name}` and a mix's is
+//! `mix={a}+{b}` (plus `;quantum={q}` when time-sliced).
 //! Digests are format- and compression-independent but sensitive to
 //! any one-record change, so memo entries, disk-cache files, sampling
 //! fingerprints and golden digests can never alias across traces, and
@@ -22,20 +23,42 @@
 use std::sync::Mutex;
 
 use tk_sim::trace::{Instr, Workload};
-use tk_workloads::{SpecBenchmark, SyntheticWorkload, TraceFileWorkload};
+use tk_workloads::{
+    ConcurrentMix, Multiprogrammed, SpecBenchmark, SyntheticWorkload, TraceFileWorkload,
+};
 
 /// A registered external trace (see [`register_trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceHandle(u32);
 
+/// How a [`WorkloadId::Mix`] shares the machine between its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Schedule {
+    /// One member per core, all at once ([`ConcurrentMix`]).
+    Concurrent,
+    /// Round-robin turns on a shared machine ([`Multiprogrammed`]).
+    TimeSliced {
+        /// Instructions per turn (nonzero).
+        quantum: u64,
+    },
+}
+
 /// What a [`Job`](crate::Job) simulates: a calibrated synthetic
-/// benchmark, or an external trace registered with `--trace-file`.
+/// benchmark, an external trace registered with `--trace-file`, or a
+/// pair of benchmarks sharing the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadId {
     /// One of the calibrated SPEC2000-like generators.
     Spec(SpecBenchmark),
     /// A registered external trace file.
     Trace(TraceHandle),
+    /// Two benchmarks, both built at the job's seed, run under `schedule`.
+    Mix {
+        /// The member programs, in core (or turn) order.
+        members: [SpecBenchmark; 2],
+        /// How the members share the machine.
+        schedule: Schedule,
+    },
 }
 
 impl From<SpecBenchmark> for WorkloadId {
@@ -54,7 +77,8 @@ impl WorkloadId {
     /// The workload's report name. Trace names are digest-qualified
     /// (`stem@{digest:016x}`, plus `+once` for a single-pass
     /// registration) so two different captures sharing a file stem stay
-    /// distinguishable in reports and sampling fingerprints.
+    /// distinguishable in reports and sampling fingerprints. A mix is
+    /// named as its built workload is: `cmix[a+b]` or `mp[a+b]`.
     pub fn name(&self) -> String {
         match self {
             WorkloadId::Spec(b) => b.name().to_owned(),
@@ -62,6 +86,13 @@ impl WorkloadId {
                 let info = trace_info(*h);
                 let once = if info.once { "+once" } else { "" };
                 format!("{}@{:016x}{}", info.name, info.digest, once)
+            }
+            WorkloadId::Mix { members, schedule } => {
+                let [a, b] = members.map(|m| m.name());
+                match schedule {
+                    Schedule::Concurrent => format!("cmix[{a}+{b}]"),
+                    Schedule::TimeSliced { .. } => format!("mp[{a}+{b}]"),
+                }
             }
         }
     }
@@ -71,7 +102,8 @@ impl WorkloadId {
     /// key format, so existing disk caches and golden digests survive),
     /// `trace={digest:016x}` for traces, with `;once` appended for a
     /// single-pass registration (padding with `O` ops after one pass
-    /// changes the result, so it must change the key).
+    /// changes the result, so it must change the key). A mix's fragment
+    /// is `mix={a}+{b}`, plus `;quantum={q}` when time-sliced.
     pub fn key_fragment(&self) -> String {
         match self {
             WorkloadId::Spec(b) => format!("bench={}", b.name()),
@@ -79,6 +111,13 @@ impl WorkloadId {
                 let info = trace_info(*h);
                 let once = if info.once { ";once" } else { "" };
                 format!("trace={:016x}{}", info.digest, once)
+            }
+            WorkloadId::Mix { members, schedule } => {
+                let [a, b] = members.map(|m| m.name());
+                match schedule {
+                    Schedule::Concurrent => format!("mix={a}+{b}"),
+                    Schedule::TimeSliced { quantum } => format!("mix={a}+{b};quantum={quantum}"),
+                }
             }
         }
     }
@@ -95,18 +134,43 @@ impl WorkloadId {
                     .unwrap_or_else(|| panic!("unregistered trace handle {}", h.0));
                 BuiltWorkload::Trace(e.proto.clone())
             }
+            WorkloadId::Mix { members, schedule } => {
+                let members = members
+                    .iter()
+                    .map(|b| Box::new(b.build(seed)) as Box<dyn Workload>)
+                    .collect();
+                BuiltWorkload::Mix(match *schedule {
+                    Schedule::Concurrent => Box::new(ConcurrentMix::new(members)),
+                    Schedule::TimeSliced { quantum } => {
+                        Box::new(Multiprogrammed::new(members, quantum))
+                    }
+                })
+            }
         }
     }
 }
 
-/// A built instruction stream — static dispatch over the two sources so
-/// the synthetic path keeps its monomorphized hot loop.
-#[derive(Debug, Clone)]
+/// A built instruction stream — static dispatch over the single-stream
+/// sources so the synthetic path keeps its monomorphized hot loop.
 pub enum BuiltWorkload {
     /// A synthetic generator.
     Spec(SyntheticWorkload),
     /// An external trace replay.
     Trace(TraceFileWorkload),
+    /// A [`ConcurrentMix`] or [`Multiprogrammed`] pair.
+    Mix(Box<dyn Workload>),
+}
+
+impl BuiltWorkload {
+    /// The source, dynamically dispatched (for the calls off the
+    /// per-instruction path).
+    fn source(&self) -> &dyn Workload {
+        match self {
+            BuiltWorkload::Spec(w) => w,
+            BuiltWorkload::Trace(w) => w,
+            BuiltWorkload::Mix(w) => w.as_ref(),
+        }
+    }
 }
 
 impl Workload for BuiltWorkload {
@@ -114,28 +178,20 @@ impl Workload for BuiltWorkload {
         match self {
             BuiltWorkload::Spec(w) => w.next_instr(),
             BuiltWorkload::Trace(w) => w.next_instr(),
+            BuiltWorkload::Mix(w) => w.next_instr(),
         }
     }
 
     fn name(&self) -> &str {
-        match self {
-            BuiltWorkload::Spec(w) => w.name(),
-            BuiltWorkload::Trace(w) => w.name(),
-        }
+        self.source().name()
     }
 
     fn fork(&self) -> Option<Box<dyn Workload>> {
-        match self {
-            BuiltWorkload::Spec(w) => w.fork(),
-            BuiltWorkload::Trace(w) => w.fork(),
-        }
+        self.source().fork()
     }
 
     fn per_core_streams(&self, cores: u32) -> Option<Vec<Box<dyn Workload>>> {
-        match self {
-            BuiltWorkload::Spec(w) => w.per_core_streams(cores),
-            BuiltWorkload::Trace(w) => w.per_core_streams(cores),
-        }
+        self.source().per_core_streams(cores)
     }
 }
 
@@ -278,6 +334,25 @@ mod tests {
         assert_eq!(id.name(), "gzip");
         assert_eq!(id, SpecBenchmark::Gzip);
         assert_ne!(id, SpecBenchmark::Mcf);
+    }
+
+    #[test]
+    fn mix_names_match_the_built_workload() {
+        let members = [SpecBenchmark::Gzip, SpecBenchmark::Art];
+        for (schedule, name, key) in [
+            (Schedule::Concurrent, "cmix[gzip+art]", "mix=gzip+art"),
+            (
+                Schedule::TimeSliced { quantum: 500 },
+                "mp[gzip+art]",
+                "mix=gzip+art;quantum=500",
+            ),
+        ] {
+            let id = WorkloadId::Mix { members, schedule };
+            assert_eq!(id.name(), name);
+            assert_eq!(id.build(3).name(), name);
+            assert_eq!(id.key_fragment(), key);
+            assert_ne!(id, SpecBenchmark::Gzip);
+        }
     }
 
     #[test]

@@ -100,23 +100,62 @@ fn fig22_venn_summary() {
     assert!(r.contains("helped by prefetch"));
 }
 
-/// A multi-core figure runs its concurrent mixes outside the engine; its
-/// manifest still counts those runs.
+/// A multi-core figure's concurrent mixes are engine jobs: its manifest
+/// counts and fingerprints all 18 of them, and a second run with the
+/// same `--cache` directory prints the same figure from 18 disk hits.
 #[test]
 fn fig22_mp_manifest_counts_direct_runs() {
-    let dir = std::env::temp_dir().join(format!("tk-fig22mp-obs-{}", std::process::id()));
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_fig22_mp"))
-        .args(["--cores=2", "--quick", "--obs-out"])
-        .arg(&dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("fig22_mp runs");
-    assert!(status.success());
-    let text = std::fs::read_to_string(dir.join("fig22_mp.manifest.json")).expect("manifest");
-    let m = timekeeping::Json::parse(&text).expect("manifest is JSON");
-    let _ = std::fs::remove_dir_all(&dir);
+    let tmp = std::env::temp_dir().join(format!("tk-fig22mp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&tmp);
+    let cache = format!("--cache={}", tmp.join("cache").display());
+    let run = |obs: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig22_mp"))
+            .args(["--cores=2", "--quick", &cache, "--obs-out"])
+            .arg(tmp.join(obs))
+            .stderr(std::process::Stdio::null())
+            .output()
+            .expect("fig22_mp runs");
+        assert!(out.status.success());
+        let path = tmp.join(obs).join("fig22_mp.manifest.json");
+        let text = std::fs::read_to_string(path).expect("manifest");
+        let m = timekeeping::Json::parse(&text).expect("manifest is JSON");
+        (out.stdout, m, text)
+    };
+    let (first, m, text) = run("obs1");
+    let (second, m2, text2) = run("obs2");
+    let _ = std::fs::remove_dir_all(&tmp);
+
     assert!(m.u64_field("simulations").unwrap() > 0, "{text}");
     let sims_run = m.get("provenance").unwrap().u64_field("simulations_run");
-    assert!(sims_run.unwrap() > 0, "{text}");
+    let sims_run = sims_run.unwrap();
+    assert!(sims_run > 0, "{text}");
+    assert_eq!(m.u64_field("simulations").unwrap(), 18, "{text}");
+    assert_eq!(sims_run, 18, "{text}");
+    let fps = m.get("config_fingerprints").unwrap().as_arr().unwrap();
+    assert_eq!(fps.len(), 18, "{text}");
+    assert!(
+        fps.iter().all(|f| f.as_str().unwrap().contains("mix=")),
+        "{text}"
+    );
+
+    assert_eq!(first, second, "a cached run must print the same figure");
+    let prov = m2.get("provenance").unwrap();
+    assert_eq!(prov.u64_field("disk_hits").unwrap(), 18, "{text2}");
+    assert_eq!(prov.u64_field("simulations_run").unwrap(), 0, "{text2}");
+}
+
+/// `multiprog` builds its co-schedules at `--seed`: two seeds print two
+/// different reports.
+#[test]
+fn multiprog_honours_the_seed() {
+    let run = |seed: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_multiprog"))
+            .args(["--instructions", "20000", "--seed", seed])
+            .stderr(std::process::Stdio::null())
+            .output()
+            .expect("multiprog runs");
+        assert!(out.status.success());
+        out.stdout
+    };
+    assert_ne!(run("1"), run("2"), "--seed must change the report");
 }

@@ -61,7 +61,8 @@ fn golden_figures_match() {
 
 /// The digest of a figure must not depend on the worker-pool size: a
 /// serial (`--jobs 1`) regeneration reproduces the blessed file that the
-/// (parallel) main test checks.
+/// (parallel) main test checks, for a single-core figure and for a
+/// multi-core one.
 #[test]
 fn golden_digest_pool_size_invariant() {
     if blessing() {
@@ -69,16 +70,21 @@ fn golden_digest_pool_size_invariant() {
     }
     let mut opts = golden::golden_opts();
     opts.jobs = 1;
-    let (name, generate) = golden::figure_manifest()[3]; // fig04
-    let doc = golden::digest(name, generate, opts).render();
-    let path = golden::golden_dir().join(format!("{name}.json"));
-    let Ok(expected) = std::fs::read_to_string(&path) else {
-        panic!("missing golden file {}; bless first", path.display());
-    };
-    assert_eq!(
-        expected,
-        doc,
-        "serial digest diverged: {}",
-        golden::first_diff(&expected, &doc)
-    );
+    for want in ["fig04", "fig22_mp"] {
+        let (name, generate) = golden::figure_manifest()
+            .into_iter()
+            .find(|(name, _)| *name == want)
+            .expect("figure is in the golden manifest");
+        let doc = golden::digest(name, generate, opts).render();
+        let path = golden::golden_dir().join(format!("{name}.json"));
+        let Ok(expected) = std::fs::read_to_string(&path) else {
+            panic!("missing golden file {}; bless first", path.display());
+        };
+        assert_eq!(
+            expected,
+            doc,
+            "{name}: serial digest diverged: {}",
+            golden::first_diff(&expected, &doc)
+        );
+    }
 }

@@ -9,11 +9,13 @@ use std::sync::Mutex;
 use timekeeping::{CorrelationConfig, Snapshot};
 use tk_bench::engine::{self, Job};
 use tk_bench::runner::{run_bench, run_suite, FigureOpts};
-use tk_bench::workload::WorkloadId;
+use tk_bench::workload::{Schedule, WorkloadId};
+use tk_sim::trace::Workload;
 use tk_sim::{
-    run_workload, ConfigError, PrefetchMode, RunResult, SampleConfig, SystemConfig, VictimMode,
+    run_multicore, run_workload, ConfigError, PrefetchMode, RunResult, SampleConfig, SystemConfig,
+    VictimMode,
 };
-use tk_workloads::SpecBenchmark;
+use tk_workloads::{ConcurrentMix, Multiprogrammed, SpecBenchmark};
 
 /// The engine's memo, stat counters, and disk-cache directory are global to
 /// the process; tests that assert on them must not interleave.
@@ -35,16 +37,47 @@ fn parallel_results_bit_identical_to_serial() {
         SystemConfig::with_victim(VictimMode::paper_dead_time()),
         SystemConfig::with_prefetch(PrefetchMode::Timekeeping(CorrelationConfig::PAPER_8KB)),
     ];
-    let jobs: Vec<Job> = cfgs
+    let mut jobs: Vec<Job> = cfgs
         .iter()
         .map(|&c| Job::new(SpecBenchmark::Gzip, c, 1, INSTS))
         .collect();
+    // A 2-core concurrent mix and a time-sliced one.
+    let (gzip, swim) = (SpecBenchmark::Gzip, SpecBenchmark::Swim);
+    let two_cores = SystemConfig::builder()
+        .cores(2)
+        .build()
+        .expect("2-core base config");
+    let mix = |schedule| WorkloadId::Mix {
+        members: [gzip, swim],
+        schedule,
+    };
+    jobs.push(Job::new(mix(Schedule::Concurrent), two_cores, 1, INSTS));
+    jobs.push(Job::new(
+        mix(Schedule::TimeSliced { quantum: 20_000 }),
+        SystemConfig::base(),
+        1,
+        INSTS,
+    ));
 
-    // Ground truth: the plain serial path, no engine involved.
-    let reference: Vec<RunResult> = jobs
+    // Ground truth: the plain serial path, no engine involved, with the
+    // mixes built by hand.
+    let mut reference: Vec<RunResult> = jobs[..cfgs.len()]
         .iter()
         .map(|j| serial_reference(j.bench, j.cfg, j.seed, j.instructions))
         .collect();
+    let members =
+        || -> Vec<Box<dyn Workload>> { vec![Box::new(gzip.build(1)), Box::new(swim.build(1))] };
+    reference.push(run_multicore(
+        &mut ConcurrentMix::new(members()),
+        two_cores,
+        INSTS,
+        false,
+    ));
+    reference.push(run_workload(
+        &mut Multiprogrammed::new(members(), 20_000),
+        SystemConfig::base(),
+        INSTS,
+    ));
 
     // One worker...
     let serial = engine::run_jobs(&jobs, 1);
@@ -53,6 +86,7 @@ fn parallel_results_bit_identical_to_serial() {
     engine::reset_stats();
     let parallel = engine::run_jobs(&jobs, 8);
 
+    assert_eq!(reference.len(), serial.len());
     for ((r, s), p) in reference.iter().zip(&serial).zip(&parallel) {
         // Full structural equality first: every counter, histogram bucket,
         // and nested stat block.
