@@ -70,7 +70,6 @@ pub mod dbcp;
 pub mod generation;
 pub mod histogram;
 pub mod hwcost;
-pub mod l2monitor;
 pub mod markov;
 pub mod meta;
 pub mod metrics;
@@ -87,7 +86,6 @@ pub use correlation::{CorrelationConfig, CorrelationStats, CorrelationTable, Pre
 pub use dbcp::{Dbcp, DbcpConfig, DbcpStats};
 pub use generation::{EvictCause, GenerationRecord};
 pub use histogram::Histogram;
-pub use l2monitor::L2IntervalMonitor;
 pub use markov::{Markov, MarkovConfig, MarkovStats};
 pub use meta::{DetBuildHasher, DetHasher, LineMap, LineMeta, LinePlane, LineSet};
 pub use metrics::{LiveTimeVariability, MetricsCollector};

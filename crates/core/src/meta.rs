@@ -3,7 +3,7 @@
 //! The paper's mechanisms all consume the same small set of per-line time
 //! metadata — generation start, last use, live/dead time of the previous
 //! generation, reload-interval history (§3–§5). Rather than every consumer
-//! (generation tracking, victim filters, the L2 interval monitor) keeping
+//! (generation tracking, victim filters, the metrics collector) keeping
 //! a private `HashMap<u64, …>` shadow, this module centralizes that state
 //! in one [`LinePlane`]:
 //!
@@ -11,7 +11,7 @@
 //!   [`hit`](LinePlane::hit) / [`evict`](LinePlane::evict)) in a plain
 //!   `Vec` — O(1) lookups, no hashing on the hot path;
 //! * **line-keyed** history ([`LineMeta`]) for data that must survive
-//!   eviction (previous generation's live/dead time, last L2 access),
+//!   eviction (previous generation's start and live/dead time),
 //!   stored under a seeded deterministic hasher ([`DetBuildHasher`]) so
 //!   simulations are reproducible and iteration order never depends on
 //!   process-random state.
@@ -25,6 +25,7 @@
 //! array indexed by a [`LineMap`] plus a [`LineSet`] of lines ever seen.
 //! Like everything else keyed by line, it hashes with [`DetHasher`].
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 
@@ -112,10 +113,8 @@ pub type LineSet = HashSet<u64, DetBuildHasher>;
 
 /// Per-line metadata that survives eviction: the history side of the plane.
 ///
-/// This unifies what used to be the generation tracker's line map (previous
-/// generation's start/live/dead) and the hierarchy's `l2_last_access`
-/// shadow map (last time the line reached the L2 — §3's observation that
-/// an L1 reload interval *is* an L2 access interval).
+/// An entry exists exactly for the lines ever filled: [`LinePlane::fill`]
+/// creates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LineMeta {
     /// Start time of the line's most recent generation (completed or open).
@@ -126,11 +125,6 @@ pub struct LineMeta {
     pub last_dead_time: u64,
     /// Whether at least one generation of this line has completed.
     pub completed: bool,
-    /// Whether the line has ever been filled (a [`LineMeta`] can exist
-    /// before the first fill, created by an L2-access recording).
-    pub filled: bool,
-    /// Last time this line was accessed at the L2 (i.e. missed in L1).
-    pub last_l2_access: Option<Cycle>,
 }
 
 /// Open state of one cache frame: the frame side of the plane.
@@ -148,9 +142,8 @@ struct FrameMeta {
 /// The unified timekeeping metadata plane for one cache.
 ///
 /// Drive it with [`fill`](LinePlane::fill), [`hit`](LinePlane::hit) and
-/// [`evict`](LinePlane::evict) from the owning cache model; record L2-side
-/// accesses with [`record_l2_access`](LinePlane::record_l2_access). All
-/// methods take the current cycle.
+/// [`evict`](LinePlane::evict) from the owning cache model. All methods
+/// take the current cycle.
 ///
 /// # Examples
 ///
@@ -172,9 +165,6 @@ struct FrameMeta {
 pub struct LinePlane {
     frames: Vec<Option<FrameMeta>>,
     lines: LineMap<LineMeta>,
-    /// Lines ever filled — kept as a counter so `lines_seen` stays O(1)
-    /// even though the map also holds L2-access-only entries.
-    filled_lines: usize,
 }
 
 impl LinePlane {
@@ -183,7 +173,6 @@ impl LinePlane {
         LinePlane {
             frames: vec![None; num_frames],
             lines: LineMap::default(),
-            filled_lines: 0,
         }
     }
 
@@ -206,16 +195,22 @@ impl LinePlane {
             self.frames[frame].is_none(),
             "fill into occupied frame {frame}"
         );
-        let meta = self.lines.entry(line.get()).or_default();
-        let (reload_interval, prev_live_time) = if meta.filled {
-            let ri = now.since(meta.last_start);
-            (Some(ri), meta.completed.then_some(meta.last_live_time))
-        } else {
-            self.filled_lines += 1;
-            (None, None)
+        let (reload_interval, prev_live_time) = match self.lines.entry(line.get()) {
+            Entry::Occupied(e) => {
+                let meta = e.into_mut();
+                let ri = now.since(meta.last_start);
+                let prev = meta.completed.then_some(meta.last_live_time);
+                meta.last_start = now;
+                (Some(ri), prev)
+            }
+            Entry::Vacant(e) => {
+                e.insert(LineMeta {
+                    last_start: now,
+                    ..LineMeta::default()
+                });
+                (None, None)
+            }
         };
-        meta.last_start = now;
-        meta.filled = true;
         self.frames[frame] = Some(FrameMeta {
             line,
             start: now,
@@ -327,24 +322,13 @@ impl LinePlane {
     ///
     /// This is what a miss to `line` consults: its previous generation's
     /// live time, dead time, and (via `last_start`) reload interval.
-    /// Entries created only by [`record_l2_access`](Self::record_l2_access)
-    /// are not visible here until the line's first fill.
     pub fn line_meta(&self, line: LineAddr) -> Option<&LineMeta> {
-        self.lines.get(&line.get()).filter(|m| m.filled)
-    }
-
-    /// Records that `line` was accessed at the L2 (i.e. missed in L1) at
-    /// `now`. Returns the L2 access interval — the time since the previous
-    /// L2 access to the same line, if one was observed.
-    pub fn record_l2_access(&mut self, line: LineAddr, now: Cycle) -> Option<u64> {
-        let meta = self.lines.entry(line.get()).or_default();
-        let prev = meta.last_l2_access.replace(now);
-        prev.map(|p| now.since(p))
+        self.lines.get(&line.get())
     }
 
     /// Number of distinct lines ever filled.
     pub fn lines_seen(&self) -> usize {
-        self.filled_lines
+        self.lines.len()
     }
 
     /// Closes every open generation at `now` with [`EvictCause::Flush`],
@@ -377,40 +361,5 @@ mod tests {
         let mut b = DetHasher::default();
         b.write_u64(42);
         assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn l2_access_interval_roundtrip() {
-        let mut p = LinePlane::new(1);
-        let a = LineAddr::new(9);
-        assert_eq!(p.record_l2_access(a, Cycle::new(100)), None);
-        assert_eq!(p.record_l2_access(a, Cycle::new(350)), Some(250));
-        assert_eq!(p.record_l2_access(a, Cycle::new(351)), Some(1));
-    }
-
-    #[test]
-    fn l2_only_entries_are_invisible_until_filled() {
-        let mut p = LinePlane::new(1);
-        let a = LineAddr::new(9);
-        p.record_l2_access(a, Cycle::new(100));
-        // The line has never been filled: no history, no reload interval,
-        // and it does not count as seen.
-        assert!(p.line_meta(a).is_none());
-        assert_eq!(p.lines_seen(), 0);
-        assert_eq!(p.fill(0, a, Cycle::new(120)), None);
-        assert_eq!(p.lines_seen(), 1);
-        let m = p.line_meta(a).unwrap();
-        assert!(m.filled && !m.completed);
-        assert_eq!(m.last_l2_access, Some(Cycle::new(100)));
-    }
-
-    #[test]
-    fn reload_interval_survives_l2_recording() {
-        let mut p = LinePlane::new(1);
-        let a = LineAddr::new(4);
-        p.fill(0, a, Cycle::new(0));
-        p.evict(0, Cycle::new(10), EvictCause::Demand);
-        p.record_l2_access(a, Cycle::new(500));
-        assert_eq!(p.fill(0, a, Cycle::new(500)), Some(500));
     }
 }

@@ -577,7 +577,6 @@ fn snapshot_roundtrips_metrics_collector() {
                     last_live_time: ri / 2,
                     last_dead_time: ri / 3,
                     completed: true,
-                    ..LineMeta::default()
                 };
                 m.on_miss(kinds[k], Some(&h), Some(ri));
             }
@@ -664,7 +663,6 @@ fn conflict_sweep_matches_bruteforce() {
                     last_live_time: 1,
                     last_dead_time: 1,
                     completed: true,
-                    ..LineMeta::default()
                 };
                 m.on_miss(kind, Some(&h), Some(ri));
             }

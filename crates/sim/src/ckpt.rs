@@ -31,12 +31,12 @@
 //! behavior: workload identity (name plus a hash probe of the stream's
 //! first instructions), instruction budget, sampling interval and `k`,
 //! L1 and L2 geometry, victim-buffer presence and capacity (warmup
-//! models victim movement but not its timing-based admission filter),
-//! and the software-prefetch-ignore flag. Everything else is timing-only
-//! and deliberately excluded, so all timing variants of one stream share
-//! one checkpoint. Checkpoints never alias across fingerprints, and the
-//! engine's memo/disk cache keys are untouched — a checkpoint is an
-//! implementation detail below the result cache.
+//! models victim movement but not its timing-based admission filter).
+//! Everything else is timing-only and deliberately excluded, so all
+//! timing variants of one stream share one checkpoint. Checkpoints never
+//! alias across fingerprints, and the engine's memo/disk cache keys are
+//! untouched — a checkpoint is an implementation detail below the result
+//! cache.
 //!
 //! Reused checkpoints are **bit-identical** to cold builds by
 //! construction: the checkpoint is the complete input of the timed
@@ -251,9 +251,13 @@ fn fingerprint_with(
         VictimMode::None => "none".to_owned(),
         _ => m.victim_entries.to_string(),
     };
+    // ` swpf=0` names a knob that no longer exists (software prefetches
+    // are always references). It stays so that the fingerprint, which
+    // names the on-disk checkpoint files, keeps its bytes; dropping it
+    // belongs with a model-version change.
     Some(format!(
         "v1 wl={workload_name}/{probe:016x} budget={budget} interval={} k={} \
-         l1={}x{}x{} l2={}x{}x{} vc={vc} swpf={}",
+         l1={}x{}x{} l2={}x{}x{} vc={vc} swpf=0",
         sc.interval,
         sc.k,
         m.l1d.size_bytes(),
@@ -262,7 +266,6 @@ fn fingerprint_with(
         m.l2.size_bytes(),
         m.l2.assoc(),
         m.l2.block_bytes(),
-        u8::from(cfg.ignore_sw_prefetch),
     ))
 }
 
@@ -744,6 +747,13 @@ mod tests {
             k: 2,
         });
         let base = job_fingerprint(7, "wl", &cfg, 100_000).expect("eligible");
+        // The fingerprint names on-disk checkpoint files: its text is
+        // pinned, so a change to it is a deliberate model-version bump.
+        assert_eq!(
+            base,
+            "v1 wl=wl/0000000000000007 budget=100000 interval=1000 k=2 \
+             l1=32768x1x32 l2=1048576x4x64 vc=none swpf=0"
+        );
 
         // Timing-only knobs share the fingerprint (the deprecated
         // field is still the Fixed backend's latency source).
@@ -760,11 +770,12 @@ mod tests {
         );
 
         // Functional knobs do not.
-        let mut swpf = cfg;
-        swpf.ignore_sw_prefetch = !cfg.ignore_sw_prefetch;
+        let mut victim = cfg;
+        victim.victim = VictimMode::paper_dead_time();
         assert_ne!(
-            job_fingerprint(7, "wl", &swpf, 100_000).as_deref(),
-            Some(base.as_str())
+            job_fingerprint(7, "wl", &victim, 100_000).as_deref(),
+            Some(base.as_str()),
+            "victim-buffer presence is part of the key"
         );
         assert_ne!(
             job_fingerprint(8, "wl", &cfg, 100_000).as_deref(),

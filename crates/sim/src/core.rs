@@ -32,7 +32,7 @@ pub struct CoreStats {
     pub loads: u64,
     /// Stores executed.
     pub stores: u64,
-    /// Software prefetches executed (0 if dropped by config).
+    /// Software prefetches executed.
     pub sw_prefetches: u64,
     /// Cycles in which no instruction could enter the window
     /// (window-full stalls).
@@ -81,7 +81,6 @@ pub struct OooCore {
     issue_width: usize,
     window_size: usize,
     commit_width: usize,
-    ignore_sw_prefetch: bool,
     step_every_cycle: bool,
     /// Completion cycles of in-flight instructions, in program order.
     window: std::collections::VecDeque<Cycle>,
@@ -105,7 +104,6 @@ impl OooCore {
             issue_width: m.issue_width as usize,
             window_size: m.window_size as usize,
             commit_width: m.commit_width as usize,
-            ignore_sw_prefetch: cfg.ignore_sw_prefetch,
             step_every_cycle: cfg.step_every_cycle,
             window: std::collections::VecDeque::with_capacity(m.window_size as usize),
             stalled: None,
@@ -274,12 +272,10 @@ impl OooCore {
                     cycle + 1
                 }
                 Instr::SwPrefetch(m) => {
-                    if !self.ignore_sw_prefetch {
-                        self.stats.sw_prefetches += 1;
-                        // Treated as a normal memory reference (§2.2)
-                        // that does not block retirement.
-                        mem.access(id, &m, false, cycle);
-                    }
+                    self.stats.sw_prefetches += 1;
+                    // Treated as a normal memory reference (§2.2) that
+                    // does not block retirement.
+                    mem.access(id, &m, false, cycle);
                     cycle + 1
                 }
             };
@@ -450,33 +446,6 @@ mod tests {
             core.run(&mut MissStream(42), &mut mem, 3_000)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn ignore_sw_prefetch_config() {
-        struct PfStream;
-        impl Workload for PfStream {
-            fn next_instr(&mut self) -> Instr {
-                Instr::SwPrefetch(MemRef::new(Addr::new(0x40), Pc::new(4)))
-            }
-            fn name(&self) -> &str {
-                "pf-stream"
-            }
-        }
-        let mut cfg = SystemConfig::base();
-        cfg.ignore_sw_prefetch = true;
-        let mut core = OooCore::new(&cfg);
-        let mut mem = MemorySystem::new(cfg);
-        let stats = core.run(&mut PfStream, &mut mem, 1_000);
-        assert_eq!(stats.sw_prefetches, 0);
-        assert_eq!(mem.stats().l1_accesses, 0);
-
-        let cfg2 = SystemConfig::base();
-        let mut core2 = OooCore::new(&cfg2);
-        let mut mem2 = MemorySystem::new(cfg2);
-        let stats2 = core2.run(&mut PfStream, &mut mem2, 1_000);
-        assert_eq!(stats2.sw_prefetches, 1_000);
-        assert_eq!(mem2.stats().l1_accesses, 1_000);
     }
 
     #[test]

@@ -392,19 +392,6 @@ impl MemorySystem {
         &self.cores[0].obs.metrics.collector
     }
 
-    /// Access intervals observed at the L2 (one sample per repeat L1 miss
-    /// of a line) by core 0. Per §3, this distribution coincides with the
-    /// L1 reload intervals — see `l2_access_interval_equals_l1_reload_interval`.
-    pub fn l2_access_intervals(&self) -> &timekeeping::Histogram {
-        &self.cores[0].obs.metrics.l2_access_interval
-    }
-
-    /// Prediction scores of core 0's hardware L2 interval monitor (§4.1's
-    /// L2-side conflict predictor, with real counter quantization).
-    pub fn l2_monitor_score(&self) -> &timekeeping::AccuracyCoverage {
-        self.cores[0].obs.metrics.l2_monitor.score()
-    }
-
     /// Ground-truth miss breakdown (Figure 2), summed over cores.
     pub fn miss_breakdown(&self) -> MissBreakdown {
         sum_cores(&self.cores, |c| c.shadow.breakdown())
@@ -623,6 +610,31 @@ mod tests {
 
     fn base_system() -> MemorySystem {
         MemorySystem::new(SystemConfig::base())
+    }
+
+    /// A base system recording every L1 miss in an in-memory trace.
+    fn miss_traced_system() -> MemorySystem {
+        use crate::obs::{TraceCategories, TraceCategory};
+        let mut sys = base_system();
+        sys.install_trace(TraceCategories::none().with(TraceCategory::Miss), 1);
+        sys
+    }
+
+    /// For every repeat L1 miss of a line in `sys`'s miss trace: the time
+    /// since that line's previous L1 miss — its L2 access interval (§3) —
+    /// and the miss-kind code the record carries.
+    fn repeat_miss_gaps(sys: &mut MemorySystem) -> Vec<(u64, u64)> {
+        use crate::obs::TraceKind;
+        let mut last = timekeeping::LineMap::default();
+        sys.trace_records()
+            .expect("miss trace installed")
+            .iter()
+            .filter(|r| r.kind == TraceKind::Miss)
+            .filter_map(|r| {
+                let prev = last.insert(r.line, r.cycle)?;
+                Some((r.cycle - prev, r.aux))
+            })
+            .collect()
     }
 
     #[test]
@@ -1020,9 +1032,12 @@ mod tests {
     #[test]
     fn l2_monitor_tracks_conflict_misses() {
         // A conflict ping-pong between two aliasing lines, slow enough that
-        // MSHRs expire: the L2 monitor must flag the short re-access
-        // intervals as conflicts with high accuracy.
-        let mut sys = base_system();
+        // MSHRs expire: §4.1's L2-side monitor, which calls an L2 access
+        // interval under 16K cycles a conflict, must flag the short
+        // re-access intervals as conflicts with high accuracy.
+        use crate::obs::miss_kind_code;
+        use timekeeping::MissKind;
+        let mut sys = miss_traced_system();
         let a = mref(0x40);
         let b = mref(0x40 + 32 * 1024);
         let mut now = 0u64;
@@ -1031,7 +1046,12 @@ mod tests {
             sys.access(&b, false, Cycle::new(now + 600));
             now += 1200;
         }
-        let score = sys.l2_monitor_score();
+        let mut score = timekeeping::AccuracyCoverage::new();
+        for (gap, kind) in repeat_miss_gaps(&mut sys) {
+            if kind != miss_kind_code(MissKind::Cold) {
+                score.record(gap < 16_384, kind == miss_kind_code(MissKind::Conflict));
+            }
+        }
         assert!(score.observed() > 100, "monitor must score misses");
         assert!(
             score.accuracy().unwrap() > 0.9,
@@ -1082,7 +1102,7 @@ mod tests {
     fn l2_access_interval_equals_l1_reload_interval() {
         // The paper's §3 identity, demonstrated mechanically: sweep a
         // footprint that thrashes the L1 so lines reload repeatedly.
-        let mut sys = base_system();
+        let mut sys = miss_traced_system();
         let mut now = Cycle::new(0);
         for _ in 0..6 {
             for i in 0..4096u64 {
@@ -1092,7 +1112,10 @@ mod tests {
             }
         }
         sys.finish(now);
-        let l2 = sys.l2_access_intervals();
+        let mut l2 = timekeeping::Histogram::paper_x1000();
+        for (gap, _) in repeat_miss_gaps(&mut sys) {
+            l2.record(gap);
+        }
         let reload = &sys.metrics().reload;
         assert!(l2.total() > 0);
         assert_eq!(

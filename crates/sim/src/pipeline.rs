@@ -47,7 +47,7 @@ use timekeeping::{
     LinePlane, MissKind, NoFilter, PrefetchRequest, ReloadIntervalFilter, TimekeepingPrefetcher,
     Timeliness, VictimCache, VictimFilter,
 };
-use timekeeping::{Histogram, L2IntervalMonitor, MetricsCollector, Pc};
+use timekeeping::{MetricsCollector, Pc};
 
 use crate::cache::ProbeResult;
 use crate::config::{L1Mode, MachineConfig, PrefetchMode, SystemConfig, VictimMode};
@@ -238,9 +238,6 @@ pub struct C2cEvent {
 pub struct Reactions {
     /// Access interval of a hit, published by the generation plane.
     pub access_interval: Option<u64>,
-    /// L2 access interval of a miss (time since the line's previous L1
-    /// miss), published by the generation plane.
-    pub l2_interval: Option<u64>,
     /// The missing line's last-generation metadata at miss time.
     pub line_meta: Option<LineMeta>,
     /// Reload interval at miss time (now minus last generation start).
@@ -295,9 +292,6 @@ pub trait MemObserver {
 #[derive(Debug)]
 pub(crate) struct GenObserver {
     pub(crate) plane: LinePlane,
-    /// Mirrors `SystemConfig::collect_metrics`: line metadata snapshots
-    /// are only taken when someone will consume them.
-    pub(crate) collect: bool,
 }
 
 impl MemObserver for GenObserver {
@@ -306,14 +300,9 @@ impl MemObserver for GenObserver {
     }
 
     fn on_miss(&mut self, ev: &MissEvent, rx: &mut Reactions) {
-        if self.collect {
-            // §3: each L1 miss is an L2 access for the line; the interval
-            // between successive ones is the L2 access interval.
-            rx.l2_interval = self.plane.record_l2_access(ev.line, ev.now);
-            let meta = self.plane.line_meta(ev.line).copied();
-            rx.reload_interval = meta.map(|h| ev.now.since(h.last_start));
-            rx.line_meta = meta;
-        }
+        let meta = self.plane.line_meta(ev.line).copied();
+        rx.reload_interval = meta.map(|h| ev.now.since(h.last_start));
+        rx.line_meta = meta;
     }
 
     fn on_fill(&mut self, ev: &FillEvent, _rx: &mut Reactions) {
@@ -331,38 +320,22 @@ impl MemObserver for GenObserver {
     }
 }
 
-/// Metric distributions, the L2 access-interval histogram and the
-/// hardware L2 interval monitor, as an observer.
+/// Metric distributions, as an observer.
 #[derive(Debug)]
 pub(crate) struct MetricsObserver {
     pub(crate) collector: MetricsCollector,
-    pub(crate) l2_access_interval: Histogram,
-    pub(crate) l2_monitor: L2IntervalMonitor,
-    pub(crate) collect: bool,
 }
 
 impl MemObserver for MetricsObserver {
     fn on_hit(&mut self, _ev: &HitEvent, rx: &mut Reactions) {
-        if self.collect {
-            if let Some(interval) = rx.access_interval {
-                self.collector.on_access_interval(interval);
-            }
+        if let Some(interval) = rx.access_interval {
+            self.collector.on_access_interval(interval);
         }
     }
 
     fn on_miss(&mut self, ev: &MissEvent, rx: &mut Reactions) {
-        // The hardware monitor sees this L1 miss as an L2 access and
-        // makes its own (tick-quantized) conflict call.
-        if let Some((_, predicted)) = self.l2_monitor.on_access(ev.addr, ev.now) {
-            self.l2_monitor.observe(predicted, ev.kind);
-        }
-        if self.collect {
-            if let Some(interval) = rx.l2_interval {
-                self.l2_access_interval.record(interval);
-            }
-            self.collector
-                .on_miss(ev.kind, rx.line_meta.as_ref(), rx.reload_interval);
-        }
+        self.collector
+            .on_miss(ev.kind, rx.line_meta.as_ref(), rx.reload_interval);
     }
 
     fn on_evict(&mut self, _ev: &EvictEvent, rx: &mut Reactions) {
@@ -378,7 +351,7 @@ impl MetricsObserver {
     /// Records a generation the plane closed (by eviction, invalidation
     /// or the end-of-run flush).
     fn on_close(&mut self, rec: Option<&GenerationRecord>) {
-        if let (true, Some(rec)) = (self.collect, rec) {
+        if let Some(rec) = rec {
             self.collector.on_generation(rec);
         }
     }
@@ -720,17 +693,12 @@ impl Observers {
     /// trace per L1.
     pub(crate) fn new(cfg: &SystemConfig, ticker: GlobalTicker) -> Self {
         let m = &cfg.machine;
-        let collect = cfg.collect_metrics;
         Observers {
             gens: GenObserver {
                 plane: LinePlane::new(m.l1d.num_frames() as usize),
-                collect,
             },
             metrics: MetricsObserver {
                 collector: MetricsCollector::new(),
-                l2_access_interval: Histogram::paper_x1000(),
-                l2_monitor: L2IntervalMonitor::new(m.l2, ticker, 16_384),
-                collect,
             },
             predictors: PredictorObserver::new(cfg, ticker),
             victim: VictimObserver {

@@ -316,9 +316,6 @@ fn profile_signatures(
                 }
             }
             pending = 0;
-            if kind == 4 && cfg.ignore_sw_prefetch {
-                continue;
-            }
             counts[sig_bucket(m.pc.get())] += 1;
             counts[SIG_PC + sig_bucket(geom.line_of(m.addr).get())] += 1;
         }
@@ -784,7 +781,6 @@ struct WarmState {
     oracle: FunctionalOracle,
     shadow: WarmShadow,
     geom: CacheGeometry,
-    ignore_swpf: bool,
     /// The line the previous reference touched (`u64::MAX` = none).
     /// After any access that line is resident and MRU at every level,
     /// so an immediate repeat load is a pure no-op — spatial locality
@@ -798,7 +794,6 @@ impl WarmState {
             oracle: FunctionalOracle::new(cfg),
             shadow: WarmShadow::new(cfg.machine.l1d.num_frames() as usize),
             geom: cfg.machine.l1d,
-            ignore_swpf: cfg.ignore_sw_prefetch,
             last_line: u64::MAX,
         }
     }
@@ -809,7 +804,6 @@ impl WarmState {
     fn step(&mut self, instr: Instr) {
         let (m, store) = match instr {
             Instr::Op => return,
-            Instr::SwPrefetch(_) if self.ignore_swpf => return,
             Instr::Load(m) | Instr::ChainedLoad(m) | Instr::SwPrefetch(m) => (m, false),
             Instr::Store(m) => (m, true),
         };
@@ -848,9 +842,6 @@ impl WarmState {
     /// never materialized — the loop touches memory accesses only.
     fn advance_buf(&mut self, buf: &[BufInstr]) {
         for &b in buf {
-            if b.kind == 4 && self.ignore_swpf {
-                continue;
-            }
             self.access_line(timekeeping::Addr::new(b.addr), b.kind == 3);
         }
     }

@@ -40,8 +40,8 @@ pub enum Instr {
     /// still accesses (and allocates in) the data cache.
     Store(MemRef),
     /// A compiler-inserted software prefetch. Per §2.2 of the paper these
-    /// are treated as normal memory references, but the simulator can also
-    /// be configured to drop them (the §5.2.3 sensitivity experiment).
+    /// are treated as normal memory references that do not block
+    /// retirement.
     SwPrefetch(MemRef),
 }
 

@@ -239,20 +239,6 @@ fn miss_chase_under_every_mechanism() {
     }
 }
 
-/// Chained-load stalls (`chain_ready` hops) dominate pointer-chasing
-/// workloads; cover them explicitly with software prefetches stripped so
-/// the stall pattern differs from the base sweep.
-#[test]
-fn pointer_chasing_chain_stalls() {
-    let cfg = SystemConfig::builder()
-        .ignore_sw_prefetch()
-        .build()
-        .expect("config is valid");
-    for b in [SpecBenchmark::Mcf, SpecBenchmark::Art, SpecBenchmark::Ammp] {
-        assert_equivalent(b, cfg, FigureOpts::QUICK_INSTRUCTIONS);
-    }
-}
-
 /// Builds the multi-core config matrix for one core count: base, victim
 /// cache (coherent swap path), predict-only timekeeping (the only
 /// prefetcher form legal past one core) and the banked-DDR4 + victim
